@@ -14,8 +14,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import exact_sqrt
+from .exactnum import divisors, exact_sqrt
 from .srg import SrgParams, srg_spectrum
+
+
+def _params_violation(p: int, r: int) -> str | None:
+    """The first existence condition that (p, r) fails, or None if it is a
+    candidate pair."""
+    if p < 2:
+        return f"p must be >= 2, got {p}"
+    if not 2 < r < p + 2:
+        return f"r must satisfy 2 < r < p+2, got r={r}, p={p}"
+    if 2 * (p + 1) % r != 0:
+        return f"r must divide 2(p+1), got r={r}, p={p}"
+    if (2 * p * (p + 1) * (p + 2) // r) % 2 != 0:
+        return f"2p(p+1)(p+2)/r must be even, got r={r}, p={p}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -31,14 +45,9 @@ class At4Params:
     r: int
 
     def __post_init__(self):
-        if self.p < 2:
-            raise ValueError(f"p must be >= 2, got {self.p}")
-        if not 2 < self.r < self.p + 2:
-            raise ValueError(f"r must satisfy 2 < r < p+2, got r={self.r}, p={self.p}")
-        if 2 * (self.p + 1) % self.r != 0:
-            raise ValueError(f"r must divide 2(p+1), got r={self.r}, p={self.p}")
-        if (2 * self.p * (self.p + 1) * (self.p + 2) // self.r) % 2 != 0:
-            raise ValueError(f"2p(p+1)(p+2)/r must be even, got r={self.r}, p={self.p}")
+        reason = _params_violation(self.p, self.r)
+        if reason is not None:
+            raise ValueError(reason)
 
     @property
     def q(self) -> int:
@@ -117,14 +126,7 @@ def feasible_r(p: int) -> tuple[int, ...]:
     and 2p(p+1)(p+2)/r even."""
     if p < 2:
         raise ValueError(f"feasible_r requires p >= 2, got {p}")
-    out = []
-    for r in range(3, p + 2):
-        try:
-            At4Params(p, r)
-        except ValueError:
-            continue
-        out.append(r)
-    return tuple(out)
+    return tuple(r for r in divisors(2 * (p + 1)) if _params_violation(p, r) is None)
 
 
 def intersection_array(params: At4Params) -> IntersectionArray:

@@ -104,6 +104,7 @@ def _scan_entry(p: int) -> dict:
     base = prime_power_base(p)
     q = p + 2
     s = (p + 2) ** 2 - 2
+    rs = at4.feasible_r(p)
     entry: dict = {
         "p": p,
         "prime_power": list(base) if base else None,
@@ -111,14 +112,12 @@ def _scan_entry(p: int) -> dict:
         "q_prime": is_prime(q),
         "s": s,
         "s_prime": is_prime(s),
-        "feasible_r": list(at4.feasible_r(p)),
+        "feasible_r": list(rs),
         "local_srg": list(local_family_params(p).as_tuple()),
         "local_fix_bound": fixed_point_order_bound(local_family_params(p)),
         "clique_bound": clique_bound(p),
     }
-    entry["arrays"] = [
-        {"r": r, **_array_payload(at4.At4Params(p, r))} for r in at4.feasible_r(p)
-    ]
+    entry["arrays"] = [{"r": r, **_array_payload(at4.At4Params(p, r))} for r in rs]
     stab = higman.edge_stabilizer_primes(p)
     entry["edge_stabilizer_primes"] = sorted(stab) if stab is not None else "inapplicable"
     bounds = higman.spectrum_bounds(p)
@@ -134,11 +133,15 @@ def _scan_entry(p: int) -> dict:
     return entry
 
 
-def _jobs(args) -> int:
+def _jobs(args, count: int) -> int:
+    """Scan workers: --jobs, else AT4_JOBS, else 1; never more than the CPUs
+    or the ``count`` p values to scan."""
     if args.jobs is not None:
-        return max(1, args.jobs)
-    env = os.environ.get("AT4_JOBS", "")
-    return max(1, int(env)) if env.isdigit() else 1
+        jobs = args.jobs
+    else:
+        env = os.environ.get("AT4_JOBS", "")
+        jobs = int(env) if env.isdigit() else 1
+    return max(1, min(jobs, os.cpu_count() or 1, count))
 
 
 def _cmd_scan(args, out) -> int:
@@ -146,7 +149,7 @@ def _cmd_scan(args, out) -> int:
         print(f"error: bad range {args.p_min}..{args.p_max} (need 2 <= p_min <= p_max)", file=sys.stderr)
         return EXIT_USAGE
     ps = range(args.p_min, args.p_max + 1)
-    jobs = _jobs(args)
+    jobs = _jobs(args, len(ps))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             entries = list(pool.map(_scan_entry, ps))
@@ -258,7 +261,8 @@ def _cmd_bounds(args, out) -> int:
 
 def _cmd_verify(args, out) -> int:
     try:
-        text = open(args.graph, encoding="utf-8").read()
+        with open(args.graph, encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -285,8 +289,10 @@ def _cmd_verify(args, out) -> int:
 
 def _cmd_audit(args, out) -> int:
     try:
-        graph_text = open(args.graph, encoding="utf-8").read()
-        perm_text = open(args.perms, encoding="utf-8").read()
+        with open(args.graph, encoding="utf-8") as fh:
+            graph_text = fh.read()
+        with open(args.perms, encoding="utf-8") as fh:
+            perm_text = fh.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

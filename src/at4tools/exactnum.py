@@ -1,14 +1,20 @@
 """Exact integer arithmetic: factorization, primality, group-order helpers.
 
 Everything in this package runs on plain Python integers and
-``fractions.Fraction``; no floating point is used anywhere.  The magnitudes
-are small (parameters of graphs with at most a few million vertices), so
-trial division backed by a deterministic Miller-Rabin test is plenty.
+``fractions.Fraction``; no floating point is used anywhere.  Factorization
+is trial division that stops as soon as the remaining cofactor is 1 or a
+proven prime (deterministic Miller-Rabin), so its cost is set by the
+second-largest prime factor, not by the square root of n: numbers near p^3
+for p up to about 10^6 factor in a fraction of a second.  Divisors are
+built from the factorization.
 """
 
 import math
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The strong-pseudoprime test to the thirteen bases above has no false
+# positive below this bound (Sorenson and Webster, 2015).
+_MR_PROVEN_BELOW = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
@@ -35,8 +41,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _settled(n: int) -> bool:
+    # Nothing is left for trial division: n is 1 or a proven prime.
+    return n == 1 or (n < _MR_PROVEN_BELOW and is_prime(n))
+
+
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization of n >= 1 as (prime, exponent) pairs, ascending."""
+    """Prime factorization of n >= 1 as (prime, exponent) pairs, ascending.
+
+    Trial division stops once the cofactor is 1 or a proven prime; that
+    test runs at the start and after each prime factor is removed.  A
+    cofactor above 3.3e24 is never taken as proven, so it is divided on to
+    its square root: exact, but slow."""
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     out = []
@@ -46,14 +62,16 @@ def factorize(n: int) -> list[tuple[int, int]]:
         e += 1
     if e:
         out.append((2, e))
+    settled = _settled(n)
     p = 3
-    while p * p <= n:
+    while not settled and p * p <= n:
         if n % p == 0:
             e = 0
             while n % p == 0:
                 n //= p
                 e += 1
             out.append((p, e))
+            settled = _settled(n)
         p += 2
     if n > 1:
         out.append((n, 1))
@@ -79,16 +97,13 @@ def primes_upto(n: int) -> list[int]:
 
 
 def divisors(n: int) -> list[int]:
-    """Sorted positive divisors of n >= 1."""
+    """Sorted positive divisors of n >= 1, built from its factorization."""
     if n < 1:
         raise ValueError(f"divisors requires n >= 1, got {n}")
-    small, large = [], []
-    for i in range(1, math.isqrt(n) + 1):
-        if n % i == 0:
-            small.append(i)
-            if i != n // i:
-                large.append(n // i)
-    return small + large[::-1]
+    out = [1]
+    for prime, e in factorize(n):
+        out = [d * prime**k for d in out for k in range(e + 1)]
+    return sorted(out)
 
 
 def prime_power_base(n: int) -> tuple[int, int] | None:

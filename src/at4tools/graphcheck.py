@@ -22,6 +22,11 @@ from .higman import AutProfile, alpha1_candidates, chi_filter, chi_values
 from .srg import SrgParams, fixed_point_order_bound, local_family_params
 
 
+# Largest vertex count a graph file may declare; the parser refuses a larger
+# header before it allocates anything.
+MAX_VERTICES = 1 << 20
+
+
 class GraphError(Exception):
     """Parse or construction failure for a concrete graph."""
 
@@ -143,35 +148,52 @@ def _content_lines(text: str):
             yield lineno, line
 
 
+def _natural(tok: str) -> int | None:
+    # str.isdigit also accepts characters such as '²' that int() rejects,
+    # and int() refuses numbers of thousands of digits.
+    if tok.isdigit():
+        try:
+            return int(tok)
+        except ValueError:
+            pass
+    return None
+
+
 def parse_graph(text: str) -> tuple[Graph, tuple[str, ...]]:
     """Parse the adjacency text format, returning the graph and a warning
     per edge that had to be symmetrized.
 
     Format: a header line ``n <count>``, then one line per vertex
     ``i: j k l`` with sorted 0-based neighbors.  Blank lines and ``#``
-    comments are ignored.  Loops and malformed lines raise GraphError with
-    the offending line number.
+    comments are ignored.  Loops, malformed lines and a count above
+    MAX_VERTICES raise GraphError with the offending line number.
     """
     lines = list(_content_lines(text))
     if not lines:
         raise GraphError("empty input: expected header line 'n <count>'")
     lineno, header = lines[0]
     parts = header.split()
-    if len(parts) != 2 or parts[0] != "n" or not parts[1].isdigit():
+    n = _natural(parts[1]) if len(parts) == 2 and parts[0] == "n" else None
+    if n is None:
         raise GraphError(f"line {lineno}: expected header 'n <count>', got {header!r}")
-    n = int(parts[1])
+    if n > MAX_VERTICES:
+        raise GraphError(f"line {lineno}: vertex count {n} exceeds the limit {MAX_VERTICES}")
     directed = [0] * n
     for lineno, line in lines[1:]:
         head, sep, tail = line.partition(":")
-        if not sep or not head.strip().isdigit():
+        i = _natural(head.strip()) if sep else None
+        if i is None:
             raise GraphError(f"line {lineno}: expected 'i: neighbors', got {line!r}")
-        i = int(head)
         if i >= n:
             raise GraphError(f"line {lineno}: vertex {i} out of range for n = {n}")
         for tok in tail.split():
+            # inline _natural: this loop runs once per listed edge end
             if not tok.isdigit():
                 raise GraphError(f"line {lineno}: bad neighbor {tok!r}")
-            j = int(tok)
+            try:
+                j = int(tok)
+            except ValueError:
+                raise GraphError(f"line {lineno}: bad neighbor {tok!r}") from None
             if j >= n:
                 raise GraphError(f"line {lineno}: neighbor {j} out of range for n = {n}")
             if j == i:

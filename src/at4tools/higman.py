@@ -175,14 +175,16 @@ def alpha1_residues(p: int, ell: int, fix: int) -> tuple[int, int, int]:
     return (r1, r2, m)
 
 
-def alpha1_candidates(p: int, ell: int, fix: int) -> frozenset[int]:
+def alpha1_candidates(p: int, ell: int, fix: int) -> range:
     """All alpha_1 values in [0, v - fix] compatible with both character
     congruences for a prime order ell and fixed-point count ``fix``.
 
     The two congruences share the modulus 2(p+1)*ell; their intersection is
     a single residue class when they agree and empty otherwise, so the
-    enumeration is complete by construction.  A positive ``fix`` must not
-    exceed the fixed-subgraph bound (p+2)^2 - 2.
+    enumeration is complete by construction.  The class is returned as a
+    ``range`` (``range(0)`` when empty): membership and size cost O(1) and
+    iteration is lazy.  A positive ``fix`` must not exceed the
+    fixed-subgraph bound (p+2)^2 - 2.
     """
     if p <= 2:
         raise ValueError(f"alpha1_candidates requires p > 2, got {p}")
@@ -193,9 +195,8 @@ def alpha1_candidates(p: int, ell: int, fix: int) -> frozenset[int]:
         raise ValueError(f"fixed-point count {fix} outside [0, {bound}]")
     r1, r2, m = alpha1_residues(p, ell, fix)
     if r1 != r2:
-        return frozenset()
-    top = local_vertex_count(p) - fix
-    return frozenset(range(r1, top + 1, m))
+        return range(0)
+    return range(r1, local_vertex_count(p) - fix + 1, m)
 
 
 def alpha1_expressions_consistent(p: int, ell: int, fix_limit: int | None = None) -> bool:

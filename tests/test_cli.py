@@ -137,6 +137,13 @@ def test_verify_parse_error(tmp_path):
     assert rc == 3
 
 
+def test_verify_oversize_header_is_input_error(tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text(f"n {graphcheck.MAX_VERTICES + 1}\n")
+    rc, text = run(["verify", str(path)])
+    assert rc == 3 and text == ""
+
+
 def test_verify_missing_file():
     rc, _ = run(["verify", "/nonexistent/graph.txt"])
     assert rc == 3
@@ -194,3 +201,19 @@ def test_timing_present_without_flag():
     rc, out = run(["--format", "json", "array", "2", "3"])
     assert rc == 0
     assert "timing_ms" in json.loads(out)
+
+
+def test_scan_worker_count_is_capped(monkeypatch):
+    # the count is computed, never used to start a pool here
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    parser = cli._build_parser()
+    assert cli._jobs(parser.parse_args(["--jobs", "1000000", "scan", "2", "100"]), 99) == 2
+    assert cli._jobs(parser.parse_args(["--jobs", "1000000", "scan", "2", "4"]), 3) == 2
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    assert cli._jobs(parser.parse_args(["--jobs", "1000000", "scan", "2", "4"]), 3) == 3
+    assert cli._jobs(parser.parse_args(["--jobs", "0", "scan", "2", "4"]), 3) == 1
+    monkeypatch.setenv("AT4_JOBS", "999999")
+    assert cli._jobs(parser.parse_args(["scan", "2", "4"]), 3) == 3
+    assert cli._jobs(parser.parse_args(["scan", "2", "2000"]), 1999) == 64
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._jobs(parser.parse_args(["scan", "2", "4"]), 3) == 1

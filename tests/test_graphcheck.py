@@ -1,6 +1,7 @@
 import pytest
 
 from at4tools.graphcheck import (
+    MAX_VERTICES,
     Graph,
     GraphError,
     alpha_profile,
@@ -48,6 +49,23 @@ def test_parse_bad_header():
 def test_parse_out_of_range():
     with pytest.raises(GraphError, match="line 2"):
         load_graph("n 2\n0: 5\n")
+
+
+def test_parse_rejects_oversize_header():
+    # refused from the header alone, before any per-vertex allocation
+    with pytest.raises(GraphError, match="exceeds the limit"):
+        parse_graph(f"n {MAX_VERTICES + 1}\n")
+    with pytest.raises(GraphError, match="line 1"):
+        parse_graph("n 10000000000000\n")
+
+
+def test_parse_rejects_non_ascii_and_overlong_numbers():
+    with pytest.raises(GraphError, match="line 1"):
+        parse_graph("n \u00b2\n")  # '²' passes str.isdigit but not int()
+    with pytest.raises(GraphError, match="line 2"):
+        parse_graph("n 2\n" + "9" * 5000 + ": 1\n")
+    with pytest.raises(GraphError, match="line 2"):
+        parse_graph("n 2\n0: " + "9" * 5000 + "\n")
 
 
 def test_parse_symmetrizes_with_warning():
