@@ -11,7 +11,7 @@ tridiagonal intersection matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactnum import divisors, exact_sqrt
@@ -59,47 +59,39 @@ class IntersectionArray:
     """Intersection array {b_0..b_{d-1}; c_1..c_d} of a distance-regular graph.
 
     Validates positivity, a_i >= 0 and integrality of all distance-layer
-    sizes on construction.
+    sizes on construction, and keeps a_0..a_d and the layer sizes k_0..k_d
+    that the validation computes: a_i = b_0 - b_i - c_i (b_d = 0, c_0 = 0),
+    k_0 = 1 and k_{i+1} = k_i b_i / c_{i+1}.
     """
 
     b: tuple[int, ...]
     c: tuple[int, ...]
+    a: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    layer_sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.b) != len(self.c) or not self.b:
             raise ValueError("need b_0..b_{d-1} and c_1..c_d of equal positive length")
-        if any(x <= 0 for x in self.b) or any(x <= 0 for x in self.c):
+        if min(self.b) <= 0 or min(self.c) <= 0:
             raise ValueError(f"array entries must be positive: {self}")
         if self.c[0] != 1:
             raise ValueError(f"c_1 must be 1: {self}")
-        if any(a < 0 for a in self.a):
+        b0 = self.b[0]
+        a = tuple(b0 - b - c for b, c in zip(self.b + (0,), (0,) + self.c))
+        if min(a) < 0:
             raise ValueError(f"negative a_i: {self}")
         sizes = [1]
-        for i in range(self.diameter):
-            num = sizes[-1] * self.b[i]
-            if num % self.c[i] != 0:
-                raise ValueError(f"non-integral layer size at distance {i + 1}: {self}")
-            sizes.append(num // self.c[i])
+        for b, c in zip(self.b, self.c):
+            num = sizes[-1] * b
+            if num % c != 0:
+                raise ValueError(f"non-integral layer size at distance {len(sizes)}: {self}")
+            sizes.append(num // c)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "layer_sizes", tuple(sizes))
 
     @property
     def diameter(self) -> int:
         return len(self.c)
-
-    @property
-    def a(self) -> tuple[int, ...]:
-        """a_0..a_d, with a_i = b_0 - b_i - c_i (b_d = 0, c_0 = 0)."""
-        b0 = self.b[0]
-        bs = self.b + (0,)
-        cs = (0,) + self.c
-        return tuple(b0 - bs[i] - cs[i] for i in range(self.diameter + 1))
-
-    @property
-    def layer_sizes(self) -> tuple[int, ...]:
-        """k_0..k_d with k_0 = 1 and k_{i+1} = k_i b_i / c_{i+1}."""
-        sizes = [1]
-        for i in range(self.diameter):
-            sizes.append(sizes[-1] * self.b[i] // self.c[i])
-        return tuple(sizes)
 
     @property
     def vertex_count(self) -> int:
@@ -197,16 +189,17 @@ VIOLATED = "violated"
 
 def fundamental_bound_check(b0: int, a1: int, b1: int, theta1, theta4) -> str:
     """Classify (theta1 + b0/(a1+1))(theta4 + b0/(a1+1)) against
-    -b0*a1*b1/(a1+1)^2 in exact rationals.
+    -b0*a1*b1/(a1+1)^2 exactly: both sides are multiplied by (a1+1)^2 > 0,
+    which leaves integers for integer thetas.
 
     Returns "equality" (the tight case), "strict" when the left side
     exceeds the right, or "violated".
     """
     if a1 < 0:
         raise ValueError(f"a1 must be >= 0, got {a1}")
-    shift = Fraction(b0, a1 + 1)
-    lhs = (theta1 + shift) * (theta4 + shift)
-    rhs = Fraction(-b0 * a1 * b1, (a1 + 1) ** 2)
+    m = a1 + 1
+    lhs = (theta1 * m + b0) * (theta4 * m + b0)
+    rhs = -b0 * a1 * b1
     if lhs == rhs:
         return EQUALITY
     return STRICT if lhs > rhs else VIOLATED
@@ -222,28 +215,33 @@ def local_eigen_from_array(b1: int, theta1, theta4) -> tuple[Fraction, Fraction]
     return (-1 - Fraction(b1, 1 + theta4), 1 + Fraction(b1, 1 + theta1))
 
 
-def triple_constant(params: At4Params) -> int:
+def triple_constant(params: At4Params, arr: IntersectionArray | None = None) -> int:
     """The constant number 2(p+1)/r of common neighbors of an edge and a
-    vertex at distance 2 from both ends, cross-checked as c2(a1-p)/a2."""
+    vertex at distance 2 from both ends, cross-checked as c2(a1-p)/a2.
+    ``arr`` is the intersection array of ``params`` when the caller has
+    already built it."""
     p, r = params.p, params.r
     value = 2 * (p + 1) // r
-    arr = intersection_array(params)
+    if arr is None:
+        arr = intersection_array(params)
     a = arr.a
     assert Fraction(arr.c[1] * (a[1] - p), a[2]) == value
     return value
 
 
-def derived(params: At4Params) -> At4Derived:
+def derived(params: At4Params, arr: IntersectionArray | None = None) -> At4Derived:
     """Vertex count and covering data, with the closed form
-    v = r(b0+1) + b0*b1/c2 checked against the layer sizes."""
-    arr = intersection_array(params)
+    v = r(b0+1) + b0*b1/c2 checked against the layer sizes.  ``arr`` is the
+    intersection array of ``params`` when the caller has already built it."""
+    if arr is None:
+        arr = intersection_array(params)
     r = params.r
     num = arr.b[0] * arr.b[1]
     assert num % arr.c[1] == 0
     v = r * (arr.b[0] + 1) + num // arr.c[1]
     assert v == arr.vertex_count
     assert v % r == 0
-    return At4Derived(v, v // r, r, triple_constant(params))
+    return At4Derived(v, v // r, r, triple_constant(params, arr))
 
 
 def char_poly(arr: IntersectionArray) -> list[int]:
@@ -285,15 +283,20 @@ def _deflate(coeffs: list[int], root: int) -> list[int]:
     return out
 
 
-def at4_eigenvalues(params: At4Params) -> tuple[int, int, int, int, int]:
+def at4_eigenvalues(
+    params: At4Params, arr: IntersectionArray | None = None
+) -> tuple[int, int, int, int, int]:
     """All five eigenvalues of the candidate array, descending.
 
     Three are located independently: the valency, and theta_1/theta_4
     reconstructed by inverting the local-parameter relations.  Each is
     verified as a root of the characteristic polynomial computed from the
     array alone; the remaining two come from the deflated quadratic.
+    ``arr`` is the intersection array of ``params`` when the caller has
+    already built it.
     """
-    arr = intersection_array(params)
+    if arr is None:
+        arr = intersection_array(params)
     poly = char_poly(arr)
     b1 = arr.b[1]
     theta1 = -1 + b1 // (params.q - 1)

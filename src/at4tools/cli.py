@@ -17,6 +17,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import at4, graphcheck, higman
 from .exactnum import is_prime, prime_power_base
@@ -35,39 +36,80 @@ EXIT_FINDINGS = 1
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 
+# The report at a prime power p lists every prime up to p; above this p that
+# list outgrows bounded time and memory, so such p are refused as usage errors.
+MAX_LISTED_P = 10**7
 
-def _jsonable(value):
-    """Normalize report values: Fractions to strings, sets sorted, tuples to lists."""
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, (frozenset, set)):
-        return [_jsonable(v) for v in sorted(value)]
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+
+def _too_large(ps) -> str | None:
+    """Why the report of some p in ps cannot be made, or None."""
+    big = next((p for p in ps if p > MAX_LISTED_P and prime_power_base(p)), None)
+    if big is None:
+        return None
+    return f"p = {big} is a prime power above {MAX_LISTED_P}: its report would list every prime up to p"
+
+
+def _items(report: dict) -> list:
+    """Items of a report dict with every key made a str, sorted by key."""
+    return sorted({str(k): v for k, v in report.items()}.items())
+
+
+_INTS = frozenset({int})
+_CONTAINERS = (dict, list, tuple, set, frozenset)
+
+
+def _json(value, indent: str = "") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, ASCII-escaped, for
+    report values: sets print as sorted lists, tuples as lists, Fractions as
+    strings and keys as str."""
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
     if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return value
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        body = (f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in _items(value))
+        return "{\n" + inner + (",\n" + inner).join(body) + "\n" + indent + "}"
+    if isinstance(value, (set, frozenset)):
+        value = sorted(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        # exact types: bool is an int subclass that prints as true/false
+        if {*map(type, value)} == _INTS:
+            body = map(int.__repr__, value)
+        else:
+            body = (_json(v, inner) for v in value)
+        return "[\n" + inner + (",\n" + inner).join(body) + "\n" + indent + "]"
+    if isinstance(value, Fraction):
+        value = str(value)
+    return json.dumps(value)
 
 
 def _flatten(value, path, lines):
     if isinstance(value, dict):
-        for key in sorted(value):
-            _flatten(value[key], f"{path}.{key}" if path else str(key), lines)
-    elif isinstance(value, list) and any(isinstance(v, (dict, list)) for v in value):
-        for i, v in enumerate(value):
-            _flatten(v, f"{path}.{i}", lines)
-    else:
-        if isinstance(value, list):
-            rendered = "[" + ", ".join(json.dumps(v) for v in value) + "]"
+        for key, v in _items(value):
+            _flatten(v, f"{path}.{key}" if path else key, lines)
+        return
+    if isinstance(value, (set, frozenset)):
+        value = sorted(value)
+    if isinstance(value, (list, tuple)):
+        if any(isinstance(v, _CONTAINERS) for v in value):
+            for i, v in enumerate(value):
+                _flatten(v, f"{path}.{i}", lines)
         else:
-            rendered = json.dumps(value)
-        lines.append(f"{path} = {rendered}")
+            lines.append(f"{path} = [" + ", ".join(map(_json, value)) + "]")
+    else:
+        lines.append(f"{path} = {_json(value)}")
 
 
 def _emit(report: dict, fmt: str, out) -> None:
-    report = _jsonable(report)
     if fmt == "json":
-        out.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        out.write(_json(report) + "\n")
     else:
         lines: list[str] = []
         _flatten(report, "", lines)
@@ -77,9 +119,8 @@ def _emit(report: dict, fmt: str, out) -> None:
 def _array_payload(params: at4.At4Params) -> dict:
     arr = at4.intersection_array(params)
     antipodal, r_back = at4.antipodal_check(arr)
-    dd = at4.derived(params)
-    theta1 = -1 + arr.b[1] // (params.q - 1)
-    theta4 = -1 - arr.b[1] // (1 + params.p)
+    dd = at4.derived(params, arr)
+    eigenvalues = at4.at4_eigenvalues(params, arr)
     sub = at4.second_subconstituent_array(params)
     return {
         "b": list(arr.b),
@@ -92,9 +133,10 @@ def _array_payload(params: at4.At4Params) -> dict:
         "recovered_r": r_back,
         "kernel_order_divides": dd.kernel_order_divides,
         "triple_constant": dd.triple_constant,
-        "eigenvalues": list(at4.at4_eigenvalues(params)),
+        "eigenvalues": list(eigenvalues),
+        # theta_1 and theta_d: the second largest and the least eigenvalue
         "fundamental_bound": at4.fundamental_bound_check(
-            arr.b[0], arr.a[1], arr.b[1], theta1, theta4
+            arr.b[0], arr.a[1], arr.b[1], eigenvalues[1], eigenvalues[-1]
         ),
         "second_subconstituent": {"b": list(sub.b), "c": list(sub.c)},
     }
@@ -149,6 +191,10 @@ def _cmd_scan(args, out) -> int:
         print(f"error: bad range {args.p_min}..{args.p_max} (need 2 <= p_min <= p_max)", file=sys.stderr)
         return EXIT_USAGE
     ps = range(args.p_min, args.p_max + 1)
+    error = _too_large(ps)
+    if error:
+        print(f"error: {error}", file=sys.stderr)
+        return EXIT_USAGE
     jobs = _jobs(args, len(ps))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -227,6 +273,10 @@ def _cmd_bounds(args, out) -> int:
     p = args.p
     if p < 2:
         print(f"error: p must be >= 2, got {p}", file=sys.stderr)
+        return EXIT_USAGE
+    error = _too_large([p])
+    if error:
+        print(f"error: {error}", file=sys.stderr)
         return EXIT_USAGE
     params = local_family_params(p)
     spec = srg_spectrum(params)

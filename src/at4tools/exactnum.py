@@ -4,9 +4,10 @@ Everything in this package runs on plain Python integers and
 ``fractions.Fraction``; no floating point is used anywhere.  Factorization
 is trial division that stops as soon as the remaining cofactor is 1 or a
 proven prime (deterministic Miller-Rabin), so its cost is set by the
-second-largest prime factor, not by the square root of n: numbers near p^3
-for p up to about 10^6 factor in a fraction of a second.  Divisors are
-built from the factorization.
+second-largest prime factor, not by the square root of n.  Past 2^12 a
+composite cofactor below 3.3e24 is split by Pollard-Brent rho instead, in
+time about the fourth root of the cofactor.  Divisors are built from the
+factorization.
 """
 
 import math
@@ -46,13 +47,67 @@ def _settled(n: int) -> bool:
     return n == 1 or (n < _MR_PROVEN_BELOW and is_prime(n))
 
 
+# Trial division past this bound hands a composite cofactor below
+# _MR_PROVEN_BELOW to rho, whose cost grows as the square root of the least
+# prime factor where trial division's grows as the factor itself.
+_TRIAL_LIMIT = 1 << 12
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of the odd composite n: Pollard's rho with Brent's
+    cycle search and gcds batched over 128 steps.  The start 2 and the
+    constants c = 1, 2, ... are fixed, so the result is deterministic."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            # the batch overshot: step again from its start, one gcd a step
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+def _rho_primes(n: int) -> list[int]:
+    """Prime factors of the odd n < _MR_PROVEN_BELOW with multiplicity:
+    every piece is split by rho until is_prime, which is a proof below that
+    bound, accepts it."""
+    out = []
+    stack = [n]
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            out.append(m)
+        else:
+            d = _rho_divisor(m)
+            stack += (d, m // d)
+    return out
+
+
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 as (prime, exponent) pairs, ascending.
 
     Trial division stops once the cofactor is 1 or a proven prime; that
-    test runs at the start and after each prime factor is removed.  A
-    cofactor above 3.3e24 is never taken as proven, so it is divided on to
-    its square root: exact, but slow."""
+    test runs at the start and after each prime factor is removed.  Past
+    2^12 a composite cofactor below 3.3e24 is split by rho into proven
+    primes.  A larger cofactor is never taken as proven, so it is divided
+    on until it drops below that bound: exact, but slow."""
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     out = []
@@ -65,6 +120,10 @@ def factorize(n: int) -> list[tuple[int, int]]:
     settled = _settled(n)
     p = 3
     while not settled and p * p <= n:
+        if p > _TRIAL_LIMIT and n < _MR_PROVEN_BELOW:
+            primes = _rho_primes(n)
+            out += ((q, primes.count(q)) for q in sorted(set(primes)))
+            return out
         if n % p == 0:
             e = 0
             while n % p == 0:

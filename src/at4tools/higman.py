@@ -638,8 +638,9 @@ def spectrum_bounds(p: int) -> tuple[frozenset[int], frozenset[int]] | None:
     if not _is_prime_power_gt2(p):
         return None
     s = p * p + 4 * p + 2
-    lower = prime_set((p + 2) * s * (p + 1) * (p + 4))
-    upper = frozenset(primes_upto(p + 2)) | prime_set(s * (p + 4))
+    outer = prime_set(s) | prime_set(p + 4)
+    lower = prime_set(p + 2) | prime_set(p + 1) | outer
+    upper = frozenset(primes_upto(p + 2)) | outer
     assert lower <= upper
     return (lower, upper)
 

@@ -53,6 +53,9 @@ def test_scan_bad_range_usage_error():
     assert rc == 2
     rc, _ = run(["scan", "1", "3"])
     assert rc == 2
+    # 10000019 is prime: its report would list every prime up to it
+    rc, text = run(["scan", "10000018", "10000020"])
+    assert rc == 2 and text == ""
 
 
 def test_scan_byte_identical_and_parallel(monkeypatch):

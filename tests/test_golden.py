@@ -2,46 +2,89 @@
 
 The files under ``tests/golden/`` are the contract that makes refactoring
 safe: every report listed in CASES must keep its exact bytes in both the
-JSON and the text format.  Regenerate them only when a report is meant to
-change, with ``PYTHONPATH=src python tests/test_golden.py``.
+JSON and the text format, and its exit code.  Regenerate them only when a
+report is meant to change, with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import io
 import pathlib
+import tempfile
 
 import pytest
 
-from at4tools import cli
+from at4tools import cli, graphcheck
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 # Even p exercise the factor 2 shared by p+2 and s; 7 divides v at p = 23,
 # so the profile prints a non-empty fixed-point-free alpha_1 class.
+# scan 592 601 is the largest window the scan benchmark runs.  Graph and
+# permutation arguments in braces name files that write_inputs creates.
 CASES = {
-    "scan_2_60": ["scan", "2", "60"],
-    **{f"bounds_{p}": ["bounds", str(p)] for p in (2, 4, 8, 11, 17, 27)},
-    "profile_23_8_7": ["profile", "23", "8", "7"],
-    "array_11_4": ["array", "11", "4"],
+    "scan_2_60": (["scan", "2", "60"], 0),
+    "scan_592_601": (["scan", "592", "601"], 0),
+    **{f"bounds_{p}": (["bounds", str(p)], 0) for p in (2, 4, 8, 11, 17, 27)},
+    "profile_23_8_7": (["profile", "23", "8", "7"], 0),
+    "array_11_4": (["array", "11", "4"], 0),
+    "verify_petersen": (["verify", "{petersen}"], 0),
+    "verify_gewirtz": (["verify", "{gewirtz}"], 0),
+    "verify_prism": (["verify", "{prism}"], 0),
+    "audit_gewirtz_findings": (["audit", "{gewirtz}", "{perms}", "2"], 1),
 }
 FORMATS = {"json": "json", "text": "txt"}
 
 
-def render(fmt: str, argv: list[str]) -> str:
+def write_inputs(directory: pathlib.Path) -> dict[str, str]:
+    """Write the graph files of the verify and audit cases into directory:
+    the Petersen and Gewirtz graphs, the triangular prism (regular but not
+    distance-regular), and four Gewirtz automorphisms of which the third has
+    two images swapped.  Return their paths by name."""
+    prism = graphcheck.Graph.from_edges(
+        6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
+    )
+    perms = [list(s) for s in graphcheck.gewirtz_automorphisms(4)]
+    perms[2][0], perms[2][1] = perms[2][1], perms[2][0]
+    texts = {
+        "petersen": graphcheck.graph_to_text(graphcheck.generate_petersen()),
+        "gewirtz": graphcheck.graph_to_text(graphcheck.generate_gewirtz()),
+        "prism": graphcheck.graph_to_text(prism),
+        "perms": graphcheck.permutations_to_text(perms),
+    }
+    paths = {}
+    for name, text in texts.items():
+        path = directory / f"{name}.txt"
+        path.write_text(text, encoding="utf-8")
+        paths[name] = str(path)
+    return paths
+
+
+def render(fmt: str, argv: list[str], expected_rc: int) -> str:
     buf = io.StringIO()
     rc = cli.main(["--format", fmt, "--deterministic", *argv], out=buf)
-    assert rc == 0
+    assert rc == expected_rc
     return buf.getvalue()
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    return write_inputs(tmp_path_factory.mktemp("golden-inputs"))
 
 
 @pytest.mark.parametrize("fmt", sorted(FORMATS))
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_bytes(name, fmt):
+def test_golden_bytes(name, fmt, inputs):
+    argv, expected_rc = CASES[name]
     expected = (GOLDEN / f"{name}.{FORMATS[fmt]}").read_text(encoding="utf-8")
-    assert render(fmt, CASES[name]) == expected
+    assert render(fmt, [a.format(**inputs) for a in argv], expected_rc) == expected
 
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for name, argv in CASES.items():
-        for fmt, ext in FORMATS.items():
-            (GOLDEN / f"{name}.{ext}").write_text(render(fmt, argv), encoding="utf-8")
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = write_inputs(pathlib.Path(tmp))
+        for name, (argv, expected_rc) in CASES.items():
+            args = [a.format(**paths) for a in argv]
+            for fmt, ext in FORMATS.items():
+                (GOLDEN / f"{name}.{ext}").write_text(
+                    render(fmt, args, expected_rc), encoding="utf-8"
+                )

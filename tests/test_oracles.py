@@ -2,9 +2,14 @@
 sympy for factorizations and divisors, the literal existence conditions for
 feasible_r, and the character filter for the alpha_1 residue class."""
 
+import io
+import json
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from at4tools import cli
 from at4tools.at4 import feasible_r
 from at4tools.exactnum import divisors, factorize, prime_set, primes_upto
 from at4tools.higman import (
@@ -13,6 +18,7 @@ from at4tools.higman import (
     block_size_filter,
     chi_filter,
     local_vertex_count,
+    spectrum_bounds,
 )
 
 @pytest.fixture(scope="module")
@@ -47,6 +53,54 @@ def test_exactnum_matches_sympy_on_products_of_large_primes(sympy):
     # the cofactor test must not stop early on a composite cofactor
     for n in (999983 * 1000003, 999983**2, 2**61 - 1, 3 * 5 * 999983 * (2**61 - 1)):
         check_against_sympy(sympy, n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=2**19, max_value=2**39),
+    st.integers(min_value=2**19, max_value=2**39),
+)
+def test_factorize_matches_sympy_on_products_of_two_primes(sympy, x, y):
+    # cofactors with two prime factors above the trial-division limit go to rho
+    n = sympy.nextprime(x) * sympy.nextprime(y)
+    assert factorize(n) == sorted(sympy.factorint(n).items())
+
+
+def run_bounds(p: int) -> tuple[int, dict | None, float]:
+    buf = io.StringIO()
+    start = time.perf_counter()
+    rc = cli.main(["--format", "json", "--deterministic", "bounds", str(p)], out=buf)
+    return rc, json.loads(buf.getvalue()) if rc == 0 else None, time.perf_counter() - start
+
+
+def test_bounds_with_two_large_cofactor_primes_finish(sympy):
+    # p = 999999999989 is prime and s = 536281391 * 1864692709395169: trial
+    # division alone must run to 5.4e8 to split (p+2)s
+    p = 999999999989
+    n = family_order(p)
+    start = time.perf_counter()
+    assert factorize(n) == sorted(sympy.factorint(n).items())
+    assert time.perf_counter() - start < 10
+    # its report would list every prime up to p, so it is refused at once
+    rc, _, elapsed = run_bounds(p)
+    assert rc == 2 and elapsed < 10
+    # p - 1 is not a prime power and (p+1)s has the factors 10768462751 and
+    # 31183265791, so the whole report is made
+    rc, report, elapsed = run_bounds(p - 1)
+    assert rc == 0 and elapsed < 10
+    s = (p + 1) ** 2 - 2
+    assert report["block_sizes"] == [d for d in sympy.divisors(family_order(p - 1)) if d <= s]
+
+
+def test_spectrum_bounds_match_sympy(sympy):
+    for p in [*range(3, 10**4 + 1), 1000003]:
+        if len(sympy.factorint(p)) != 1:
+            assert spectrum_bounds(p) is None
+            continue
+        s = p * p + 4 * p + 2
+        lower = frozenset(sympy.primefactors((p + 2) * s * (p + 1) * (p + 4)))
+        upper = frozenset(sympy.primerange(p + 3)) | frozenset(sympy.primefactors(s * (p + 4)))
+        assert spectrum_bounds(p) == (lower, upper), p
 
 
 def test_feasible_r_matches_literal_conditions():

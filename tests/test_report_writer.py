@@ -1,0 +1,104 @@
+"""The report writers against the standard library.
+
+On random nested report values the JSON writer must print the bytes of
+``json.dumps(ref_normalise(x), sort_keys=True, indent=2) + "\\n"`` and the
+text writer the lines of ``ref_text(ref_normalise(x))``, where both
+references are the plain normalise-then-print route kept here."""
+
+import io
+import json
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from at4tools import cli
+
+
+def ref_normalise(value):
+    """Fractions to strings, sets to sorted lists, tuples to lists, keys to str."""
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, (frozenset, set)):
+        return [ref_normalise(v) for v in sorted(value)]
+    if isinstance(value, (list, tuple)):
+        return [ref_normalise(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): ref_normalise(v) for k, v in value.items()}
+    return value
+
+
+def ref_text(value, path="", lines=None) -> str:
+    """One `path = json` line per leaf of a normalised value; a list of
+    scalars is one leaf."""
+    if lines is None:
+        lines = []
+        ref_text(value, path, lines)
+        return "\n".join(lines) + "\n"
+    if isinstance(value, dict):
+        for key in sorted(value):
+            ref_text(value[key], f"{path}.{key}" if path else str(key), lines)
+    elif isinstance(value, list) and any(isinstance(v, (dict, list)) for v in value):
+        for i, v in enumerate(value):
+            ref_text(v, f"{path}.{i}", lines)
+    elif isinstance(value, list):
+        lines.append(f"{path} = [" + ", ".join(json.dumps(v) for v in value) + "]")
+    else:
+        lines.append(f"{path} = {json.dumps(value)}")
+
+
+def emit(value, fmt: str) -> str:
+    buf = io.StringIO()
+    cli._emit(value, fmt, buf)
+    return buf.getvalue()
+
+
+# str with quotes, backslashes, control characters and non-ASCII text
+texts = st.text(st.characters() | st.sampled_from('"\\\x00\x1f\x7f\xe9\u2028\U0001f600'), max_size=6)
+ints = st.integers() | st.integers(min_value=-(2**256), max_value=2**256) | st.sampled_from([0, -1, 2**63])
+leaves = (
+    st.none()
+    | st.booleans()
+    | ints
+    | st.fractions()
+    | st.floats()
+    | texts
+    | st.sets(ints, max_size=4)
+    | st.frozensets(texts, max_size=4)
+    | st.frozensets(st.fractions(), max_size=4)
+    | st.lists(ints, max_size=6)  # the all-int fast path
+    | st.lists(st.booleans() | st.integers(-3, 3), max_size=6)  # bool must not take it
+)
+values = st.recursive(
+    leaves,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(texts, children, max_size=4),
+    max_leaves=20,
+)
+reports = st.dictionaries(texts, values, max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(values)
+def test_json_writer_matches_stdlib(value):
+    expected = json.dumps(ref_normalise(value), sort_keys=True, indent=2) + "\n"
+    assert emit(value, "json") == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(reports)
+def test_text_writer_matches_reference(report):
+    assert emit(report, "text") == ref_text(ref_normalise(report))
+
+
+def test_writers_on_edge_values():
+    report = {
+        "empty": {"d": {}, "l": [], "t": (), "s": set(), "f": frozenset()},
+        "ints": [2**100, -(2**100), 0],
+        "bools": [True, False, 1],
+        "fractions": {Fraction(-1, 3), Fraction(7)},
+        "quote\"keyé": "tab\tnewline\n \U0001f600",
+        "nested": [[1, 2], {"a": None}, (3,)],
+    }
+    assert emit(report, "json") == json.dumps(ref_normalise(report), sort_keys=True, indent=2) + "\n"
+    assert emit(report, "text") == ref_text(ref_normalise(report))
