@@ -322,7 +322,13 @@ def _cmd_verify(args, out) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     srg_params = graphcheck.verify_srg(g)
-    drg = graphcheck.verify_drg(g)
+    if srg_params:
+        # strongly regular (connected, non-complete) is distance-regular of
+        # diameter 2 with b = (k, k - lam - 1), c = (1, mu)
+        k, lam, mu = srg_params.k, srg_params.lam, srg_params.mu
+        drg = at4.IntersectionArray((k, k - lam - 1), (1, mu))
+    else:
+        drg = graphcheck.verify_drg(g)
     report = {
         "schema": SCHEMA,
         "command": "verify",
@@ -338,6 +344,9 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_audit(args, out) -> int:
+    if args.p < 2:
+        print(f"error: p must be >= 2, got {args.p}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         with open(args.graph, encoding="utf-8") as fh:
             graph_text = fh.read()

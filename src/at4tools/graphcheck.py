@@ -14,7 +14,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 
 from .at4 import IntersectionArray
 from .exactnum import is_prime
@@ -38,10 +38,21 @@ def _bits(mask: int):
         mask ^= low
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _dense_bits(mask: int):
+    """The set bits of mask in increasing order, as _bits gives them.  Its
+    cost is linear in the bit length, not in the bits set, so it beats
+    _bits on masks where many bits are set, such as BFS layers."""
+    flags = format(mask, "b").encode()[::-1].translate(_BIT_BYTES)
+    return compress(range(len(flags)), flags)
+
+
 class Graph:
     """Simple undirected graph on vertices 0..n-1 with bitset rows."""
 
-    __slots__ = ("n", "rows", "_dist")
+    __slots__ = ("n", "rows", "_dist", "_adj")
 
     def __init__(self, rows):
         rows = tuple(rows)
@@ -58,6 +69,7 @@ class Graph:
         self.n = n
         self.rows = rows
         self._dist = None
+        self._adj = None
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -75,8 +87,14 @@ class Graph:
     def __hash__(self):
         return hash(self.rows)
 
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted neighbour tuple of every vertex, computed once and cached."""
+        if self._adj is None:
+            self._adj = tuple(tuple(_bits(row)) for row in self.rows)
+        return self._adj
+
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(_bits(self.rows[v]))
+        return self.adjacency()[v]
 
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
@@ -513,38 +531,57 @@ def verify_srg(g: Graph) -> SrgParams | None:
     return SrgParams(n, k, lam, mu)
 
 
-def verify_drg(g: Graph) -> IntersectionArray | None:
-    """Return the intersection array iff g is distance-regular: for every
-    base vertex, the neighbor counts one layer in, same layer, and one
-    layer out depend only on the distance."""
-    n = g.n
-    if n < 2 or not g.is_connected():
-        return None
-    dist = g.distances()
-    d = max(max(row) for row in dist)
-    if d == 0:
-        return None
-    b = [None] * (d + 1)
-    c = [None] * (d + 1)
-    for u in range(n):
-        du = dist[u]
-        if max(du) != d:
-            return None
-        layer = [0] * (d + 1)
-        for w in range(n):
-            layer[du[w]] |= 1 << w
-        for w in range(n):
-            i = du[w]
-            row = g.rows[w]
-            ci = (row & layer[i - 1]).bit_count() if i > 0 else 0
-            bi = (row & layer[i + 1]).bit_count() if i < d else 0
-            if b[i] is None:
-                b[i], c[i] = bi, ci
-            elif b[i] != bi or c[i] != ci:
+def _distance_counts(rows, u: int, expect=None) -> list[tuple[int, int]] | None:
+    """One bitset BFS from u.  Per distance i, the counts (b_i, c_i) of
+    neighbours one layer out and one layer in that every vertex at distance
+    i shares; None as soon as two of them disagree, a count differs from
+    expect, or u does not reach every vertex.
+
+    An eccentricity e of u other than the d of expect fails a count first:
+    at distance min(e, d), b is 0 on the side that ends there and positive
+    on the other, so expect is never read past its end."""
+    counts = []
+    layer = 1 << u
+    unseen = ((1 << len(rows)) - 1) ^ layer
+    inner = 0
+    while layer:
+        # -1: take the counts of the layer's first vertex
+        want_b, want_c = expect[len(counts)] if expect is not None else (-1, -1)
+        nxt = 0
+        for w in _dense_bits(layer):
+            row = rows[w]
+            out = row & unseen
+            b = out.bit_count()
+            c = (row & inner).bit_count()
+            if want_b < 0:
+                want_b, want_c = b, c
+            elif b != want_b or c != want_c:
                 return None
-    if b[d] != 0 or c[1] != 1:
+            nxt |= out
+        counts.append((want_b, want_c))
+        inner = layer
+        layer = nxt
+        unseen ^= layer
+    return None if unseen else counts
+
+
+def verify_drg(g: Graph) -> IntersectionArray | None:
+    """Return the intersection array iff g is distance-regular: connected,
+    and for every base vertex the neighbour counts one layer in and one
+    layer out depend only on the distance, with the same counts (and so the
+    same eccentricity) from every base vertex."""
+    if g.n < 2:
         return None
-    return IntersectionArray(tuple(b[:d]), tuple(c[1:]))
+    first = _distance_counts(g.rows, 0)
+    if first is None:
+        return None
+    for u in range(1, g.n):
+        if _distance_counts(g.rows, u, first) is None:
+            return None
+    b, c = zip(*first)
+    if b[-1] != 0 or c[1] != 1:
+        return None
+    return IntersectionArray(b[:-1], c[1:])
 
 
 def is_permutation(seq, n: int) -> bool:
@@ -557,13 +594,21 @@ def is_automorphism(g: Graph, sigma) -> bool:
         raise ValueError(f"permutation length {len(sigma)} does not match n = {g.n}")
     if not is_permutation(sigma, g.n):
         return False
-    for u in range(g.n):
-        image = 0
-        for w in _bits(g.rows[u]):
-            image |= 1 << sigma[w]
-        if g.rows[sigma[u]] != image:
-            return False
-    return True
+    rows = g.rows
+    bit = [1 << image for image in sigma]
+    # the images of u's neighbours are distinct, so their bits sum to their
+    # union: the image of u's row, which must be the row of sigma[u]
+    return all(
+        rows[image] == sum(map(bit.__getitem__, nbrs))
+        for image, nbrs in zip(sigma, g.adjacency())
+    )
+
+
+def _alpha_counts(dist, d: int, sigma) -> tuple[int, ...]:
+    counts = [0] * (d + 1)
+    for row, image in zip(dist, sigma):
+        counts[row[image]] += 1
+    return tuple(counts)
 
 
 def alpha_profile(g: Graph, sigma) -> tuple[int, ...]:
@@ -573,23 +618,7 @@ def alpha_profile(g: Graph, sigma) -> tuple[int, ...]:
         raise ValueError("sigma is not an automorphism")
     if not g.is_connected():
         raise ValueError("alpha_profile requires a connected graph")
-    dist = g.distances()
-    counts = [0] * (g.diameter() + 1)
-    for v in range(g.n):
-        counts[dist[v][sigma[v]]] += 1
-    return tuple(counts)
-
-
-def distance_partition(g: Graph, base: int) -> tuple[tuple[int, ...], ...]:
-    """Layers of vertices by distance from a base vertex of a connected
-    graph; the layers partition the vertex set."""
-    dist = g.bfs_distances(base)
-    if -1 in dist:
-        raise GraphError("distance_partition requires a connected graph")
-    layers = [[] for _ in range(max(dist) + 1)]
-    for v, d in enumerate(dist):
-        layers[d].append(v)
-    return tuple(tuple(layer) for layer in layers)
+    return _alpha_counts(g.distances(), g.diameter(), sigma)
 
 
 def fix_subgraph(g: Graph, sigmas) -> Graph:
@@ -643,6 +672,8 @@ def audit_family_graph(g: Graph, p: int, sigmas) -> AuditReport:
             f"graph verifies as {measured and measured.as_tuple()}, expected {params.as_tuple()}"
         )
     bound = fixed_point_order_bound(params)
+    dist = g.distances()
+    diameter = g.diameter()
     failures = []
     orders = []
     for idx, sigma in enumerate(sigmas):
@@ -657,7 +688,7 @@ def audit_family_graph(g: Graph, p: int, sigmas) -> AuditReport:
             continue
         order = perm_order(sigma)
         orders.append(order)
-        profile = alpha_profile(g, sigma)
+        profile = _alpha_counts(dist, diameter, sigma)
         fix = profile[0]
         if order > 1 and fix > bound:
             codes.append("fix-bound-exceeded")

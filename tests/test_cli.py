@@ -193,6 +193,14 @@ def test_audit_wrong_family(gewirtz_files, tmp_path):
     assert "error" in rep
 
 
+@pytest.mark.parametrize("p", [1, 0, -3])
+def test_audit_p_below_2_usage_error(gewirtz_files, capsys, p):
+    gpath, ppath, _ = gewirtz_files
+    rc, text = run(["audit", str(gpath), str(ppath), str(p)])
+    assert rc == 2 and text == ""
+    assert capsys.readouterr().err == f"error: p must be >= 2, got {p}\n"
+
+
 def test_text_format_deterministic():
     rc1, out1 = run(["--deterministic", "bounds", "3"])
     rc2, out2 = run(["--deterministic", "bounds", "3"])

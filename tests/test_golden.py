@@ -18,8 +18,11 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 # Even p exercise the factor 2 shared by p+2 and s; 7 divides v at p = 23,
 # so the profile prints a non-empty fixed-point-free alpha_1 class.
-# scan 592 601 is the largest window the scan benchmark runs.  Graph and
-# permutation arguments in braces name files that write_inputs creates.
+# scan 592 601 is the largest window the scan benchmark runs.  The 4-cube
+# (diameter 4) is answered by the DRG pass alone; two disjoint triangles are
+# disconnected; an audit at p = 1 is a usage error with nothing on stdout.
+# Graph and permutation arguments in braces name files that write_inputs
+# creates.
 CASES = {
     "scan_2_60": (["scan", "2", "60"], 0),
     "scan_592_601": (["scan", "592", "601"], 0),
@@ -29,7 +32,10 @@ CASES = {
     "verify_petersen": (["verify", "{petersen}"], 0),
     "verify_gewirtz": (["verify", "{gewirtz}"], 0),
     "verify_prism": (["verify", "{prism}"], 0),
+    "verify_cube4": (["verify", "{cube4}"], 0),
+    "verify_two_triangles": (["verify", "{triangles}"], 0),
     "audit_gewirtz_findings": (["audit", "{gewirtz}", "{perms}", "2"], 1),
+    "audit_p1_usage": (["audit", "{gewirtz}", "{perms}", "1"], 2),
 }
 FORMATS = {"json": "json", "text": "txt"}
 
@@ -37,17 +43,24 @@ FORMATS = {"json": "json", "text": "txt"}
 def write_inputs(directory: pathlib.Path) -> dict[str, str]:
     """Write the graph files of the verify and audit cases into directory:
     the Petersen and Gewirtz graphs, the triangular prism (regular but not
-    distance-regular), and four Gewirtz automorphisms of which the third has
-    two images swapped.  Return their paths by name."""
+    distance-regular), the 4-cube, two disjoint triangles, and four Gewirtz
+    automorphisms of which the third has two images swapped.  Return their
+    paths by name."""
     prism = graphcheck.Graph.from_edges(
         6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
     )
+    cube4 = graphcheck.Graph.from_edges(
+        16, [(u, u ^ (1 << i)) for u in range(16) for i in range(4) if u < u ^ (1 << i)]
+    )
+    triangles = graphcheck.Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     perms = [list(s) for s in graphcheck.gewirtz_automorphisms(4)]
     perms[2][0], perms[2][1] = perms[2][1], perms[2][0]
     texts = {
         "petersen": graphcheck.graph_to_text(graphcheck.generate_petersen()),
         "gewirtz": graphcheck.graph_to_text(graphcheck.generate_gewirtz()),
         "prism": graphcheck.graph_to_text(prism),
+        "cube4": graphcheck.graph_to_text(cube4),
+        "triangles": graphcheck.graph_to_text(triangles),
         "perms": graphcheck.permutations_to_text(perms),
     }
     paths = {}

@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from at4tools.graphcheck import (
     MAX_VERTICES,
     Graph,
     GraphError,
+    _bits,
+    _dense_bits,
     alpha_profile,
     audit_family_graph,
     fix_subgraph,
@@ -165,29 +168,17 @@ def test_is_automorphism():
         is_automorphism(c5, (0, 1, 2))
 
 
+@given(st.integers(min_value=0, max_value=(1 << 700) - 1))
+def test_dense_bits_match_bits(mask):
+    assert list(_dense_bits(mask)) == list(_bits(mask))
+
+
 def test_alpha_profile():
     c5 = cycle(5)
     assert alpha_profile(c5, (0, 1, 2, 3, 4)) == (5, 0, 0)
     assert alpha_profile(c5, (1, 2, 3, 4, 0)) == (0, 5, 0)
     with pytest.raises(ValueError):
         alpha_profile(c5, (1, 0, 2, 3, 4))
-
-
-def test_distance_partition():
-    from at4tools.graphcheck import distance_partition
-
-    pet = generate_petersen()
-    layers = distance_partition(pet, 0)
-    assert tuple(len(l) for l in layers) == (1, 3, 6)
-    assert sorted(v for layer in layers for v in layer) == list(range(10))
-    # edges from a layer only reach adjacent layers
-    for i, layer in enumerate(layers):
-        for v in layer:
-            for w in pet.neighbors(v):
-                assert any(w in layers[j] for j in range(max(0, i - 1), min(len(layers), i + 2)))
-    disconnected = Graph.from_edges(4, [(0, 1), (2, 3)])
-    with pytest.raises(GraphError):
-        distance_partition(disconnected, 0)
 
 
 def test_witness_profiles_sum_to_order(gewirtz, gewirtz_witnesses):
