@@ -3,18 +3,21 @@
 A candidate is fixed by a pair (p, r): p >= 2 is the positive local
 eigenvalue parameter (the negative one is -q = -(p+2)) and r is the
 antipodality index.  Everything here is closed-form integer and Fraction
-arithmetic: intersection arrays, antipodal quotient parameters, second
-subconstituent parameters, the tightness (fundamental bound) check, and an
-independent eigenvalue route through the characteristic polynomial of the
-tridiagonal intersection matrix.
+arithmetic: intersection arrays, layer sizes, eigenvalues, antipodal
+quotient parameters, second subconstituent parameters and the tightness
+(fundamental bound) check.  tests/test_closed_forms.py proves the closed
+forms as polynomial identities over Q[p, r]; tests/test_at4.py checks them
+against the characteristic polynomial of the tridiagonal intersection
+matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
-from .exactnum import divisors, exact_sqrt
+from .exactnum import divisors
 from .srg import SrgParams, srg_spectrum
 
 
@@ -101,18 +104,6 @@ class IntersectionArray:
         return "{%s; %s}" % (",".join(map(str, self.b)), ",".join(map(str, self.c)))
 
 
-@dataclass(frozen=True)
-class At4Derived:
-    """Global counts attached to a candidate: vertex count, antipodal class
-    count, the divisor bound r on the covering kernel, and the triple
-    intersection constant 2(p+1)/r."""
-
-    vertices: int
-    classes: int
-    kernel_order_divides: int
-    triple_constant: int
-
-
 def feasible_r(p: int) -> tuple[int, ...]:
     """All antipodality indices r admissible at p: 2 < r < p+2, r | 2(p+1),
     and 2p(p+1)(p+2)/r even."""
@@ -121,22 +112,70 @@ def feasible_r(p: int) -> tuple[int, ...]:
     return tuple(r for r in divisors(2 * (p + 1)) if _params_violation(p, r) is None)
 
 
-def intersection_array(params: At4Params) -> IntersectionArray:
-    """Diameter-4 intersection array of the candidate (p, r)."""
-    p, r = params.p, params.r
-    b0 = (p + 2) * (p * p + 4 * p + 2)
+class ClosedForms(NamedTuple):
+    """Every array quantity of a candidate (p, r).
+
+    ``b`` and ``c`` are the intersection array, ``a`` is a_0..a_4 and
+    ``layer_sizes`` is k_0..k_4; ``vertices`` is v and ``triple_constant``
+    is 2(p+1)/r; ``eigenvalues`` are theta_0 > ... > theta_4; ``sub_b`` and
+    ``sub_c`` are the array induced on the distance-2 graph of a vertex.
+    """
+
+    b: tuple[int, int, int, int]
+    c: tuple[int, int, int, int]
+    a: tuple[int, int, int, int, int]
+    layer_sizes: tuple[int, int, int, int, int]
+    vertices: int
+    triple_constant: int
+    eigenvalues: tuple[int, int, int, int, int]
+    sub_b: tuple[int, int, int, int]
+    sub_c: tuple[int, int, int, int]
+
+
+def _closed_forms(p, r) -> ClosedForms:
+    """The closed forms alone, with no check.  They run on ints here and on
+    sympy symbols in the proof test, which reads each floor division as an
+    exact one: for a pair that passes _params_violation every division below
+    leaves no remainder."""
+    s = p * p + 4 * p + 2
+    b0 = (p + 2) * s
     b1 = (p + 3) * (p + 1) ** 2
     c2 = 2 * (p + 1) * (p + 2) // r
-    return IntersectionArray((b0, b1, (r - 1) * c2, 1), (1, c2, b1, b0))
+    b2 = (r - 1) * c2
+    k2 = b0 * b1 // c2
+    a1 = b0 - b1 - 1
+    sub_b0 = p * (p + 2) ** 2
+    sub_b1 = (p + 1) ** 3
+    sub_c2 = 2 * p * (p + 1) // r
+    return ClosedForms(
+        (b0, b1, b2, 1),
+        (1, c2, b1, b0),
+        # a_i = b_0 - b_i - c_i, with b_4 = c_0 = 0
+        (0, a1, b0 - b2 - c2, a1, 0),
+        (1, b0, k2, (r - 1) * b0, r - 1),
+        r * (b0 + 1) + k2,
+        2 * (p + 1) // r,
+        (b0, s, p, -(p + 2), -((p + 2) ** 2)),
+        (sub_b0, sub_b1, (r - 1) * sub_c2, 1),
+        (1, sub_c2, sub_b1, sub_b0),
+    )
 
 
-def second_subconstituent_array(params: At4Params) -> IntersectionArray:
-    """Intersection array induced on the distance-2 graph of a vertex."""
+def closed_forms(params: At4Params) -> ClosedForms:
+    """Closed forms of the candidate, with the cheap integer identities
+    checked again: v is the sum of the layer sizes, r divides v, and the
+    triple constant 2(p+1)/r equals c2(a1-p)/a2."""
     p, r = params.p, params.r
-    b0 = p * (p + 2) ** 2
-    b1 = (p + 1) ** 3
-    c2 = 2 * p * (p + 1) // r
-    return IntersectionArray((b0, b1, (r - 1) * c2, 1), (1, c2, b1, b0))
+    f = _closed_forms(p, r)
+    assert f.vertices == sum(f.layer_sizes) and f.vertices % r == 0
+    assert f.c[1] * (f.a[1] - p) == f.triple_constant * f.a[2]
+    return f
+
+
+def intersection_array(params: At4Params) -> IntersectionArray:
+    """Diameter-4 intersection array of the candidate (p, r), validated."""
+    f = _closed_forms(params.p, params.r)
+    return IntersectionArray(f.b, f.c)
 
 
 def antipodal_check(arr: IntersectionArray) -> tuple[bool, Fraction | None]:
@@ -203,114 +242,3 @@ def fundamental_bound_check(b0: int, a1: int, b1: int, theta1, theta4) -> str:
     if lhs == rhs:
         return EQUALITY
     return STRICT if lhs > rhs else VIOLATED
-
-
-def local_eigen_from_array(b1: int, theta1, theta4) -> tuple[Fraction, Fraction]:
-    """Local eigenvalue parameters (p, q) recovered from b_1 and the second
-    and last eigenvalues: p = -1 - b1/(1+theta4), q = 1 + b1/(1+theta1).
-
-    b1 = 0 degenerates to (-1, 1), which no valid candidate attains."""
-    if theta1 == -1 or theta4 == -1:
-        raise ValueError("theta = -1 makes the local parameters undefined")
-    return (-1 - Fraction(b1, 1 + theta4), 1 + Fraction(b1, 1 + theta1))
-
-
-def triple_constant(params: At4Params, arr: IntersectionArray | None = None) -> int:
-    """The constant number 2(p+1)/r of common neighbors of an edge and a
-    vertex at distance 2 from both ends, cross-checked as c2(a1-p)/a2.
-    ``arr`` is the intersection array of ``params`` when the caller has
-    already built it."""
-    p, r = params.p, params.r
-    value = 2 * (p + 1) // r
-    if arr is None:
-        arr = intersection_array(params)
-    a = arr.a
-    assert Fraction(arr.c[1] * (a[1] - p), a[2]) == value
-    return value
-
-
-def derived(params: At4Params, arr: IntersectionArray | None = None) -> At4Derived:
-    """Vertex count and covering data, with the closed form
-    v = r(b0+1) + b0*b1/c2 checked against the layer sizes.  ``arr`` is the
-    intersection array of ``params`` when the caller has already built it."""
-    if arr is None:
-        arr = intersection_array(params)
-    r = params.r
-    num = arr.b[0] * arr.b[1]
-    assert num % arr.c[1] == 0
-    v = r * (arr.b[0] + 1) + num // arr.c[1]
-    assert v == arr.vertex_count
-    assert v % r == 0
-    return At4Derived(v, v // r, r, triple_constant(params, arr))
-
-
-def char_poly(arr: IntersectionArray) -> list[int]:
-    """Characteristic polynomial of the tridiagonal intersection matrix,
-    as integer coefficients in ascending degree order (monic)."""
-    a = arr.a
-    sub = arr.c  # entries below the diagonal: c_1..c_d
-    sup = arr.b  # entries above the diagonal: b_0..b_{d-1}
-    prev: list[int] = [1]
-    cur: list[int] = [-a[0], 1]
-    for i in range(1, arr.diameter + 1):
-        # next = (x - a_i) * cur - b_{i-1} c_i * prev
-        shifted = [0] + cur
-        scaled = [a[i] * x for x in cur] + [0]
-        offdiag = sup[i - 1] * sub[i - 1]
-        nxt = [
-            s - t - (offdiag * prev[j] if j < len(prev) else 0)
-            for j, (s, t) in enumerate(zip(shifted, scaled))
-        ]
-        prev, cur = cur, nxt
-    return cur
-
-
-def _poly_eval(coeffs: list[int], x: int) -> int:
-    out = 0
-    for c in reversed(coeffs):
-        out = out * x + c
-    return out
-
-
-def _deflate(coeffs: list[int], root: int) -> list[int]:
-    # synthetic division by (x - root); remainder must vanish
-    out = [0] * (len(coeffs) - 1)
-    carry = 0
-    for i in range(len(coeffs) - 1, 0, -1):
-        carry = coeffs[i] + root * carry
-        out[i - 1] = carry
-    assert coeffs[0] + root * carry == 0, "not a root"
-    return out
-
-
-def at4_eigenvalues(
-    params: At4Params, arr: IntersectionArray | None = None
-) -> tuple[int, int, int, int, int]:
-    """All five eigenvalues of the candidate array, descending.
-
-    Three are located independently: the valency, and theta_1/theta_4
-    reconstructed by inverting the local-parameter relations.  Each is
-    verified as a root of the characteristic polynomial computed from the
-    array alone; the remaining two come from the deflated quadratic.
-    ``arr`` is the intersection array of ``params`` when the caller has
-    already built it.
-    """
-    if arr is None:
-        arr = intersection_array(params)
-    poly = char_poly(arr)
-    b1 = arr.b[1]
-    theta1 = -1 + b1 // (params.q - 1)
-    theta4 = -1 - b1 // (1 + params.p)
-    roots = [arr.b[0], theta1, theta4]
-    for root in roots:
-        if _poly_eval(poly, root) != 0:
-            raise ArithmeticError(f"{root} is not an eigenvalue of {arr}")
-        poly = _deflate(poly, root)
-    # poly is now monic quadratic x^2 + ux + w
-    u, w = poly[1], poly[0]
-    disc = exact_sqrt(u * u - 4 * w)
-    if disc is None or (u + disc) % 2 != 0:
-        raise ArithmeticError(f"irrational middle eigenvalues for {arr}")
-    roots += [(-u + disc) // 2, (-u - disc) // 2]
-    assert len(set(roots)) == 5
-    return tuple(sorted(roots, reverse=True))

@@ -5,12 +5,14 @@ byte-identical for identical inputs; wall-clock timing is attached in a
 separate optional field and suppressed entirely under --deterministic.
 
 Exit codes: 0 success, 1 audit or constraint failure findings, 2 usage
-error, 3 input error.
+error, 3 input error, 4 internal error (an unexpected exception, reported
+on one stderr line).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -35,6 +37,7 @@ EXIT_OK = 0
 EXIT_FINDINGS = 1
 EXIT_USAGE = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 
 # The report at a prime power p lists every prime up to p; above this p that
 # list outgrows bounded time and memory, so such p are refused as usage errors.
@@ -117,28 +120,28 @@ def _emit(report: dict, fmt: str, out) -> None:
 
 
 def _array_payload(params: at4.At4Params) -> dict:
-    arr = at4.intersection_array(params)
-    antipodal, r_back = at4.antipodal_check(arr)
-    dd = at4.derived(params, arr)
-    eigenvalues = at4.at4_eigenvalues(params, arr)
-    sub = at4.second_subconstituent_array(params)
+    f = at4.closed_forms(params)
+    r = params.r
+    eigenvalues = f.eigenvalues
     return {
-        "b": list(arr.b),
-        "c": list(arr.c),
-        "a": list(arr.a),
-        "layer_sizes": list(arr.layer_sizes),
-        "vertices": dd.vertices,
-        "antipodal_classes": dd.classes,
-        "antipodal": antipodal,
-        "recovered_r": r_back,
-        "kernel_order_divides": dd.kernel_order_divides,
-        "triple_constant": dd.triple_constant,
+        "b": list(f.b),
+        "c": list(f.c),
+        "a": list(f.a),
+        "layer_sizes": list(f.layer_sizes),
+        "vertices": f.vertices,
+        "antipodal_classes": f.vertices // r,
+        # b_i = c_{4-i} and 1 + b_2/c_2 = r hold by the closed forms; r is
+        # written as a Fraction is, as a string
+        "antipodal": True,
+        "recovered_r": str(r),
+        "kernel_order_divides": r,
+        "triple_constant": f.triple_constant,
         "eigenvalues": list(eigenvalues),
         # theta_1 and theta_d: the second largest and the least eigenvalue
         "fundamental_bound": at4.fundamental_bound_check(
-            arr.b[0], arr.a[1], arr.b[1], eigenvalues[1], eigenvalues[-1]
+            f.b[0], f.a[1], f.b[1], eigenvalues[1], eigenvalues[-1]
         ),
-        "second_subconstituent": {"b": list(sub.b), "c": list(sub.c)},
+        "second_subconstituent": {"b": list(f.sub_b), "c": list(f.sub_c)},
     }
 
 
@@ -393,7 +396,10 @@ def _finish(report: dict, args, out) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built at first use and shared by later calls:
+    parse_args leaves it unchanged and returns a new namespace each time."""
     parser = argparse.ArgumentParser(
         prog="at4",
         description="Feasibility and automorphism-constraint reports for "
@@ -444,7 +450,12 @@ def main(argv=None, out=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     args._t0 = time.perf_counter()
-    return args.func(args, out)
+    try:
+        return args.func(args, out)
+    except Exception as exc:
+        # exit 1 means findings only; anything unexpected gets its own code
+        print(f"error: internal: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -54,8 +54,12 @@ class Graph:
 
     __slots__ = ("n", "rows", "_dist", "_adj")
 
-    def __init__(self, rows):
-        rows = tuple(rows)
+    def __init__(self, rows, warnings: list[str] | None = None):
+        """Graph of the bitset rows.  A neighbour out of range or a loop
+        raises GraphError, and so does an edge listed at one end only,
+        unless a ``warnings`` list is given: the edge is then added at its
+        other end and a warning appended, in order of (i, j)."""
+        rows = list(rows)
         n = len(rows)
         full = (1 << n) - 1
         for i, row in enumerate(rows):
@@ -65,9 +69,12 @@ class Graph:
                 raise GraphError(f"loop at vertex {i}")
             for j in _bits(row):
                 if not (rows[j] >> i) & 1:
-                    raise GraphError(f"asymmetric edge {i}-{j}")
+                    if warnings is None:
+                        raise GraphError(f"asymmetric edge {i}-{j}")
+                    warnings.append(f"edge {i}-{j} listed only once; symmetrized")
+                    rows[j] |= 1 << i
         self.n = n
-        self.rows = rows
+        self.rows = tuple(rows)
         self._dist = None
         self._adj = None
 
@@ -217,14 +224,9 @@ def parse_graph(text: str) -> tuple[Graph, tuple[str, ...]]:
             if j == i:
                 raise GraphError(f"line {lineno}: loop at vertex {i}")
             directed[i] |= 1 << j
-    warnings = []
-    rows = list(directed)
-    for i in range(n):
-        for j in _bits(directed[i]):
-            if not (directed[j] >> i) & 1:
-                warnings.append(f"edge {i}-{j} listed only once; symmetrized")
-                rows[j] |= 1 << i
-    return Graph(rows), tuple(warnings)
+    warnings: list[str] = []
+    g = Graph(directed, warnings)
+    return g, tuple(warnings)
 
 
 def load_graph(text: str) -> Graph:

@@ -9,19 +9,93 @@ from at4tools.at4 import (
     STRICT,
     VIOLATED,
     antipodal_check,
-    at4_eigenvalues,
-    char_poly,
-    derived,
+    closed_forms,
     feasible_r,
     fundamental_bound_check,
     intersection_array,
-    local_eigen_from_array,
     quotient_params,
-    second_subconstituent_array,
     second_subconstituent_quotient,
-    triple_constant,
 )
+from at4tools.exactnum import exact_sqrt
 from at4tools.srg import srg_spectrum
+
+
+# Numeric oracle: the eigenvalues of an intersection array read from the
+# characteristic polynomial of its tridiagonal matrix, and the local
+# parameters read back from b_1 and two eigenvalues.  The package uses the
+# closed forms instead; these tests hold them to this independent route.
+
+
+def char_poly(arr: IntersectionArray) -> list[int]:
+    """Characteristic polynomial of the tridiagonal intersection matrix,
+    as integer coefficients in ascending degree order (monic)."""
+    a = arr.a
+    sub = arr.c  # entries below the diagonal: c_1..c_d
+    sup = arr.b  # entries above the diagonal: b_0..b_{d-1}
+    prev: list[int] = [1]
+    cur: list[int] = [-a[0], 1]
+    for i in range(1, arr.diameter + 1):
+        # next = (x - a_i) * cur - b_{i-1} c_i * prev
+        shifted = [0] + cur
+        scaled = [a[i] * x for x in cur] + [0]
+        offdiag = sup[i - 1] * sub[i - 1]
+        nxt = [
+            s - t - (offdiag * prev[j] if j < len(prev) else 0)
+            for j, (s, t) in enumerate(zip(shifted, scaled))
+        ]
+        prev, cur = cur, nxt
+    return cur
+
+
+def _poly_eval(coeffs: list[int], x: int) -> int:
+    out = 0
+    for c in reversed(coeffs):
+        out = out * x + c
+    return out
+
+
+def _deflate(coeffs: list[int], root: int) -> list[int]:
+    # synthetic division by (x - root); remainder must vanish
+    out = [0] * (len(coeffs) - 1)
+    carry = 0
+    for i in range(len(coeffs) - 1, 0, -1):
+        carry = coeffs[i] + root * carry
+        out[i - 1] = carry
+    assert coeffs[0] + root * carry == 0, "not a root"
+    return out
+
+
+def charpoly_eigenvalues(arr: IntersectionArray, p: int) -> tuple[int, ...]:
+    """All five eigenvalues of a candidate array at p, descending.
+
+    Three are located independently: the valency, and theta_1/theta_4
+    reconstructed by inverting the local-parameter relations with q = p + 2.
+    Each is verified as a root of the characteristic polynomial computed
+    from the array alone; the remaining two come from the deflated quadratic.
+    """
+    poly = char_poly(arr)
+    b1 = arr.b[1]
+    roots = [arr.b[0], -1 + b1 // (p + 1), -1 - b1 // (1 + p)]
+    for root in roots:
+        assert _poly_eval(poly, root) == 0, f"{root} is not an eigenvalue of {arr}"
+        poly = _deflate(poly, root)
+    # poly is now monic quadratic x^2 + ux + w
+    u, w = poly[1], poly[0]
+    disc = exact_sqrt(u * u - 4 * w)
+    assert disc is not None and (u + disc) % 2 == 0, f"irrational middle eigenvalues for {arr}"
+    roots += [(-u + disc) // 2, (-u - disc) // 2]
+    assert len(set(roots)) == 5
+    return tuple(sorted(roots, reverse=True))
+
+
+def local_eigen_from_array(b1: int, theta1, theta4) -> tuple[Fraction, Fraction]:
+    """Local eigenvalue parameters (p, q) recovered from b_1 and the second
+    and last eigenvalues: p = -1 - b1/(1+theta4), q = 1 + b1/(1+theta1).
+
+    b1 = 0 degenerates to (-1, 1), which no valid candidate attains."""
+    if theta1 == -1 or theta4 == -1:
+        raise ValueError("theta = -1 makes the local parameters undefined")
+    return (-1 - Fraction(b1, 1 + theta4), 1 + Fraction(b1, 1 + theta1))
 
 
 def test_params_validation():
@@ -90,12 +164,12 @@ def test_second_subconstituent_quotient():
 
 
 def test_second_subconstituent_array():
-    assert second_subconstituent_array(At4Params(2, 3)).b == (32, 27, 8, 1)
-    assert second_subconstituent_array(At4Params(2, 3)).c == (1, 4, 27, 32)
-    arr = second_subconstituent_array(At4Params(3, 4))
-    assert arr.b == (75, 64, 18, 1) and arr.c == (1, 6, 64, 75)
-    arr = second_subconstituent_array(At4Params(5, 3))
-    assert arr.b == (245, 216, 40, 1) and arr.c == (1, 20, 216, 245)
+    f = closed_forms(At4Params(2, 3))
+    assert f.sub_b == (32, 27, 8, 1) and f.sub_c == (1, 4, 27, 32)
+    f = closed_forms(At4Params(3, 4))
+    assert f.sub_b == (75, 64, 18, 1) and f.sub_c == (1, 6, 64, 75)
+    f = closed_forms(At4Params(5, 3))
+    assert f.sub_b == (245, 216, 40, 1) and f.sub_c == (1, 20, 216, 245)
 
 
 def test_fundamental_bound_soicher_values():
@@ -127,31 +201,39 @@ def test_local_eigen_from_array():
 
 
 def test_triple_constant():
-    assert triple_constant(At4Params(2, 3)) == 2
-    assert triple_constant(At4Params(3, 4)) == 2
-    assert triple_constant(At4Params(11, 3)) == 8
+    assert closed_forms(At4Params(2, 3)).triple_constant == 2
+    assert closed_forms(At4Params(3, 4)).triple_constant == 2
+    assert closed_forms(At4Params(11, 3)).triple_constant == 8
 
 
 def test_derived_counts():
-    d = derived(At4Params(2, 3))
-    assert d.vertices == 486
-    assert d.classes == 162
-    assert d.kernel_order_divides == 3
-    assert d.triple_constant == 2
+    f = closed_forms(At4Params(2, 3))
+    assert f.vertices == 486
+    assert f.vertices // 3 == 162  # antipodal classes
+    assert f.layer_sizes == (1, 56, 315, 112, 2)
+    assert f.triple_constant == 2
 
 
 def test_eigenvalues_soicher():
-    assert at4_eigenvalues(At4Params(2, 3)) == (56, 14, 2, -4, -16)
+    arr = intersection_array(At4Params(2, 3))
+    assert closed_forms(At4Params(2, 3)).eigenvalues == (56, 14, 2, -4, -16)
+    assert charpoly_eigenvalues(arr, 2) == (56, 14, 2, -4, -16)
 
 
 def test_eigenvalues_match_closed_form():
-    # independent route: characteristic polynomial of the tridiagonal
-    # intersection matrix, against the eigenvalues predicted by the
-    # local-parameter relations and the antipodal quotient
-    for p in range(2, 61):
+    # independent route over every candidate with p <= 100: the
+    # characteristic polynomial of the validated tridiagonal array, against
+    # the closed forms the reports use
+    for p in range(2, 101):
+        expected = ((p + 2) * (p * p + 4 * p + 2), p * p + 4 * p + 2, p, -(p + 2), -((p + 2) ** 2))
         for r in feasible_r(p):
-            expected = ((p + 2) * (p * p + 4 * p + 2), p * p + 4 * p + 2, p, -(p + 2), -((p + 2) ** 2))
-            assert at4_eigenvalues(At4Params(p, r)) == expected
+            params = At4Params(p, r)
+            f = closed_forms(params)
+            arr = intersection_array(params)
+            assert f.eigenvalues == charpoly_eigenvalues(arr, p) == expected
+            assert (f.a, f.layer_sizes, f.vertices) == (arr.a, arr.layer_sizes, arr.vertex_count)
+            sub = IntersectionArray(f.sub_b, f.sub_c)  # validates integrality and a_i >= 0
+            assert antipodal_check(sub) == (True, r)
 
 
 def test_char_poly_petersen_style():
@@ -171,15 +253,16 @@ def test_generated_arrays_invariants():
             assert ok and r_back == params.r
             sizes = arr.layer_sizes
             assert all(k > 0 for k in sizes)
-            d = derived(params)
-            assert d.vertices == sum(sizes)
+            v = closed_forms(params).vertices
+            assert v == sum(sizes)
             # quotient read off the array equals the closed-form quotient
-            quot = (d.vertices // params.r, arr.b[0], arr.a[1], params.r * arr.c[1])
+            quot = (v // params.r, arr.b[0], arr.a[1], params.r * arr.c[1])
             assert quot == quotient_params(p).as_tuple()
             # the generic antipodal quotient mu = r*c2 agrees with 2(p+1)(p+2)
             assert params.r * arr.c[1] == 2 * (p + 1) * (p + 2)
             # second subconstituent is antipodal with the same index
-            ok2, r2 = antipodal_check(second_subconstituent_array(params))
+            f = closed_forms(params)
+            ok2, r2 = antipodal_check(IntersectionArray(f.sub_b, f.sub_c))
             assert ok2 and r2 == params.r
 
 

@@ -1,9 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from at4tools import cli, graphcheck
+import at4tools
+from at4tools import cli, graphcheck, higman
 
 
 def run(argv):
@@ -228,3 +233,61 @@ def test_scan_worker_count_is_capped(monkeypatch):
     assert cli._jobs(parser.parse_args(["scan", "2", "2000"]), 1999) == 64
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     assert cli._jobs(parser.parse_args(["scan", "2", "4"]), 3) == 1
+
+
+def test_parser_is_built_once_and_each_call_gets_its_own_namespace():
+    parser = cli._build_parser()
+    assert cli._build_parser() is parser
+    first = parser.parse_args(["--format", "json", "--deterministic", "bounds", "3"])
+    first._t0 = 0.0
+    second = parser.parse_args(["bounds", "3"])
+    assert second is not first and not hasattr(second, "_t0")
+    assert (second.format, second.deterministic) == ("text", False)
+    rc1, out1 = run(["--format", "json", "--deterministic", "array", "2", "3"])
+    rc2, out2 = run(["array", "2", "3"])
+    assert rc1 == rc2 == 0
+    assert "timing_ms" not in json.loads(out1)
+    assert out2.startswith("a = ") and "\ntiming_ms = " in out2
+
+
+def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
+    def fail(p):
+        raise ZeroDivisionError("boom\nsecond line")
+
+    monkeypatch.setattr(higman, "block_size_filter", fail)
+    rc, text = run(["bounds", "3"])
+    assert rc == 4 and text == ""
+    assert capsys.readouterr().err == "error: internal: ZeroDivisionError('boom\\nsecond line')\n"
+
+
+def test_keyboard_interrupt_propagates(monkeypatch):
+    def interrupt(p):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(higman, "block_size_filter", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        run(["bounds", "3"])
+
+
+def test_memory_error_exits_4_without_traceback():
+    # the alpha_1 class of profile 100003 4 7 holds about 7e8 integers: under
+    # a 2 GiB address-space cap, set on the child only, its list cannot be made
+    resource = pytest.importorskip("resource")
+    cap = 2 << 30
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = str(Path(at4tools.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "at4tools.cli", "profile", "100003", "4", "7"],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=limit,
+        timeout=60,
+    )
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr == "error: internal: MemoryError()\n"

@@ -77,6 +77,41 @@ def test_parse_symmetrizes_with_warning():
     assert len(warnings) == 2
 
 
+def test_graph_rejects_bad_rows_passed_directly():
+    with pytest.raises(GraphError, match="asymmetric edge 0-1"):
+        Graph([0b10, 0])
+    with pytest.raises(GraphError, match="loop at vertex 0"):
+        Graph([0b1])
+    with pytest.raises(GraphError, match="out of range"):
+        Graph([0b100, 0])
+    assert Graph([0b10, 0b1]).edge_count() == 1
+
+
+@given(
+    st.integers(min_value=1, max_value=12).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40),
+        )
+    )
+)
+def test_parse_symmetrizes_each_one_sided_edge_once(case):
+    n, arcs = case
+    directed = [0] * n
+    for i, j in arcs:
+        if i != j:
+            directed[i] |= 1 << j
+    text = f"n {n}\n" + "".join(f"{i}: {' '.join(map(str, _bits(row)))}\n" for i, row in enumerate(directed))
+    g, warnings = parse_graph(text)
+    # reference: every arc i -> j without j -> i, in order of (i, j), made two-way
+    one_sided = [(i, j) for i in range(n) for j in _bits(directed[i]) if not (directed[j] >> i) & 1]
+    assert warnings == tuple(f"edge {i}-{j} listed only once; symmetrized" for i, j in one_sided)
+    rows = list(directed)
+    for i, j in one_sided:
+        rows[j] |= 1 << i
+    assert g.rows == tuple(rows)
+
+
 def test_graph_text_round_trip():
     pet = generate_petersen()
     text = graph_to_text(pet)

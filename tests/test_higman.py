@@ -27,7 +27,7 @@ from at4tools.higman import (
     subconstituent_congruences,
     subgraph_cases,
 )
-from at4tools.at4 import At4Params, feasible_r, intersection_array, second_subconstituent_array
+from at4tools.at4 import At4Params, IntersectionArray, closed_forms, feasible_r, intersection_array
 from at4tools.srg import second_eigenmatrix
 
 
@@ -219,7 +219,8 @@ def test_congruences_match_layer_sizes():
     for p in range(2, 31):
         for r in feasible_r(p):
             cover = intersection_array(At4Params(p, r)).layer_sizes
-            sub = second_subconstituent_array(At4Params(p, r)).layer_sizes
+            f = closed_forms(At4Params(p, r))
+            sub = IntersectionArray(f.sub_b, f.sub_c).layer_sizes
             for ell in (2, 3, 5, 7, 11, 13):
                 assert cover_congruences(p, r, ell) == tuple(k % ell for k in cover[1:])
                 assert subconstituent_congruences(p, r, ell) == tuple(k % ell for k in sub[1:])

@@ -1,17 +1,19 @@
 """Differential tests of the per-p number theory against independent oracles:
-sympy for factorizations and divisors, the literal existence conditions for
-feasible_r, and the character filter for the alpha_1 residue class."""
+sympy for primality, multiplicative orders, factorizations and divisors, the
+literal existence conditions for feasible_r, and the character filter for
+the alpha_1 residue class."""
 
 import io
 import json
+import math
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from at4tools import cli
 from at4tools.at4 import feasible_r
-from at4tools.exactnum import divisors, factorize, prime_set, primes_upto
+from at4tools.exactnum import divisors, factorize, is_prime, mult_order, prime_set, primes_upto
 from at4tools.higman import (
     AutProfile,
     alpha1_candidates,
@@ -29,6 +31,32 @@ def sympy():
 def family_order(p: int) -> int:
     """Order (p+2)s of the local graph, s = p^2 + 4p + 2."""
     return (p + 2) * (p * p + 4 * p + 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.integers(min_value=-5, max_value=10**6),
+        st.integers(min_value=10**6, max_value=3 * 10**24),
+    )
+)
+# strong pseudoprimes to the bases 2..7, 2..31 and 2..37: the Miller-Rabin
+# rounds must reject each of them
+@example(3215031751)
+@example(3825123056546413051)
+@example(318665857834031151167461)
+@example(2**61 - 1)
+def test_is_prime_matches_sympy(sympy, n):
+    assert is_prime(n) == sympy.isprime(n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=2, max_value=10**9), st.integers(min_value=1, max_value=10**9))
+@example(167, 13)
+@example(2**31 - 1, 7)
+def test_mult_order_matches_sympy(sympy, s, t):
+    assume(math.gcd(t, s) == 1)
+    assert mult_order(t, s) == sympy.n_order(t, s)
 
 
 def check_against_sympy(sympy, n: int) -> None:
