@@ -70,6 +70,10 @@ def _json(value, indent: str = "") -> str:
         return int.__repr__(value)
     if kind is str:
         return encode_basestring_ascii(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -150,6 +154,7 @@ def _scan_entry(p: int) -> dict:
     q = p + 2
     s = (p + 2) ** 2 - 2
     rs = at4.feasible_r(p)
+    local = local_family_params(p)
     entry: dict = {
         "p": p,
         "prime_power": list(base) if base else None,
@@ -158,8 +163,8 @@ def _scan_entry(p: int) -> dict:
         "s": s,
         "s_prime": is_prime(s),
         "feasible_r": list(rs),
-        "local_srg": list(local_family_params(p).as_tuple()),
-        "local_fix_bound": fixed_point_order_bound(local_family_params(p)),
+        "local_srg": list(local.as_tuple()),
+        "local_fix_bound": fixed_point_order_bound(local),
         "clique_bound": clique_bound(p),
     }
     entry["arrays"] = [{"r": r, **_array_payload(at4.At4Params(p, r))} for r in rs]
@@ -324,21 +329,15 @@ def _cmd_verify(args, out) -> int:
     except graphcheck.GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    srg_params = graphcheck.verify_srg(g)
-    if srg_params:
-        # strongly regular (connected, non-complete) is distance-regular of
-        # diameter 2 with b = (k, k - lam - 1), c = (1, mu)
-        k, lam, mu = srg_params.k, srg_params.lam, srg_params.mu
-        drg = at4.IntersectionArray((k, k - lam - 1), (1, mu))
-    else:
-        drg = graphcheck.verify_drg(g)
+    drg = graphcheck.verify_drg(g)
+    srg_params = graphcheck.srg_of_array(g.n, drg)
     report = {
         "schema": SCHEMA,
         "command": "verify",
         "inputs": {"graph": os.path.basename(args.graph)},
         "vertices": g.n,
         "edges": g.edge_count(),
-        "connected": g.is_connected(),
+        "connected": drg is not None or g.is_connected(),
         "warnings": list(warnings),
         "srg": list(srg_params.as_tuple()) if srg_params else None,
         "drg": {"b": list(drg.b), "c": list(drg.c)} if drg else None,

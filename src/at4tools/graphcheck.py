@@ -1,20 +1,26 @@
 """Concrete-graph verification: witness generators, SRG/DRG checking, and
 distance profiles of automorphisms.
 
-Graphs are stored as bitset adjacency rows, which keeps every check exact
-and fast at the few-hundred-vertex scale this package needs.  The star
-witness is the unique SRG(56, 10, 0, 2), built from hyperovals of the
-order-4 projective plane and accepted only after it verifies its own
+Graphs are stored as bitset adjacency rows and sorted neighbour tuples, which
+keeps every check exact.  Distance-regularity, and strong regularity as its
+diameter-2 case, is checked by the three-term recurrence of the distance
+matrices on rows of packed counts: about n·d sums of k big-int rows for n
+vertices of valency k and diameter d, each sum one C-level call, in place
+of a Python step per vertex pair.  An audit reads each displacement profile
+from the permutation and the adjacency rows, without a distance matrix.
+The star witness is the unique SRG(56, 10, 0, 2), built from hyperovals of
+the order-4 projective plane and accepted only after it verifies its own
 parameters.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, compress
+from itertools import combinations, repeat
 
 from .at4 import IntersectionArray
 from .exactnum import is_prime
@@ -38,17 +44,6 @@ def _bits(mask: int):
         mask ^= low
 
 
-_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
-
-
-def _dense_bits(mask: int):
-    """The set bits of mask in increasing order, as _bits gives them.  Its
-    cost is linear in the bit length, not in the bits set, so it beats
-    _bits on masks where many bits are set, such as BFS layers."""
-    flags = format(mask, "b").encode()[::-1].translate(_BIT_BYTES)
-    return compress(range(len(flags)), flags)
-
-
 class Graph:
     """Simple undirected graph on vertices 0..n-1 with bitset rows."""
 
@@ -62,21 +57,27 @@ class Graph:
         rows = list(rows)
         n = len(rows)
         full = (1 << n) - 1
+        adj = []
         for i, row in enumerate(rows):
             if row & ~full:
                 raise GraphError(f"vertex {i} has a neighbor out of range")
-            if (row >> i) & 1:
+            bit = 1 << i
+            if row & bit:
                 raise GraphError(f"loop at vertex {i}")
-            for j in _bits(row):
-                if not (rows[j] >> i) & 1:
-                    if warnings is None:
-                        raise GraphError(f"asymmetric edge {i}-{j}")
-                    warnings.append(f"edge {i}-{j} listed only once; symmetrized")
-                    rows[j] |= 1 << i
+            nbrs = tuple(_bits(row))
+            if not all(map(bit.__and__, map(rows.__getitem__, nbrs))):
+                for j in nbrs:
+                    if not rows[j] & bit:
+                        if warnings is None:
+                            raise GraphError(f"asymmetric edge {i}-{j}")
+                        warnings.append(f"edge {i}-{j} listed only once; symmetrized")
+                        rows[j] |= bit
+            adj.append(nbrs)
         self.n = n
         self.rows = tuple(rows)
         self._dist = None
-        self._adj = None
+        # a row symmetrized after its tuple was taken leaves adj stale
+        self._adj = tuple(adj) if not warnings else None
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -255,7 +256,7 @@ def parse_permutations(text: str, n: int) -> tuple[tuple[int, ...], ...]:
         if len(toks) != n:
             raise GraphError(f"line {lineno}: expected {n} images, got {len(toks)}")
         try:
-            perms.append(tuple(int(t) for t in toks))
+            perms.append(tuple(map(int, toks)))
         except ValueError:
             raise GraphError(f"line {lineno}: non-integer image") from None
     return tuple(perms)
@@ -501,116 +502,110 @@ def gewirtz_automorphisms(count: int = 150) -> tuple[tuple[int, ...], ...]:
 # ---------------------------------------------------------------------------
 
 
+def verify_drg(g: Graph) -> IntersectionArray | None:
+    """Return the intersection array iff g is distance-regular: connected
+    and k-regular, with constants b_{j-1}, a_j, c_{j+1} such that
+    A·A_j = b_{j-1}A_{j-1} + a_jA_j + c_{j+1}A_{j+1} for every j, where A_j
+    is the distance-j matrix (Brouwer, Cohen and Neumaier, Distance-Regular
+    Graphs, 4.1).  Entry (w, x) of A·A_j counts the neighbours of w at
+    distance j from x, so the identity says that the counts one layer in,
+    on the layer and one layer out depend only on the distance, from every
+    base vertex x.  The constants are read from vertex 0, whose
+    eccentricity is d.
+
+    The identity is checked for j < d.  It fixes |Γ_{j+1}(w)| for every w
+    from the sizes of the layers before, so every vertex has the layer sizes
+    of vertex 0; as vertex 0 reaches all n vertices within distance d, every
+    vertex does, and has eccentricity d.  At j = d that leaves b_d = 0,
+    a_d = k - c_d and b_{d-1} = k - a_{d-1} - c_{d-1}, so only row 0 of
+    level d is computed, for b_{d-1}.
+
+    Row w of A_j is one int with a B-bit count slot per vertex,
+    B = k.bit_length() + 1, so row w of A·A_j is one C-level sum of k rows
+    in which no slot exceeds k < 2^(B-1) and no carry crosses a slot.  Row w
+    of A_{j+1} is the set of non-zero slots of that sum outside rows w of
+    A_{j-1} and A_j, and row w of A_{j-1} is overwritten by it once row w
+    is checked."""
+    n = g.n
+    if n < 2:
+        return None
+    adj = g.adjacency()
+    k = len(adj[0])
+    if k == 0 or set(map(len, adj)) != {k}:
+        return None
+    width = k.bit_length() + 1
+    top = width - 1
+    slot = (1 << width) - 1
+    ones = ((1 << (width * n)) - 1) // slot  # a 1 in every slot
+    high = ones << top
+    low = high - ones
+    prev = [1 << (width * v) for v in range(n)]
+    cur = [sum(map(prev.__getitem__, nbrs)) for nbrs in adj]
+    reached = prev[0] | cur[0]
+    b_seq, c_seq = [], [1]
+    while True:
+        get_row = cur.__getitem__
+        s = sum(map(get_row, adj[0]))
+        nxt = (((s + low) & high) >> top) & ~(prev[0] | cur[0])
+        # each count from the lowest vertex of its layer
+        b = (s >> ((prev[0] & -prev[0]).bit_length() - 1)) & slot
+        b_seq.append(b)
+        if not nxt:
+            break
+        a = (s >> ((cur[0] & -cur[0]).bit_length() - 1)) & slot
+        c = (s >> ((nxt & -nxt).bit_length() - 1)) & slot
+        c_seq.append(c)
+        reached |= nxt
+        for w, nbrs in enumerate(adj):
+            s = sum(map(get_row, nbrs))
+            inner = prev[w]
+            here = cur[w]
+            hit = ((s + low) & high) >> top
+            out = hit ^ (hit & (inner | here))
+            if s != b * inner + a * here + c * out:
+                return None
+            prev[w] = out
+        prev, cur = cur, prev
+    if reached != ones:
+        return None
+    return IntersectionArray(tuple(b_seq), tuple(c_seq))
+
+
+def srg_of_array(n: int, arr: IntersectionArray | None) -> SrgParams | None:
+    """The (v, k, lam, mu) of a graph on n vertices whose intersection array
+    is arr, iff arr has diameter 2: b = (k, k - lam - 1) and c = (1, mu)."""
+    if arr is None or arr.diameter != 2:
+        return None
+    k, b1 = arr.b
+    return SrgParams(n, k, k - b1 - 1, arr.c[1])
+
+
 def verify_srg(g: Graph) -> SrgParams | None:
     """Return (v, k, lam, mu) iff g is strongly regular: connected,
     non-complete, constant valency, constant common-neighbor counts over
-    edges and over non-edges."""
-    n = g.n
-    if n < 3 or not g.is_connected():
-        return None
-    k = g.degree(0)
-    if any(g.degree(v) != k for v in range(1, n)):
-        return None
-    if k == n - 1:
-        return None
-    lam = mu = None
-    for u in range(n):
-        row = g.rows[u]
-        for v in range(u + 1, n):
-            common = (row & g.rows[v]).bit_count()
-            if (row >> v) & 1:
-                if lam is None:
-                    lam = common
-                elif lam != common:
-                    return None
-            else:
-                if mu is None:
-                    mu = common
-                elif mu != common:
-                    return None
-    if lam is None or mu is None or mu == 0:
-        return None
-    return SrgParams(n, k, lam, mu)
-
-
-def _distance_counts(rows, u: int, expect=None) -> list[tuple[int, int]] | None:
-    """One bitset BFS from u.  Per distance i, the counts (b_i, c_i) of
-    neighbours one layer out and one layer in that every vertex at distance
-    i shares; None as soon as two of them disagree, a count differs from
-    expect, or u does not reach every vertex.
-
-    An eccentricity e of u other than the d of expect fails a count first:
-    at distance min(e, d), b is 0 on the side that ends there and positive
-    on the other, so expect is never read past its end."""
-    counts = []
-    layer = 1 << u
-    unseen = ((1 << len(rows)) - 1) ^ layer
-    inner = 0
-    while layer:
-        # -1: take the counts of the layer's first vertex
-        want_b, want_c = expect[len(counts)] if expect is not None else (-1, -1)
-        nxt = 0
-        for w in _dense_bits(layer):
-            row = rows[w]
-            out = row & unseen
-            b = out.bit_count()
-            c = (row & inner).bit_count()
-            if want_b < 0:
-                want_b, want_c = b, c
-            elif b != want_b or c != want_c:
-                return None
-            nxt |= out
-        counts.append((want_b, want_c))
-        inner = layer
-        layer = nxt
-        unseen ^= layer
-    return None if unseen else counts
-
-
-def verify_drg(g: Graph) -> IntersectionArray | None:
-    """Return the intersection array iff g is distance-regular: connected,
-    and for every base vertex the neighbour counts one layer in and one
-    layer out depend only on the distance, with the same counts (and so the
-    same eccentricity) from every base vertex."""
-    if g.n < 2:
-        return None
-    first = _distance_counts(g.rows, 0)
-    if first is None:
-        return None
-    for u in range(1, g.n):
-        if _distance_counts(g.rows, u, first) is None:
-            return None
-    b, c = zip(*first)
-    if b[-1] != 0 or c[1] != 1:
-        return None
-    return IntersectionArray(b[:-1], c[1:])
+    edges and over non-edges; that is, distance-regular of diameter 2."""
+    return srg_of_array(g.n, verify_drg(g))
 
 
 def is_permutation(seq, n: int) -> bool:
-    return len(seq) == n and len(set(seq)) == n and all(0 <= x < n for x in seq)
+    """True iff seq lists each of 0..n-1 exactly once."""
+    return len(seq) == n and (n == 0 or (min(seq) >= 0 and max(seq) < n and len(set(seq)) == n))
+
+
+def _maps_rows(g: Graph, sigma) -> bool:
+    """For a permutation sigma of the vertices: True iff it maps the row of
+    every vertex u onto the row of sigma[u].  The images of u's neighbours
+    are distinct, so their bits sum to their union."""
+    bit = list(map((1).__lshift__, sigma))
+    images = map(sum, map(map, repeat(bit.__getitem__), g.adjacency()))
+    return list(map(g.rows.__getitem__, sigma)) == list(images)
 
 
 def is_automorphism(g: Graph, sigma) -> bool:
     """True iff sigma is a bijection of the vertices preserving adjacency."""
     if len(sigma) != g.n:
         raise ValueError(f"permutation length {len(sigma)} does not match n = {g.n}")
-    if not is_permutation(sigma, g.n):
-        return False
-    rows = g.rows
-    bit = [1 << image for image in sigma]
-    # the images of u's neighbours are distinct, so their bits sum to their
-    # union: the image of u's row, which must be the row of sigma[u]
-    return all(
-        rows[image] == sum(map(bit.__getitem__, nbrs))
-        for image, nbrs in zip(sigma, g.adjacency())
-    )
-
-
-def _alpha_counts(dist, d: int, sigma) -> tuple[int, ...]:
-    counts = [0] * (d + 1)
-    for row, image in zip(dist, sigma):
-        counts[row[image]] += 1
-    return tuple(counts)
+    return is_permutation(sigma, g.n) and _maps_rows(g, sigma)
 
 
 def alpha_profile(g: Graph, sigma) -> tuple[int, ...]:
@@ -620,7 +615,10 @@ def alpha_profile(g: Graph, sigma) -> tuple[int, ...]:
         raise ValueError("sigma is not an automorphism")
     if not g.is_connected():
         raise ValueError("alpha_profile requires a connected graph")
-    return _alpha_counts(g.distances(), g.diameter(), sigma)
+    counts = [0] * (g.diameter() + 1)
+    for row, image in zip(g.distances(), sigma):
+        counts[row[image]] += 1
+    return tuple(counts)
 
 
 def fix_subgraph(g: Graph, sigmas) -> Graph:
@@ -674,27 +672,29 @@ def audit_family_graph(g: Graph, p: int, sigmas) -> AuditReport:
             f"graph verifies as {measured and measured.as_tuple()}, expected {params.as_tuple()}"
         )
     bound = fixed_point_order_bound(params)
-    dist = g.distances()
-    diameter = g.diameter()
+    n = g.n
+    adj = g.adjacency()
     failures = []
     orders = []
     for idx, sigma in enumerate(sigmas):
         codes = []
-        if len(sigma) != g.n or not is_permutation(sigma, g.n):
+        if not is_permutation(sigma, n):
             failures.append((idx, ("not-a-permutation",)))
             orders.append(0)
             continue
-        if not is_automorphism(g, sigma):
+        if not _maps_rows(g, sigma):
             failures.append((idx, ("not-automorphism",)))
             orders.append(0)
             continue
         order = perm_order(sigma)
         orders.append(order)
-        profile = _alpha_counts(dist, diameter, sigma)
-        fix = profile[0]
+        # g is strongly regular, so of diameter 2: a moved vertex goes to a
+        # neighbour or to distance 2
+        fix = sum(map(operator.eq, sigma, range(n)))
+        adjacent = sum(map(tuple.__contains__, adj, sigma))
         if order > 1 and fix > bound:
             codes.append("fix-bound-exceeded")
-        aut = AutProfile(order, profile[0], profile[1], profile[2])
+        aut = AutProfile(order, fix, adjacent, n - fix - adjacent)
         chi1, chi2 = chi_values(p, aut)
         if chi1.denominator != 1 or chi2.denominator != 1:
             codes.append("non-integral-character")
@@ -702,7 +702,7 @@ def audit_family_graph(g: Graph, p: int, sigmas) -> AuditReport:
             verdict = chi_filter(p, aut)
             if not verdict.ok:
                 codes.extend(verdict.reasons)
-            if p > 2 and fix <= bound and profile[1] not in alpha1_candidates(p, order, fix):
+            if p > 2 and fix <= bound and adjacent not in alpha1_candidates(p, order, fix):
                 codes.append("alpha1-not-admissible")
         if codes:
             failures.append((idx, tuple(codes)))

@@ -19,8 +19,10 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 # Even p exercise the factor 2 shared by p+2 and s; 7 divides v at p = 23,
 # so the profile prints a non-empty fixed-point-free alpha_1 class.
 # scan 592 601 is the largest window the scan benchmark runs.  The 4-cube
-# (diameter 4) is answered by the DRG pass alone; two disjoint triangles are
-# disconnected; an audit at p = 1 is a usage error with nothing on stdout.
+# is distance-regular of diameter 4, not strongly regular; two disjoint
+# triangles are disconnected; an audit at p = 1 is a usage error with nothing
+# on stdout.  The cycle C_1024 (diameter 512) and the hypercube Q_10
+# (diameter 10) are sparse distance-regular graphs of long diameter.
 # Graph and permutation arguments in braces name files that write_inputs
 # creates.
 CASES = {
@@ -34,6 +36,8 @@ CASES = {
     "verify_prism": (["verify", "{prism}"], 0),
     "verify_cube4": (["verify", "{cube4}"], 0),
     "verify_two_triangles": (["verify", "{triangles}"], 0),
+    "verify_cycle1024": (["verify", "{cycle1024}"], 0),
+    "verify_cube10": (["verify", "{cube10}"], 0),
     "audit_gewirtz_findings": (["audit", "{gewirtz}", "{perms}", "2"], 1),
     "audit_p1_usage": (["audit", "{gewirtz}", "{perms}", "1"], 2),
 }
@@ -43,7 +47,8 @@ FORMATS = {"json": "json", "text": "txt"}
 def write_inputs(directory: pathlib.Path) -> dict[str, str]:
     """Write the graph files of the verify and audit cases into directory:
     the Petersen and Gewirtz graphs, the triangular prism (regular but not
-    distance-regular), the 4-cube, two disjoint triangles, and four Gewirtz
+    distance-regular), the 4-cube, two disjoint triangles, the cycle C_1024,
+    the hypercube Q_10, and four Gewirtz
     automorphisms of which the third has two images swapped.  Return their
     paths by name."""
     prism = graphcheck.Graph.from_edges(
@@ -53,6 +58,10 @@ def write_inputs(directory: pathlib.Path) -> dict[str, str]:
         16, [(u, u ^ (1 << i)) for u in range(16) for i in range(4) if u < u ^ (1 << i)]
     )
     triangles = graphcheck.Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    cycle1024 = graphcheck.Graph.from_edges(1024, [(u, (u + 1) % 1024) for u in range(1024)])
+    cube10 = graphcheck.Graph.from_edges(
+        1024, [(u, u ^ (1 << i)) for u in range(1024) for i in range(10) if u < u ^ (1 << i)]
+    )
     perms = [list(s) for s in graphcheck.gewirtz_automorphisms(4)]
     perms[2][0], perms[2][1] = perms[2][1], perms[2][0]
     texts = {
@@ -61,6 +70,8 @@ def write_inputs(directory: pathlib.Path) -> dict[str, str]:
         "prism": graphcheck.graph_to_text(prism),
         "cube4": graphcheck.graph_to_text(cube4),
         "triangles": graphcheck.graph_to_text(triangles),
+        "cycle1024": graphcheck.graph_to_text(cycle1024),
+        "cube10": graphcheck.graph_to_text(cube10),
         "perms": graphcheck.permutations_to_text(perms),
     }
     paths = {}

@@ -1,18 +1,22 @@
-import pytest
-from hypothesis import given, strategies as st
+import random
+from itertools import combinations, product
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from at4tools.at4 import IntersectionArray
 from at4tools.graphcheck import (
     MAX_VERTICES,
     Graph,
     GraphError,
     _bits,
-    _dense_bits,
     alpha_profile,
     audit_family_graph,
     fix_subgraph,
     generate_petersen,
     graph_to_text,
     is_automorphism,
+    is_permutation,
     load_graph,
     parse_graph,
     parse_permutations,
@@ -110,6 +114,7 @@ def test_parse_symmetrizes_each_one_sided_edge_once(case):
     for i, j in one_sided:
         rows[j] |= 1 << i
     assert g.rows == tuple(rows)
+    assert g.adjacency() == tuple(tuple(_bits(row)) for row in rows)
 
 
 def test_graph_text_round_trip():
@@ -155,6 +160,8 @@ def test_verify_drg():
     assert arr.b == (3, 2) and arr.c == (1, 1)
     path3 = Graph.from_edges(3, [(0, 1), (1, 2)])
     assert verify_drg(path3) is None
+    # vertex 0 of the highest degree: only the regularity test rejects it
+    assert verify_drg(Graph.from_edges(3, [(0, 1), (0, 2)])) is None
 
 
 def test_verify_drg_diameter_4_antipodal():
@@ -203,9 +210,13 @@ def test_is_automorphism():
         is_automorphism(c5, (0, 1, 2))
 
 
-@given(st.integers(min_value=0, max_value=(1 << 700) - 1))
-def test_dense_bits_match_bits(mask):
-    assert list(_dense_bits(mask)) == list(_bits(mask))
+def test_is_permutation():
+    assert is_permutation((), 0) and is_permutation((2, 0, 1), 3)
+    assert not is_permutation((0, 1), 3)  # too short
+    assert not is_permutation((0, 1, 1), 3)  # repeated image
+    assert not is_permutation((0, 1, 3), 3)  # image out of range
+    assert not is_permutation((0, 1, -1), 3)  # negative image
+    assert not is_permutation((-1, 0, 1, 3), 4)  # distinct, in count, out of range
 
 
 def test_alpha_profile():
@@ -328,3 +339,157 @@ def test_corrupted_profile_fails_integrality(gewirtz, gewirtz_witnesses):
     corrupted = AutProfile(2, profile[0], profile[1] + 1, profile[2] - 1)
     bad1, bad2 = chi_values(2, corrupted)
     assert bad1.denominator != 1 or bad2.denominator != 1
+
+
+# ---------------------------------------------------------------------------
+# reference verifiers: one BFS per base vertex, and common neighbours of
+# every vertex pair
+# ---------------------------------------------------------------------------
+
+
+def _bfs_counts(rows, u, expect=None):
+    """One bitset BFS from u.  Per distance i, the counts (b_i, c_i) of
+    neighbours one layer out and one layer in that every vertex at distance
+    i shares; None as soon as two of them disagree, a count differs from
+    expect, or u does not reach every vertex."""
+    counts = []
+    layer = 1 << u
+    unseen = ((1 << len(rows)) - 1) ^ layer
+    inner = 0
+    while layer:
+        want_b, want_c = expect[len(counts)] if expect is not None else (-1, -1)
+        nxt = 0
+        for w in _bits(layer):
+            out = rows[w] & unseen
+            b = out.bit_count()
+            c = (rows[w] & inner).bit_count()
+            if want_b < 0:
+                want_b, want_c = b, c
+            elif b != want_b or c != want_c:
+                return None
+            nxt |= out
+        counts.append((want_b, want_c))
+        inner = layer
+        layer = nxt
+        unseen ^= layer
+    return None if unseen else counts
+
+
+def reference_drg(g):
+    """Intersection array iff the BFS counts from every base vertex agree
+    with those from vertex 0 (which also makes every eccentricity equal)."""
+    if g.n < 2:
+        return None
+    first = _bfs_counts(g.rows, 0)
+    if first is None or any(_bfs_counts(g.rows, u, first) is None for u in range(1, g.n)):
+        return None
+    b, c = zip(*first)
+    return IntersectionArray(b[:-1], c[1:])
+
+
+def reference_srg(g):
+    """(v, k, lam, mu) iff g is connected, regular, non-complete, and every
+    edge has lam and every non-edge mu common neighbours."""
+    n = g.n
+    if n < 3 or not g.is_connected() or len({g.degree(v) for v in range(n)}) != 1:
+        return None
+    k = g.degree(0)
+    if k == n - 1:
+        return None
+    common = {True: set(), False: set()}
+    for u, v in combinations(range(n), 2):
+        common[g.has_edge(u, v)].add((g.rows[u] & g.rows[v]).bit_count())
+    if len(common[True]) != 1 or len(common[False]) != 1:
+        return None
+    return SrgParams(n, k, *common[True], *common[False])
+
+
+def _edges_of(n, adjacent):
+    return [(u, v) for u, v in combinations(range(n), 2) if adjacent(u, v)]
+
+
+def _drg_families():
+    """Distance-regular graphs of diameter 2 to 6: H(3,4), J(8,3), Q_6, C_n."""
+    words = list(product(range(4), repeat=3))
+    triples = list(combinations(range(8), 3))
+    return {
+        "H(3,4)": (64, _edges_of(64, lambda u, v: sum(a != b for a, b in zip(words[u], words[v])) == 1)),
+        "J(8,3)": (56, _edges_of(56, lambda u, v: len(set(triples[u]) & set(triples[v])) == 2)),
+        "Q_6": (64, _edges_of(64, lambda u, v: (u ^ v).bit_count() == 1)),
+        **{f"C_{n}": (n, [(i, (i + 1) % n) for i in range(n)]) for n in (3, 4, 5, 8, 13)},
+    }
+
+
+DRG_FAMILIES = _drg_families()
+
+
+def _switch(edges, rng):
+    """One degree-preserving switch: edges a-b and c-d become a-c and b-d,
+    when all four ends differ and neither new edge exists; else unchanged."""
+    present = {frozenset(e) for e in edges}
+    (a, b), (c, d) = rng.sample(edges, 2)
+    if len({a, b, c, d}) < 4 or {frozenset((a, c)), frozenset((b, d))} & present:
+        return edges
+    return [e for e in edges if frozenset(e) not in ({a, b}, {c, d})] + [(a, c), (b, d)]
+
+
+def assert_matches_reference(g):
+    drg, srg = verify_drg(g), verify_srg(g)
+    assert drg == reference_drg(g)
+    assert srg == reference_srg(g)
+    return drg
+
+
+def test_reference_accepts_each_family():
+    for name, (n, edges) in DRG_FAMILIES.items():
+        assert assert_matches_reference(Graph.from_edges(n, edges)) is not None, name
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(DRG_FAMILIES)), st.integers(0, 2**32 - 1), st.integers(1, 2))
+def test_switched_drgs_match_reference(name, seed, switches):
+    rng = random.Random(seed)
+    n, edges = DRG_FAMILIES[name]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) for u, v in edges]
+    for _ in range(switches):
+        edges = _switch(edges, rng)
+    assert_matches_reference(Graph.from_edges(n, edges))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(4, 40), st.data())
+def test_random_regular_graphs_match_reference(n, data):
+    # a circulant graph on a random set of jumps, then random switches: every
+    # degree stays, so the count checks run past the regularity test
+    jumps = data.draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=4))
+    edges = sorted({tuple(sorted((i, (i + j) % n))) for i in range(n) for j in jumps})
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    for _ in range(data.draw(st.integers(0, 6))):
+        edges = _switch(edges, rng)
+    assert_matches_reference(Graph.from_edges(n, edges))
+
+
+def test_disconnected_copies_of_a_drg_are_rejected():
+    # every vertex sees the same counts, but vertex 0 reaches half the graph
+    n, edges = DRG_FAMILIES["C_5"]
+    g = Graph.from_edges(2 * n, [*edges, *((u + n, v + n) for u, v in edges)])
+    assert verify_drg(g) is None and reference_drg(g) is None
+
+
+@pytest.mark.parametrize("m", [3, 5])
+def test_regular_graph_distance_regular_around_one_side_is_rejected(m):
+    # K_{m,m+1} plus a perfect matching on the side of m+1 is (m+1)-regular.
+    # From every base vertex, the counts at a vertex of the side of m are
+    # those of a distance-regular graph, but an edge has m common neighbours
+    # on one side and 1 across, so only the rows of the other side fail.
+    left, right = range(m), range(m, 2 * m + 1)
+    edges = [(u, v) for u in left for v in right] + [(v, v + 1) for v in right[::2]]
+    n = 2 * m + 1
+    for first in range(n):
+        order = [first, *(v for v in range(n) if v != first)]
+        pos = {v: i for i, v in enumerate(order)}
+        g = Graph.from_edges(n, [(pos[u], pos[v]) for u, v in edges])
+        assert verify_drg(g) is None and reference_drg(g) is None
+        assert verify_srg(g) is None and reference_srg(g) is None

@@ -4,10 +4,10 @@ verify_srg, verify_drg and the ``srg``/``drg`` fields of an ``at4 verify``
 report are compared with ``nx.is_strongly_regular``,
 ``nx.is_distance_regular`` and ``nx.intersection_array`` on named graphs,
 vertex-relabelled copies of them, degenerate graphs, random G(n, 1/2)
-graphs and random regular graphs.  ``at4 verify`` answers a strongly regular graph from the SRG pair
-pass alone and calls verify_drg only when that pass fails, so both branches
-are covered: the diameter-2 graphs by the first, the 4-cube, H(3,4) and
-J(7,3) (diameter 3 or more) by the second.
+graphs and random regular graphs.  ``at4 verify`` runs verify_drg once and
+reads the SRG parameters off a diameter-2 array; the named graphs hold both
+kinds: strongly regular ones, and distance-regular ones of diameter 3 or more
+(cycles up to C_20, hypercubes up to Q_7, H(3,4) and J(7,3)).
 """
 
 import io
@@ -50,6 +50,11 @@ def named_graphs() -> dict[str, tuple[int, list]]:
         "gewirtz": (56, [(u, w) for u in range(56) for w in gewirtz.neighbors(u) if u < w]),
         "c5": (5, [(i, (i + 1) % 5) for i in range(5)]),
         "cube4": hamming(4, 2),
+        # networkx stops its search at diameter 8 log2(n) / 3, a bound on
+        # distance-regular graphs of valency 3 or more, so it calls C_n with
+        # n >= 30 not distance-regular; the cycles here stay below that
+        **{f"C{n}": (n, [(i, (i + 1) % n) for i in range(n)]) for n in (6, 7, 12, 20)},
+        **{f"Q{d}": hamming(d, 2) for d in (3, 5, 7)},
         **{f"H(2,{q})": hamming(2, q) for q in (3, 4, 5)},
         "H(3,4)": hamming(3, 4),
         **{f"J({n},2)": johnson(n, 2) for n in (5, 6, 7)},
@@ -67,10 +72,10 @@ def named_graphs() -> dict[str, tuple[int, list]]:
 
 
 NAMED = named_graphs()
-# diameter 2 and strongly regular: the report takes the SRG pass alone
+# diameter 2: strongly regular
 SRG_NAMES = {"petersen", "gewirtz", "c5", "H(2,3)", "H(2,4)", "H(2,5)", "J(5,2)", "J(6,2)", "J(7,2)"}
-# distance-regular of diameter 3 or 4: only the DRG pass can answer
-DRG_ONLY_NAMES = {"cube4", "H(3,4)", "J(7,3)"}
+# distance-regular of diameter 3 or more: not strongly regular
+DRG_ONLY_NAMES = {"cube4", "H(3,4)", "J(7,3)", "C6", "C7", "C12", "C20", "Q3", "Q5", "Q7"}
 
 
 def relabelled(n: int, edges, seed: str) -> tuple[int, list]:
@@ -131,7 +136,7 @@ def test_named_graph_matches_networkx(name):
     relabelled_srg, relabelled_drg = check(*relabelled(n, edges, name))
     assert relabelled_srg == srg and relabelled_drg == drg
     if name in SRG_NAMES:
-        # the report's array came from the SRG parameters; verify_drg agrees
+        # the SRG parameters are the diameter-2 reading of the array
         assert srg is not None and drg is not None
         assert (drg.b, drg.c) == ((srg.k, srg.k - srg.lam - 1), (1, srg.mu))
     if name in DRG_ONLY_NAMES:
