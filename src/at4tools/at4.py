@@ -2,9 +2,9 @@
 
 A candidate is fixed by a pair (p, r): p >= 2 is the positive local
 eigenvalue parameter (the negative one is -q = -(p+2)) and r is the
-antipodality index.  Everything here is closed-form integer and Fraction
-arithmetic: intersection arrays, layer sizes, eigenvalues, antipodal
-quotient parameters, second subconstituent parameters and the tightness
+antipodality index.  Everything here is closed-form integer arithmetic:
+intersection arrays, layer sizes, eigenvalues, antipodal quotient
+parameters, second subconstituent parameters and the tightness
 (fundamental bound) check.  tests/test_closed_forms.py proves the closed
 forms as polynomial identities over Q[p, r]; tests/test_at4.py checks them
 against the characteristic polynomial of the tridiagonal intersection
@@ -14,7 +14,6 @@ matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import NamedTuple
 
 from .exactnum import divisors
@@ -96,10 +95,6 @@ class IntersectionArray:
     def diameter(self) -> int:
         return len(self.c)
 
-    @property
-    def vertex_count(self) -> int:
-        return sum(self.layer_sizes)
-
     def __str__(self) -> str:
         return "{%s; %s}" % (",".join(map(str, self.b)), ",".join(map(str, self.c)))
 
@@ -176,17 +171,6 @@ def intersection_array(params: At4Params) -> IntersectionArray:
     """Diameter-4 intersection array of the candidate (p, r), validated."""
     f = _closed_forms(params.p, params.r)
     return IntersectionArray(f.b, f.c)
-
-
-def antipodal_check(arr: IntersectionArray) -> tuple[bool, Fraction | None]:
-    """Test b_i = c_{4-i} for i in {0, 1, 3} on a diameter-4 array; when it
-    holds, return the cover index r = 1 + b_2/c_2."""
-    if arr.diameter != 4:
-        raise ValueError(f"antipodal_check needs diameter 4, got {arr.diameter}")
-    b, c = arr.b, arr.c
-    if b[0] != c[3] or b[1] != c[2] or b[3] != c[0]:
-        return (False, None)
-    return (True, 1 + Fraction(b[2], c[1]))
 
 
 def quotient_params(p: int) -> SrgParams:

@@ -18,6 +18,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import is_dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -63,8 +64,8 @@ _CONTAINERS = (dict, list, tuple, set, frozenset)
 
 def _json(value, indent: str = "") -> str:
     """``json.dumps(value, sort_keys=True, indent=2)``, ASCII-escaped, for
-    report values: sets print as sorted lists, tuples as lists, Fractions as
-    strings and keys as str."""
+    report values: sets print as sorted lists, tuples as lists, dataclasses
+    as the dict of their fields, Fractions as strings and keys as str."""
     kind = type(value)
     if kind is int:
         return int.__repr__(value)
@@ -92,12 +93,16 @@ def _json(value, indent: str = "") -> str:
         else:
             body = (_json(v, inner) for v in value)
         return "[\n" + inner + (",\n" + inner).join(body) + "\n" + indent + "]"
+    if is_dataclass(value):
+        return _json(vars(value), indent)
     if isinstance(value, Fraction):
         value = str(value)
     return json.dumps(value)
 
 
 def _flatten(value, path, lines):
+    if is_dataclass(value):
+        value = vars(value)
     if isinstance(value, dict):
         for key, v in _items(value):
             _flatten(v, f"{path}.{key}" if path else key, lines)
@@ -105,7 +110,7 @@ def _flatten(value, path, lines):
     if isinstance(value, (set, frozenset)):
         value = sorted(value)
     if isinstance(value, (list, tuple)):
-        if any(isinstance(v, _CONTAINERS) for v in value):
+        if any(isinstance(v, _CONTAINERS) or is_dataclass(v) for v in value):
             for i, v in enumerate(value):
                 _flatten(v, f"{path}.{i}", lines)
         else:
@@ -149,6 +154,19 @@ def _array_payload(params: at4.At4Params) -> dict:
     }
 
 
+def _spectrum_fields(p: int) -> dict:
+    """The edge-stabiliser primes and the spectrum sandwich at p, each
+    "inapplicable" when p is not a prime power above 2."""
+    bounds = higman.spectrum_bounds(p)
+    if bounds is None:
+        return dict.fromkeys(("edge_stabilizer_primes", "spectrum_lower", "spectrum_upper"), "inapplicable")
+    return {
+        "edge_stabilizer_primes": sorted(higman.edge_stabilizer_primes(p)),
+        "spectrum_lower": sorted(bounds[0]),
+        "spectrum_upper": sorted(bounds[1]),
+    }
+
+
 def _scan_entry(p: int) -> dict:
     base = prime_power_base(p)
     q = p + 2
@@ -166,19 +184,12 @@ def _scan_entry(p: int) -> dict:
         "local_srg": list(local.as_tuple()),
         "local_fix_bound": fixed_point_order_bound(local),
         "clique_bound": clique_bound(p),
+        "arrays": [{"r": r, **_array_payload(at4.At4Params(p, r))} for r in rs],
+        **_spectrum_fields(p),
     }
-    entry["arrays"] = [{"r": r, **_array_payload(at4.At4Params(p, r))} for r in rs]
-    stab = higman.edge_stabilizer_primes(p)
-    entry["edge_stabilizer_primes"] = sorted(stab) if stab is not None else "inapplicable"
-    bounds = higman.spectrum_bounds(p)
-    if bounds is None:
-        entry["spectrum_lower"] = entry["spectrum_upper"] = "inapplicable"
-    else:
-        entry["spectrum_lower"] = sorted(bounds[0])
-        entry["spectrum_upper"] = sorted(bounds[1])
     cf = higman.centralizer_filter(p) if p > 2 else None
     entry["centralizer_filter"] = (
-        cf.to_dict() if cf is not None and cf.verdict != higman.INAPPLICABLE else "inapplicable"
+        cf if cf is not None and cf.verdict != higman.INAPPLICABLE else "inapplicable"
     )
     return entry
 
@@ -190,7 +201,8 @@ def _jobs(args, count: int) -> int:
         jobs = args.jobs
     else:
         env = os.environ.get("AT4_JOBS", "")
-        jobs = int(env) if env.isdigit() else 1
+        # str.isdigit also accepts characters such as '²' that int() rejects
+        jobs = int(env) if env.isascii() and env.isdigit() else 1
     return max(1, min(jobs, os.cpu_count() or 1, count))
 
 
@@ -261,7 +273,7 @@ def _cmd_profile(args, out) -> int:
         "cover_fix_bound": higman.cover_fix_bound(p, r),
         "local_fix_bound": fixed_point_order_bound(local_family_params(p)),
         "order_classification": (
-            classification.to_dict()
+            classification
             if classification.verdict != higman.INAPPLICABLE
             else "inapplicable"
         ),
@@ -273,7 +285,7 @@ def _cmd_profile(args, out) -> int:
         report["order_admissible_fixed_point_free"] = (
             ell in classification.data["fixed_point_free_orders"]
         )
-        report["local_fixed_structure"] = higman.local_fixed_structure(p, ell).to_dict()
+        report["local_fixed_structure"] = higman.local_fixed_structure(p, ell)
     return _finish(report, args, out)
 
 
@@ -300,27 +312,29 @@ def _cmd_bounds(args, out) -> int:
             "theta_neg": spec.theta_neg,
             "m_neg": spec.m_neg,
         },
-        "feasibility": feasibility_basic(params).to_dict(),
+        "feasibility": feasibility_basic(params),
         "clique_bound": clique_bound(p),
         "fix_bound": fixed_point_order_bound(params),
         "block_sizes": list(higman.block_size_filter(p)),
+        **_spectrum_fields(p),
+        "exclusion": higman.exclusion_arithmetic(p) if p > 2 else "inapplicable",
     }
-    stab = higman.edge_stabilizer_primes(p)
-    report["edge_stabilizer_primes"] = sorted(stab) if stab is not None else "inapplicable"
-    bounds = higman.spectrum_bounds(p)
-    if bounds is None:
-        report["spectrum_lower"] = report["spectrum_upper"] = "inapplicable"
-    else:
-        report["spectrum_lower"] = sorted(bounds[0])
-        report["spectrum_upper"] = sorted(bounds[1])
-    report["exclusion"] = higman.exclusion_arithmetic(p).to_dict() if p > 2 else "inapplicable"
     return _finish(report, args, out)
+
+
+def _read(path: str) -> str:
+    """The text of an input file.  A file that is not UTF-8 raises OSError,
+    as an unreadable one does."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 def _cmd_verify(args, out) -> int:
     try:
-        with open(args.graph, encoding="utf-8") as fh:
-            text = fh.read()
+        text = _read(args.graph)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -350,10 +364,8 @@ def _cmd_audit(args, out) -> int:
         print(f"error: p must be >= 2, got {args.p}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        with open(args.graph, encoding="utf-8") as fh:
-            graph_text = fh.read()
-        with open(args.perms, encoding="utf-8") as fh:
-            perm_text = fh.read()
+        graph_text = _read(args.graph)
+        perm_text = _read(args.perms)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -382,7 +394,7 @@ def _cmd_audit(args, out) -> int:
             "perms": os.path.basename(args.perms),
             "p": args.p,
         },
-        **audit.to_dict(),
+        **vars(audit),
     }
     _finish(report, args, out)
     return EXIT_OK if audit.ok else EXIT_FINDINGS

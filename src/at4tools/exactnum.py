@@ -1,4 +1,4 @@
-"""Exact integer arithmetic: factorization, primality, group-order helpers.
+"""Exact integer arithmetic: factorization, primality, multiplicative orders.
 
 Everything in this package runs on plain Python integers and
 ``fractions.Fraction``; no floating point is used anywhere.  Factorization
@@ -181,22 +181,6 @@ def exact_sqrt(n: int) -> int | None:
         raise ValueError(f"exact_sqrt requires n >= 0, got {n}")
     d = math.isqrt(n)
     return d if d * d == n else None
-
-
-def gl_order(e: int, t: int) -> int:
-    """Order of the group of invertible e x e matrices over the t-element field.
-
-    Equals the product of (t**e - t**i) for i in 0..e-1; t must be prime.
-    """
-    if e < 1:
-        raise ValueError(f"gl_order requires e >= 1, got {e}")
-    if not is_prime(t):
-        raise ValueError(f"gl_order requires prime t, got {t}")
-    q = t**e
-    out = 1
-    for i in range(e):
-        out *= q - t**i
-    return out
 
 
 def _carmichael(n: int) -> int:

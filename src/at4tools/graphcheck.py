@@ -1,5 +1,5 @@
 """Concrete-graph verification: witness generators, SRG/DRG checking, and
-distance profiles of automorphisms.
+the audit of automorphisms of a family member.
 
 Graphs are stored as bitset adjacency rows and sorted neighbour tuples, which
 keeps every check exact.  Distance-regularity, and strong regularity as its
@@ -7,7 +7,8 @@ diameter-2 case, is checked by the three-term recurrence of the distance
 matrices on rows of packed counts: about n·d sums of k big-int rows for n
 vertices of valency k and diameter d, each sum one C-level call, in place
 of a Python step per vertex pair.  An audit reads each displacement profile
-from the permutation and the adjacency rows, without a distance matrix.
+from the permutation and the adjacency rows, without a distance matrix;
+tests/oracles.py keeps the distance-matrix route that it is held to.
 The star witness is the unique SRG(56, 10, 0, 2), built from hyperovals of
 the order-4 projective plane and accepted only after it verifies its own
 parameters.
@@ -47,7 +48,7 @@ def _bits(mask: int):
 class Graph:
     """Simple undirected graph on vertices 0..n-1 with bitset rows."""
 
-    __slots__ = ("n", "rows", "_dist", "_adj")
+    __slots__ = ("n", "rows", "_adj")
 
     def __init__(self, rows, warnings: list[str] | None = None):
         """Graph of the bitset rows.  A neighbour out of range or a loop
@@ -75,7 +76,6 @@ class Graph:
             adj.append(nbrs)
         self.n = n
         self.rows = tuple(rows)
-        self._dist = None
         # a row symmetrized after its tuple was taken leaves adj stale
         self._adj = tuple(adj) if not warnings else None
 
@@ -110,9 +110,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.rows[u] >> v) & 1)
-
     def bfs_distances(self, start: int) -> tuple[int, ...]:
         """Distances from start, -1 for unreachable vertices."""
         dist = [-1] * self.n
@@ -131,35 +128,10 @@ class Graph:
             frontier = nxt
         return tuple(dist)
 
-    def distances(self) -> tuple[tuple[int, ...], ...]:
-        """All-pairs distance matrix, computed once and cached."""
-        if self._dist is None:
-            self._dist = tuple(self.bfs_distances(v) for v in range(self.n))
-        return self._dist
-
     def is_connected(self) -> bool:
         if self.n <= 1:
             return True
         return -1 not in self.bfs_distances(0)
-
-    def diameter(self) -> int:
-        if self.n == 0:
-            raise GraphError("diameter of the empty graph is undefined")
-        if not self.is_connected():
-            raise GraphError("diameter of a disconnected graph is undefined")
-        return max(max(row) for row in self.distances())
-
-    def induced(self, vertices) -> "Graph":
-        vs = sorted(vertices)
-        pos = {v: i for i, v in enumerate(vs)}
-        rows = []
-        for v in vs:
-            row = 0
-            for w in _bits(self.rows[v]):
-                if w in pos:
-                    row |= 1 << pos[w]
-            rows.append(row)
-        return Graph(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -601,35 +573,6 @@ def _maps_rows(g: Graph, sigma) -> bool:
     return list(map(g.rows.__getitem__, sigma)) == list(images)
 
 
-def is_automorphism(g: Graph, sigma) -> bool:
-    """True iff sigma is a bijection of the vertices preserving adjacency."""
-    if len(sigma) != g.n:
-        raise ValueError(f"permutation length {len(sigma)} does not match n = {g.n}")
-    return is_permutation(sigma, g.n) and _maps_rows(g, sigma)
-
-
-def alpha_profile(g: Graph, sigma) -> tuple[int, ...]:
-    """Counts (alpha_0..alpha_d) of vertices moved to each distance by an
-    automorphism of a connected graph."""
-    if not is_automorphism(g, sigma):
-        raise ValueError("sigma is not an automorphism")
-    if not g.is_connected():
-        raise ValueError("alpha_profile requires a connected graph")
-    counts = [0] * (g.diameter() + 1)
-    for row, image in zip(g.distances(), sigma):
-        counts[row[image]] += 1
-    return tuple(counts)
-
-
-def fix_subgraph(g: Graph, sigmas) -> Graph:
-    """Induced subgraph on the vertices fixed by every given automorphism."""
-    for sigma in sigmas:
-        if not is_automorphism(g, sigma):
-            raise ValueError("fix_subgraph requires automorphisms")
-    fixed = [v for v in range(g.n) if all(s[v] == v for s in sigmas)]
-    return g.induced(fixed)
-
-
 # ---------------------------------------------------------------------------
 # end-to-end audit against the constraint engine
 # ---------------------------------------------------------------------------
@@ -649,15 +592,6 @@ class AuditReport:
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "total": self.total,
-            "passed": self.passed,
-            "failures": [[i, list(codes)] for i, codes in self.failures],
-            "orders": list(self.orders),
-        }
 
 
 def audit_family_graph(g: Graph, p: int, sigmas) -> AuditReport:

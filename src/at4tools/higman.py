@@ -2,9 +2,11 @@
 
 Character-sum integrality for the local strongly regular graph, congruence
 enumeration of the distance distribution of a prime-order automorphism,
-the case analysis of proper SRG subgraphs, imprimitivity-block and
-centralizer filters, and the derived prime-spectrum bounds for stabilizers
-of a vertex-transitive group.
+fixed-structure and order classifications, imprimitivity-block,
+centralizer and solvability filters, and the derived prime-spectrum bounds
+for stabilizers of a vertex-transitive group.  The check that the two
+alpha_1 congruences agree for every fixed-point count is an oracle in
+tests/oracles.py, which acceptance criterion 5 runs.
 
 Conventions used throughout:
 
@@ -27,10 +29,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .at4 import At4Params, intersection_array
+from .at4 import At4Params
 from .exactnum import (
     divisors,
-    exact_sqrt,
     is_prime,
     mult_order,
     prime_power_base,
@@ -66,9 +67,6 @@ class Condition:
     ok: bool
     detail: str = ""
 
-    def to_dict(self) -> dict:
-        return {"code": self.code, "ok": self.ok, "detail": self.detail}
-
 
 @dataclass(frozen=True)
 class CaseReport:
@@ -81,20 +79,6 @@ class CaseReport:
     conditions: tuple[Condition, ...] = ()
     data: dict = field(default_factory=dict)
     notes: tuple[str, ...] = ()
-
-    @property
-    def failed_codes(self) -> tuple[str, ...]:
-        return tuple(c.code for c in self.conditions if not c.ok)
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "params": list(self.params),
-            "verdict": self.verdict,
-            "conditions": [c.to_dict() for c in self.conditions],
-            "data": self.data,
-            "notes": list(self.notes),
-        }
 
 
 def _inapplicable(label: str, params: tuple, why: str) -> CaseReport:
@@ -191,42 +175,12 @@ def alpha1_candidates(p: int, ell: int, fix: int) -> range:
     if not is_prime(ell):
         raise ValueError(f"alpha1_candidates requires a prime order, got {ell}")
     bound = (p + 2) ** 2 - 2
-    if fix < 0 or (fix > 0 and fix > bound):
+    if fix < 0 or fix > bound:
         raise ValueError(f"fixed-point count {fix} outside [0, {bound}]")
     r1, r2, m = alpha1_residues(p, ell, fix)
     if r1 != r2:
         return range(0)
     return range(r1, local_vertex_count(p) - fix + 1, m)
-
-
-def alpha1_expressions_consistent(p: int, ell: int, fix_limit: int | None = None) -> bool:
-    """Check, for every fixed-point count up to the bound, that the two
-    alpha_1 congruences agree exactly when ell divides the number of
-    displaced vertices v - fix.  Runs in O(fix_limit) integer operations."""
-    if p <= 2:
-        raise ValueError(f"requires p > 2, got {p}")
-    if not is_prime(ell):
-        raise ValueError(f"requires a prime order, got {ell}")
-    bound = (p + 2) ** 2 - 2
-    limit = bound if fix_limit is None else fix_limit
-    v = local_vertex_count(p)
-    r1, r2, m = alpha1_residues(p, ell, 0)
-    step1 = (p + 2) % m
-    step2 = p % m
-    vres = v % ell
-    for _ in range(limit + 1):
-        if (r1 == r2) != (vres == 0):
-            return False
-        r1 -= step1
-        if r1 < 0:
-            r1 += m
-        r2 += step2
-        if r2 >= m:
-            r2 -= m
-        vres -= 1
-        if vres < 0:
-            vres += ell
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -305,89 +259,6 @@ def local_fixed_structure(p: int, ell: int) -> CaseReport:
     )
 
 
-def subgraph_cases(p: int) -> list[CaseReport]:
-    """Case analysis of proper SRG subgraphs with parameters (v', k', p-2, p)
-    inside the local graph, for prime-power p > 2.
-
-    Emits one report per case with the divisibility preconditions, the
-    fixed-subgraph order bound (p+2)^2 - 2, and, when the bound survives,
-    whether any prime order > p is compatible with the valency congruence
-    k' = p(p+3) mod ell.  Cases three and four exist only for even p.
-    """
-    if p < 3:
-        raise ValueError(f"subgraph_cases requires p >= 3, got {p}")
-    if prime_power_base(p) is None:
-        return [_inapplicable("srg-subgraph-cases", (p,), "requires p a prime power")]
-    bound = (p + 2) ** 2 - 2
-    cases: list[tuple[str, int, int, tuple[str, ...]]] = [
-        ("subgraph-case-1", p * p + p - 1, p * p * (p + 2), ()),
-        ("subgraph-case-2", p * (p - 1), p * ((p - 1) ** 2 + 1), ()),
-    ]
-    if p % 2 == 0:
-        cases.append(
-            (
-                "subgraph-case-3",
-                p * p // 4,
-                (p * p // 8 - p // 4 + 1) * (p // 2 + 1),
-                (
-                    "a degenerate companion branch with s' = -3 occurs only at p = 2 "
-                    "(where it agrees with s' = -3p/2) and is outside this range",
-                ),
-            )
-        )
-        cases.append(
-            ("subgraph-case-4", p * (p // 2 + 4) // 2, (3 + p // 2) * (p * p // 8 + 5 * p // 4 + 1), ())
-        )
-    out = []
-    for label, kk, vv, notes in cases:
-        root = exact_sqrt(kk - p + 1)
-        tpos = -1 + root if root is not None else None
-        sneg = -(tpos + 2) if tpos is not None else None
-        conds = [
-            Condition("eigenvalue-square", root is not None, f"k'-p+1 = {kk - p + 1}"),
-        ]
-        if tpos is not None:
-            conds.append(
-                Condition(
-                    "p-divides-(k'-t')(k'-s')",
-                    (kk - tpos) * (kk - sneg) % p == 0,
-                    f"(k'-t')(k'-s') = {(kk - tpos) * (kk - sneg)}",
-                )
-            )
-            conds.append(
-                Condition(
-                    "2p-divides-k'(k'-s')",
-                    kk * (kk - sneg) % (2 * p) == 0,
-                    f"k'(k'-s') = {kk * (kk - sneg)}",
-                )
-            )
-        conds.append(Condition("within-fix-bound", vv <= bound, f"v' = {vv}, bound = {bound}"))
-        if vv <= bound:
-            target = abs(kk - p * (p + 3))
-            admissible = (
-                sorted(q for q in prime_set(target) if q > p) if target else ["any"]
-            )
-            conds.append(
-                Condition(
-                    "valency-congruence-order-exists",
-                    bool(admissible),
-                    f"prime orders > {p} dividing |k' - p(p+3)| = {target}: {admissible}",
-                )
-            )
-        ok = all(c.ok for c in conds)
-        out.append(
-            CaseReport(
-                label,
-                (vv, kk, p - 2, p),
-                PASS if ok else FAIL,
-                conditions=tuple(conds),
-                data={"t_pos": tpos, "s_neg": sneg, "fix_bound": bound},
-                notes=notes,
-            )
-        )
-    return out
-
-
 # ---------------------------------------------------------------------------
 # congruences and order classification on the cover
 # ---------------------------------------------------------------------------
@@ -418,39 +289,6 @@ def subconstituent_congruences(p: int, r: int, ell: int) -> tuple[int, int, int,
     y3 = p * (p + 2) ** 2 * (r - 1)
     y4 = r - 1
     return (y1 % ell, y2 % ell, y3 % ell, y4 % ell)
-
-
-@dataclass(frozen=True)
-class CoverProfile:
-    """Layer counts (x_0..x_4) of the fixed set of a cover automorphism,
-    measured from a fixed base vertex, with the element's order."""
-
-    order: int
-    counts: tuple[int, int, int, int, int]
-
-
-def cover_profile_filter(p: int, r: int, profile: CoverProfile) -> Verdict:
-    """Screen a candidate fixed-set layer profile of a prime-order cover
-    automorphism: the base vertex is fixed, every count fits its layer,
-    each x_i matches the layer size k_i mod the order, and the number of
-    displaced vertices is divisible by the order."""
-    ell = profile.order
-    if not is_prime(ell):
-        raise ValueError(f"cover_profile_filter requires a prime order, got {ell}")
-    sizes = intersection_array(At4Params(p, r)).layer_sizes
-    x = profile.counts
-    reasons = []
-    if x[0] != 1:
-        reasons.append("base-vertex-not-fixed")
-    for i in range(5):
-        if not 0 <= x[i] <= sizes[i]:
-            reasons.append(f"x{i}-exceeds-layer")
-    for i in range(1, 5):
-        if (x[i] - sizes[i]) % ell != 0:
-            reasons.append(f"x{i}-congruence")
-    if (sum(sizes) - sum(x)) % ell != 0:
-        reasons.append("displaced-count-divisibility")
-    return Verdict(not reasons, tuple(reasons))
 
 
 def cover_order_classification(p: int, r: int) -> CaseReport:
@@ -574,7 +412,7 @@ def solvable_cases(p: int) -> CaseReport:
     s = (p + 2) ** 2 - 2
     if not is_prime(s):
         return _inapplicable(label, (p,), f"requires (p+2)^2 - 2 = {s} prime")
-    base = prime_power_base(p + 2) if p + 2 >= 2 else None
+    base = prime_power_base(p + 2)
     power_of_3 = base is not None and base[0] == 3
     case_i_ok = power_of_3 and s % 3 == 1
     case_i = {
@@ -678,8 +516,8 @@ def exclusion_arithmetic(p: int) -> CaseReport:
             "psl2_s_order": s * (s * s - 1) // 2 if s_prime else None,
             "gcd_s2_minus_1_q": g,
             "gcd_divides_3": 3 % g == 0,
-            "prime_power_p": prime_power_base(p) is not None if p >= 2 else False,
-            "centralizer": centralizer_filter(p).to_dict() if p > 2 else None,
-            "solvable": solvable_cases(p).to_dict() if p > 2 else None,
+            "prime_power_p": prime_power_base(p) is not None,
+            "centralizer": centralizer_filter(p) if p > 2 else None,
+            "solvable": solvable_cases(p) if p > 2 else None,
         },
     )

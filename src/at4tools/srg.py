@@ -5,15 +5,16 @@ Centers on the one-parameter family
     ((p+2)(p^2+4p+2), p(p+3), p-2, p),   p >= 2,
 
 which arises as the local graph of an antipodal tight diameter-4 graph with
-local eigenvalue parameters (p, p+2).  Provides exact spectra, the second
-eigenmatrix of the associated 3-class scheme, and the fixed-point order
-bound mu*v/(k - theta) used by the automorphism constraint engine.
+local eigenvalue parameters (p, p+2).  Provides exact spectra, the
+eigenspace multiplicities and the fixed-point order bound mu*v/(k - theta)
+used by the automorphism constraint engine.  The second eigenmatrix of the
+associated 3-class scheme is kept in tests/oracles.py, where it holds the
+character values of at4tools.higman to an independent route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exactnum import exact_sqrt
 
@@ -63,9 +64,6 @@ class Verdict:
     ok: bool
     reasons: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {"ok": self.ok, "reasons": list(self.reasons)}
-
 
 def local_family_params(p: int) -> SrgParams:
     """Local-graph family member for parameter p >= 2."""
@@ -112,42 +110,6 @@ def family_multiplicities(p: int) -> tuple[int, int]:
     """Multiplicities (n1, n2) of the two non-principal eigenspaces at p."""
     s = (p + 2) ** 2 - 2
     return ((p + 3) * s // 2, (p + 1) * s // 2 - 1)
-
-
-@dataclass(frozen=True)
-class EigenmatrixQ:
-    """Second eigenmatrix of the 3-class scheme of a family member.
-
-    Rows are indexed by eigenspace (principal, positive, negative), columns
-    by distance (0, 1, 2); every entry is an exact Fraction.
-    """
-
-    rows: tuple[tuple[Fraction, Fraction, Fraction], ...]
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.rows[i][j]
-
-
-def second_eigenmatrix(p: int) -> EigenmatrixQ:
-    """Second eigenmatrix of the scheme on a family member, p >= 2."""
-    if p < 2:
-        raise ValueError(f"second_eigenmatrix requires p >= 2, got {p}")
-    s = (p + 2) ** 2 - 2
-    one = Fraction(1)
-    rows = (
-        (one, one, one),
-        (
-            Fraction((p + 3) * s, 2),
-            Fraction((p + 2) ** 2, 2) - 1,
-            Fraction(-s, 2 * (p + 1)),
-        ),
-        (
-            Fraction((p + 1) * s, 2) - 1,
-            Fraction(-((p + 2) ** 2), 2),
-            Fraction(p * (p + 2), 2 * (p + 1)),
-        ),
-    )
-    return EigenmatrixQ(rows)
 
 
 def clique_bound(p: int) -> int:

@@ -14,15 +14,10 @@ from at4tools.at4 import (
     intersection_array,
 )
 from at4tools.exactnum import prime_power_base, primes_upto
-from at4tools.graphcheck import (
-    audit_family_graph,
-    fix_subgraph,
-    verify_srg,
-)
+from at4tools.graphcheck import audit_family_graph, verify_srg
 from at4tools.higman import (
     AutProfile,
     alpha1_candidates,
-    alpha1_expressions_consistent,
     chi_filter,
     edge_stabilizer_primes,
     exclusion_arithmetic,
@@ -30,6 +25,8 @@ from at4tools.higman import (
     spectrum_bounds,
 )
 from at4tools.srg import SrgParams, family_multiplicities, local_family_params, srg_spectrum
+
+from oracles import alpha1_expressions_consistent
 
 
 def test_criterion_1_soicher_array():
@@ -74,7 +71,7 @@ def test_criterion_4_gewirtz_end_to_end(gewirtz, gewirtz_witnesses):
     ident = tuple(range(56))
     for sigma in gewirtz_witnesses:
         if sigma != ident:
-            assert fix_subgraph(gewirtz, [sigma]).n <= 14
+            assert sum(sigma[v] == v for v in range(56)) <= 14
     print(
         f"criterion 4 (56-vertex witness: self-validated, {report.total} automorphisms "
         "audited, fixed subgraphs <= 14): PASS"

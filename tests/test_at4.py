@@ -8,7 +8,6 @@ from at4tools.at4 import (
     IntersectionArray,
     STRICT,
     VIOLATED,
-    antipodal_check,
     closed_forms,
     feasible_r,
     fundamental_bound_check,
@@ -18,6 +17,8 @@ from at4tools.at4 import (
 )
 from at4tools.exactnum import exact_sqrt
 from at4tools.srg import srg_spectrum
+
+from oracles import antipodal_check
 
 
 # Numeric oracle: the eigenvalues of an intersection array read from the
@@ -231,7 +232,7 @@ def test_eigenvalues_match_closed_form():
             f = closed_forms(params)
             arr = intersection_array(params)
             assert f.eigenvalues == charpoly_eigenvalues(arr, p) == expected
-            assert (f.a, f.layer_sizes, f.vertices) == (arr.a, arr.layer_sizes, arr.vertex_count)
+            assert (f.a, f.layer_sizes, f.vertices) == (arr.a, arr.layer_sizes, sum(arr.layer_sizes))
             sub = IntersectionArray(f.sub_b, f.sub_c)  # validates integrality and a_i >= 0
             assert antipodal_check(sub) == (True, r)
 

@@ -157,6 +157,17 @@ def test_verify_missing_file():
     assert rc == 3
 
 
+def test_undecodable_file_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"n 2\n0: 1\n# caf\xe9\n")
+    good = tmp_path / "ok.txt"
+    good.write_text("n 2\n0: 1\n")
+    for argv in (["verify", str(bad)], ["audit", str(bad), str(good), "2"], ["audit", str(good), str(bad), "2"]):
+        rc, text = run(argv)
+        assert rc == 3 and text == ""
+        assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text: invalid continuation byte at byte 14\n"
+
+
 @pytest.fixture(scope="module")
 def gewirtz_files(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("audit")
@@ -231,6 +242,9 @@ def test_scan_worker_count_is_capped(monkeypatch):
     monkeypatch.setenv("AT4_JOBS", "999999")
     assert cli._jobs(parser.parse_args(["scan", "2", "4"]), 3) == 3
     assert cli._jobs(parser.parse_args(["scan", "2", "2000"]), 1999) == 64
+    # '²' passes str.isdigit but not int(): the value counts as unset
+    monkeypatch.setenv("AT4_JOBS", "\u00b2")
+    assert cli._jobs(parser.parse_args(["scan", "2", "2000"]), 1999) == 1
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     assert cli._jobs(parser.parse_args(["scan", "2", "4"]), 3) == 1
 

@@ -5,13 +5,14 @@ from at4tools.exactnum import (
     divisors,
     exact_sqrt,
     factorize,
-    gl_order,
     is_prime,
     mult_order,
     prime_power_base,
     prime_set,
     primes_upto,
 )
+
+from oracles import gl_order
 
 
 def _trial_division(n):

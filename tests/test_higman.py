@@ -2,14 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from at4tools.exactnum import gl_order, mult_order, prime_power_base, primes_upto
+from at4tools.exactnum import mult_order, prime_power_base, primes_upto
 from at4tools.higman import (
     FAIL,
     INAPPLICABLE,
     PASS,
     AutProfile,
     alpha1_candidates,
-    alpha1_expressions_consistent,
     alpha1_residues,
     block_size_filter,
     centralizer_filter,
@@ -25,10 +24,10 @@ from at4tools.higman import (
     solvable_cases,
     spectrum_bounds,
     subconstituent_congruences,
-    subgraph_cases,
 )
 from at4tools.at4 import At4Params, IntersectionArray, closed_forms, feasible_r, intersection_array
-from at4tools.srg import second_eigenmatrix
+
+from oracles import alpha1_expressions_consistent, gl_order, second_eigenmatrix
 
 
 def test_chi_values_examples():
@@ -167,43 +166,6 @@ def test_local_fixed_structure_small_and_gates():
         local_fixed_structure(3, 4)
 
 
-def test_subgraph_cases_p3():
-    reports = {r.label: r for r in subgraph_cases(3)}
-    assert set(reports) == {"subgraph-case-1", "subgraph-case-2"}
-    case1 = reports["subgraph-case-1"]
-    assert case1.params == (45, 11, 1, 3)
-    assert case1.data["t_pos"] == 2 and case1.data["s_neg"] == -4
-    assert case1.verdict == FAIL and "within-fix-bound" in case1.failed_codes
-    # (11 - 2)(11 + 4)/3 = 45 exceeds the bound 23
-    assert case1.params[0] > 23
-    case2 = reports["subgraph-case-2"]
-    assert case2.params == (15, 6, 1, 3)
-    # within the bound at p = 3, but no prime order above p fits the
-    # valency congruence, so it still cannot be a fixed subgraph
-    assert case2.verdict == FAIL
-    assert case2.failed_codes == ("valency-congruence-order-exists",)
-
-
-def test_subgraph_cases_p4():
-    reports = {r.label: r for r in subgraph_cases(4)}
-    assert len(reports) == 4
-    case3 = reports["subgraph-case-3"]
-    assert case3.params == (6, 4, 2, 4)
-    assert case3.data["t_pos"] == 0 and case3.data["s_neg"] == -2
-    assert case3.verdict == FAIL
-    assert case3.failed_codes == ("valency-congruence-order-exists",)
-    case2 = reports["subgraph-case-2"]
-    assert case2.params == (40, 12, 2, 4)
-    assert "within-fix-bound" in case2.failed_codes
-    assert all(r.verdict == FAIL for r in reports.values())
-
-
-def test_subgraph_cases_gates():
-    assert subgraph_cases(6)[0].verdict == INAPPLICABLE
-    with pytest.raises(ValueError):
-        subgraph_cases(2)
-
-
 def test_cover_congruences_examples():
     assert cover_congruences(3, 4, 5) == (0, 4, 0, 3)
     assert cover_congruences(2, 3, 7) == (0, 0, 0, 2)
@@ -224,24 +186,6 @@ def test_congruences_match_layer_sizes():
             for ell in (2, 3, 5, 7, 11, 13):
                 assert cover_congruences(p, r, ell) == tuple(k % ell for k in cover[1:])
                 assert subconstituent_congruences(p, r, ell) == tuple(k % ell for k in sub[1:])
-
-
-def test_cover_profile_filter():
-    from at4tools.higman import CoverProfile, cover_profile_filter
-
-    # at (2, 3) the layer sizes are (1, 56, 315, 112, 2); mod 7 the
-    # congruence targets are (0, 0, 0, 2), so the one-antipodal-class
-    # profile (1, 0, 0, 0, 2) passes
-    good = CoverProfile(7, (1, 0, 0, 0, 2))
-    assert cover_profile_filter(2, 3, good).ok
-    bad = cover_profile_filter(2, 3, CoverProfile(7, (1, 1, 0, 0, 2)))
-    assert not bad.ok and "x1-congruence" in bad.reasons
-    off_base = cover_profile_filter(2, 3, CoverProfile(7, (0, 0, 0, 0, 2)))
-    assert "base-vertex-not-fixed" in off_base.reasons
-    too_big = cover_profile_filter(2, 3, CoverProfile(7, (1, 0, 0, 0, 9)))
-    assert "x4-exceeds-layer" in too_big.reasons
-    with pytest.raises(ValueError):
-        cover_profile_filter(2, 3, CoverProfile(6, (1, 0, 0, 0, 2)))
 
 
 def test_cover_order_classification():

@@ -5,6 +5,7 @@ On random nested report values the JSON writer must print the bytes of
 text writer the lines of ``ref_text(ref_normalise(x))``, where both
 references are the plain normalise-then-print route kept here."""
 
+import dataclasses
 import io
 import json
 from fractions import Fraction
@@ -12,10 +13,15 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from at4tools import cli
+from at4tools.higman import CaseReport, Condition
+from at4tools.srg import Verdict
 
 
 def ref_normalise(value):
-    """Fractions to strings, sets to sorted lists, tuples to lists, keys to str."""
+    """Dataclasses to the dict of their fields, Fractions to strings, sets to
+    sorted lists, tuples to lists, keys to str."""
+    if dataclasses.is_dataclass(value):
+        return ref_normalise(dataclasses.asdict(value))
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, (frozenset, set)):
@@ -68,11 +74,20 @@ leaves = (
     | st.lists(ints, max_size=6)  # the all-int fast path
     | st.lists(st.booleans() | st.integers(-3, 3), max_size=6)  # bool must not take it
 )
+
+
+@dataclasses.dataclass(frozen=True)
+class Pair:
+    first: object
+    second: object
+
+
 values = st.recursive(
     leaves,
     lambda children: st.lists(children, max_size=4)
     | st.lists(children, max_size=4).map(tuple)
-    | st.dictionaries(texts, children, max_size=4),
+    | st.dictionaries(texts, children, max_size=4)
+    | st.builds(Pair, children, children),
     max_leaves=20,
 )
 reports = st.dictionaries(texts, values, max_size=3)
@@ -99,6 +114,11 @@ def test_writers_on_edge_values():
         "fractions": {Fraction(-1, 3), Fraction(7)},
         "quote\"keyé": "tab\tnewline\n \U0001f600",
         "nested": [[1, 2], {"a": None}, (3,)],
+        "verdict": Verdict(False, ("x", "y")),
+        "case": CaseReport(
+            "label", (3, 4), "fail", (Condition("c", False, "d"),), {"inner": Verdict(True)}, ("n",)
+        ),
+        "bare_case": CaseReport("label", (), "inapplicable"),
     }
     assert emit(report, "json") == json.dumps(ref_normalise(report), sort_keys=True, indent=2) + "\n"
     assert emit(report, "text") == ref_text(ref_normalise(report))

@@ -10,9 +10,10 @@ from at4tools.srg import (
     feasibility_basic,
     fixed_point_order_bound,
     local_family_params,
-    second_eigenmatrix,
     srg_spectrum,
 )
+
+from oracles import second_eigenmatrix
 
 
 def test_local_family_params():
