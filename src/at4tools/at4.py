@@ -51,10 +51,6 @@ class At4Params:
         if reason is not None:
             raise ValueError(reason)
 
-    @property
-    def q(self) -> int:
-        return self.p + 2
-
 
 @dataclass(frozen=True)
 class IntersectionArray:

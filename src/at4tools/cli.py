@@ -370,7 +370,7 @@ def _cmd_audit(args, out) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        g = graphcheck.load_graph(graph_text)
+        g, _ = graphcheck.parse_graph(graph_text)
         sigmas = graphcheck.parse_permutations(perm_text, g.n)
     except graphcheck.GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)

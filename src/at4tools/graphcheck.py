@@ -1,14 +1,15 @@
 """Concrete-graph verification: witness generators, SRG/DRG checking, and
 the audit of automorphisms of a family member.
 
-Graphs are stored as bitset adjacency rows and sorted neighbour tuples, which
-keeps every check exact.  Distance-regularity, and strong regularity as its
+A graph is stored as the sorted neighbour tuple of each vertex, and every
+check is exact.  Distance-regularity, and strong regularity as its
 diameter-2 case, is checked by the three-term recurrence of the distance
 matrices on rows of packed counts: about n·d sums of k big-int rows for n
 vertices of valency k and diameter d, each sum one C-level call, in place
-of a Python step per vertex pair.  An audit reads each displacement profile
-from the permutation and the adjacency rows, without a distance matrix;
-tests/oracles.py keeps the distance-matrix route that it is held to.
+of a Python step per vertex pair.  An audit tests each permutation against
+bitset adjacency rows it builds once per graph, and reads each displacement
+profile from the permutation and the neighbour tuples, without a distance
+matrix; tests/oracles.py keeps the distance-matrix route it is held to.
 The star witness is the unique SRG(56, 10, 0, 2), built from hyperovals of
 the order-4 projective plane and accepted only after it verifies its own
 parameters.
@@ -46,85 +47,65 @@ def _bits(mask: int):
 
 
 class Graph:
-    """Simple undirected graph on vertices 0..n-1 with bitset rows."""
+    """Simple undirected graph on vertices 0..n-1, stored as the sorted
+    neighbour tuple of each vertex."""
 
-    __slots__ = ("n", "rows", "_adj")
+    __slots__ = ("n", "adj")
 
-    def __init__(self, rows, warnings: list[str] | None = None):
-        """Graph of the bitset rows.  A neighbour out of range or a loop
-        raises GraphError, and so does an edge listed at one end only,
-        unless a ``warnings`` list is given: the edge is then added at its
-        other end and a warning appended, in order of (i, j)."""
-        rows = list(rows)
-        n = len(rows)
-        full = (1 << n) - 1
-        adj = []
-        for i, row in enumerate(rows):
-            if row & ~full:
+    def __init__(self, neighbours, warnings: list[str] | None = None):
+        """Graph of one iterable of neighbours per vertex.  A neighbour out
+        of range or a loop raises GraphError, and so does an edge listed at
+        one end only, unless a ``warnings`` list is given: the edge is then
+        added at its other end and a warning appended, in order of (i, j)."""
+        sets = list(map(set, neighbours))
+        n = len(sets)
+        for i, nbrs in enumerate(sets):
+            if nbrs and (min(nbrs) < 0 or max(nbrs) >= n):
                 raise GraphError(f"vertex {i} has a neighbor out of range")
-            bit = 1 << i
-            if row & bit:
+            if i in nbrs:
                 raise GraphError(f"loop at vertex {i}")
-            nbrs = tuple(_bits(row))
-            if not all(map(bit.__and__, map(rows.__getitem__, nbrs))):
-                for j in nbrs:
-                    if not rows[j] & bit:
+            if not all(map(operator.contains, map(sets.__getitem__, nbrs), repeat(i))):
+                for j in sorted(nbrs):
+                    if i not in sets[j]:
                         if warnings is None:
                             raise GraphError(f"asymmetric edge {i}-{j}")
                         warnings.append(f"edge {i}-{j} listed only once; symmetrized")
-                        rows[j] |= bit
-            adj.append(nbrs)
+                        sets[j].add(i)
         self.n = n
-        self.rows = tuple(rows)
-        # a row symmetrized after its tuple was taken leaves adj stale
-        self._adj = tuple(adj) if not warnings else None
+        self.adj = tuple(tuple(sorted(nbrs)) for nbrs in sets)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
-        rows = [0] * n
+        neighbours = [[] for _ in range(n)]
         for u, v in edges:
             if u == v:
                 raise GraphError(f"loop at vertex {u}")
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        return cls(rows)
-
-    def __eq__(self, other):
-        return isinstance(other, Graph) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted neighbour tuple of every vertex, computed once and cached."""
-        if self._adj is None:
-            self._adj = tuple(tuple(_bits(row)) for row in self.rows)
-        return self._adj
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphError(f"edge {u}-{v} has an end out of range for n = {n}")
+            neighbours[u].append(v)
+            neighbours[v].append(u)
+        return cls(neighbours)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency()[v]
-
-    def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
+        return self.adj[v]
 
     def edge_count(self) -> int:
-        return sum(r.bit_count() for r in self.rows) // 2
+        return sum(map(len, self.adj)) // 2
 
     def bfs_distances(self, start: int) -> tuple[int, ...]:
         """Distances from start, -1 for unreachable vertices."""
         dist = [-1] * self.n
         dist[start] = 0
-        seen = frontier = 1 << start
+        frontier = [start]
         d = 0
         while frontier:
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= self.rows[v]
-            nxt &= ~seen
             d += 1
-            for v in _bits(nxt):
-                dist[v] = d
-            seen |= nxt
+            nxt = []
+            for v in frontier:
+                for w in self.adj[v]:
+                    if dist[w] < 0:
+                        dist[w] = d
+                        nxt.append(w)
             frontier = nxt
         return tuple(dist)
 
@@ -176,7 +157,7 @@ def parse_graph(text: str) -> tuple[Graph, tuple[str, ...]]:
         raise GraphError(f"line {lineno}: expected header 'n <count>', got {header!r}")
     if n > MAX_VERTICES:
         raise GraphError(f"line {lineno}: vertex count {n} exceeds the limit {MAX_VERTICES}")
-    directed = [0] * n
+    listed: dict[int, list[int]] = {}
     for lineno, line in lines[1:]:
         head, sep, tail = line.partition(":")
         i = _natural(head.strip()) if sep else None
@@ -184,6 +165,7 @@ def parse_graph(text: str) -> tuple[Graph, tuple[str, ...]]:
             raise GraphError(f"line {lineno}: expected 'i: neighbors', got {line!r}")
         if i >= n:
             raise GraphError(f"line {lineno}: vertex {i} out of range for n = {n}")
+        add = listed.setdefault(i, []).append
         for tok in tail.split():
             # inline _natural: this loop runs once per listed edge end
             if not tok.isdigit():
@@ -196,15 +178,10 @@ def parse_graph(text: str) -> tuple[Graph, tuple[str, ...]]:
                 raise GraphError(f"line {lineno}: neighbor {j} out of range for n = {n}")
             if j == i:
                 raise GraphError(f"line {lineno}: loop at vertex {i}")
-            directed[i] |= 1 << j
+            add(j)
     warnings: list[str] = []
-    g = Graph(directed, warnings)
+    g = Graph([listed.get(i, ()) for i in range(n)], warnings)
     return g, tuple(warnings)
-
-
-def load_graph(text: str) -> Graph:
-    """Parse the adjacency text format, applying undirected closure."""
-    return parse_graph(text)[0]
 
 
 def graph_to_text(g: Graph) -> str:
@@ -393,14 +370,9 @@ def _apply_point_perm(mask: int, perm: tuple[int, ...]) -> int:
     return out
 
 
-def _disjointness_rows(vertices: tuple[int, ...]) -> list[int]:
-    rows = [0] * len(vertices)
-    for i in range(len(vertices)):
-        for j in range(i + 1, len(vertices)):
-            if vertices[i] & vertices[j] == 0:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return rows
+def _disjointness_graph(vertices: tuple[int, ...]) -> Graph:
+    """Graph on the point sets ``vertices``, adjacency being disjointness."""
+    return Graph([j for j, other in enumerate(vertices) if not mask & other] for mask in vertices)
 
 
 @lru_cache(maxsize=1)
@@ -427,7 +399,7 @@ def _gewirtz_class() -> tuple[int, ...]:
         if len(orbit) != 56:
             continue
         vertices = tuple(sorted(orbit))
-        if verify_srg(Graph(_disjointness_rows(vertices))) == target:
+        if verify_srg(_disjointness_graph(vertices)) == target:
             return vertices
     raise GraphError("no hyperoval class produced SRG(56, 10, 0, 2)")
 
@@ -435,7 +407,7 @@ def _gewirtz_class() -> tuple[int, ...]:
 def generate_gewirtz() -> Graph:
     """The SRG(56, 10, 0, 2) on a 56-hyperoval class of the order-4
     projective plane, adjacency being disjointness; self-validating."""
-    return Graph(_disjointness_rows(_gewirtz_class()))
+    return _disjointness_graph(_gewirtz_class())
 
 
 def gewirtz_automorphisms(count: int = 150) -> tuple[tuple[int, ...], ...]:
@@ -501,7 +473,7 @@ def verify_drg(g: Graph) -> IntersectionArray | None:
     n = g.n
     if n < 2:
         return None
-    adj = g.adjacency()
+    adj = g.adj
     k = len(adj[0])
     if k == 0 or set(map(len, adj)) != {k}:
         return None
@@ -564,13 +536,14 @@ def is_permutation(seq, n: int) -> bool:
     return len(seq) == n and (n == 0 or (min(seq) >= 0 and max(seq) < n and len(set(seq)) == n))
 
 
-def _maps_rows(g: Graph, sigma) -> bool:
-    """For a permutation sigma of the vertices: True iff it maps the row of
-    every vertex u onto the row of sigma[u].  The images of u's neighbours
-    are distinct, so their bits sum to their union."""
+def _maps_rows(rows, adj, sigma) -> bool:
+    """For a permutation sigma of the vertices of the graph with neighbour
+    tuples adj and bitset rows: True iff it maps the row of every vertex u
+    onto the row of sigma[u].  The images of u's neighbours are distinct,
+    so their bits sum to their union."""
     bit = list(map((1).__lshift__, sigma))
-    images = map(sum, map(map, repeat(bit.__getitem__), g.adjacency()))
-    return list(map(g.rows.__getitem__, sigma)) == list(images)
+    images = map(sum, map(map, repeat(bit.__getitem__), adj))
+    return list(map(rows.__getitem__, sigma)) == list(images)
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +580,8 @@ def audit_family_graph(g: Graph, p: int, sigmas) -> AuditReport:
         )
     bound = fixed_point_order_bound(params)
     n = g.n
-    adj = g.adjacency()
+    adj = g.adj
+    rows = [sum(map((1).__lshift__, nbrs)) for nbrs in adj]
     failures = []
     orders = []
     for idx, sigma in enumerate(sigmas):
@@ -616,7 +590,7 @@ def audit_family_graph(g: Graph, p: int, sigmas) -> AuditReport:
             failures.append((idx, ("not-a-permutation",)))
             orders.append(0)
             continue
-        if not _maps_rows(g, sigma):
+        if not _maps_rows(rows, adj, sigma):
             failures.append((idx, ("not-automorphism",)))
             orders.append(0)
             continue

@@ -131,7 +131,7 @@ def is_automorphism(g, sigma) -> bool:
         raise ValueError(f"permutation length {len(sigma)} does not match n = {g.n}")
     if sorted(sigma) != list(range(g.n)):
         return False
-    return all(g.rows[sigma[u]] >> sigma[v] & 1 for u in range(g.n) for v in g.neighbors(u))
+    return all(sigma[v] in g.neighbors(sigma[u]) for u in range(g.n) for v in g.neighbors(u))
 
 
 def alpha_profile(g, sigma) -> tuple[int, ...]:

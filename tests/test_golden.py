@@ -15,6 +15,7 @@ import pytest
 from at4tools import cli, graphcheck
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+DATA = pathlib.Path(__file__).parent / "data"
 
 # Even p exercise the factor 2 shared by p+2 and s; 7 divides v at p = 23,
 # so the profile prints a non-empty fixed-point-free alpha_1 class.
@@ -23,6 +24,8 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 # triangles are disconnected; an audit at p = 1 is a usage error with nothing
 # on stdout.  The cycle C_1024 (diameter 512) and the hypercube Q_10
 # (diameter 10) are sparse distance-regular graphs of long diameter.
+# tests/data/c5_one_sided.txt lists three edges of C_5 at one end only, so
+# verify symmetrizes them and prints a warning for each.
 # Graph and permutation arguments in braces name files that write_inputs
 # creates.
 CASES = {
@@ -38,6 +41,7 @@ CASES = {
     "verify_two_triangles": (["verify", "{triangles}"], 0),
     "verify_cycle1024": (["verify", "{cycle1024}"], 0),
     "verify_cube10": (["verify", "{cube10}"], 0),
+    "verify_c5_one_sided": (["verify", "{c5_one_sided}"], 0),
     "audit_gewirtz_findings": (["audit", "{gewirtz}", "{perms}", "2"], 1),
     "audit_p1_usage": (["audit", "{gewirtz}", "{perms}", "1"], 2),
 }
@@ -50,7 +54,7 @@ def write_inputs(directory: pathlib.Path) -> dict[str, str]:
     distance-regular), the 4-cube, two disjoint triangles, the cycle C_1024,
     the hypercube Q_10, and four Gewirtz
     automorphisms of which the third has two images swapped.  Return their
-    paths by name."""
+    paths by name, with the committed inputs under tests/data."""
     prism = graphcheck.Graph.from_edges(
         6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
     )
@@ -79,6 +83,7 @@ def write_inputs(directory: pathlib.Path) -> dict[str, str]:
         path = directory / f"{name}.txt"
         path.write_text(text, encoding="utf-8")
         paths[name] = str(path)
+    paths["c5_one_sided"] = str(DATA / "c5_one_sided.txt")
     return paths
 
 

@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from at4tools.exactnum import mult_order, prime_power_base, primes_upto
+from at4tools.exactnum import is_prime, mult_order, prime_power_base, primes_upto
 from at4tools.higman import (
     FAIL,
     INAPPLICABLE,
@@ -118,6 +119,38 @@ def test_alpha1_candidates_equal_chi_passing_set():
                 if chi_filter(3, AutProfile(ell, a0, a1, v - a0 - a1)).ok
             }
             assert set(alpha1_candidates(3, ell, a0)) == passing
+
+
+PRIME_POWERS = [p for p in range(3, 1001) if prime_power_base(p)]
+PRIMES_TO_2000 = primes_upto(2000)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.data())
+def test_alpha1_candidates_match_chi_filter_up_to_p_1000(data):
+    # differential check of the residue class against the character filter
+    # it encodes, at prime powers p far beyond the exhaustive p = 3 case
+    p = data.draw(st.sampled_from(PRIME_POWERS), label="p")
+    s = (p + 2) ** 2 - 2
+    v = local_vertex_count(p)
+    # p + 2 <= 1002 is among the primes to 2000 when it is prime
+    orders = [ell for ell in PRIMES_TO_2000 if ell <= s]
+    if s > 2000 and is_prime(s):
+        orders.append(s)
+    ell = data.draw(st.sampled_from(orders), label="ell")
+    # the class is empty unless ell divides v - fix, so some draws keep to
+    # the fix that it divides
+    r = v % ell
+    fix = data.draw(st.integers(0, s) | st.integers(0, (s - r) // ell).map(lambda t: r + t * ell), label="fix")
+    members = alpha1_candidates(p, ell, fix)
+    a1s = [data.draw(st.integers(0, v - fix), label="uniform a1")]
+    if members:
+        a1 = members[data.draw(st.integers(0, len(members) - 1), label="member index")]
+        a1s += [a1 - 1, a1, a1 + 1]
+    for a1 in a1s:
+        if 0 <= a1 <= v - fix:
+            profile = AutProfile(ell, fix, a1, v - fix - a1)
+            assert (a1 in members) == chi_filter(p, profile).ok, (p, ell, fix, a1)
 
 
 def test_centralizer_alpha1_refinement():

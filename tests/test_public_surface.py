@@ -1,13 +1,17 @@
-"""Every public module-level function and class of the package is reached.
+"""Every public module-level function and class of the package is reached,
+and so is every public method and property of its classes.
 
 A public name counts as reached when some code of the package outside its
 own definition refers to it, when ``at4tools.__all__`` lists it, or when a
 benchmark script imports it or reads it as an attribute (the witness
-generators and text writers serve the benchmark).  Code that only the
+generators and text writers serve the benchmark).  A public method or
+property counts as reached when the package outside its own definition, or
+a benchmark script, reads an attribute of that name.  Code that only the
 tests reach belongs in the tests, as the oracles of tests/oracles.py do.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import at4tools
@@ -49,5 +53,34 @@ def test_every_public_definition_is_reached():
         and node.name not in at4tools.__all__
         and node.name not in bench
         and not any(node.name in used for other, used in uses if other is not node)
+    ]
+    assert unreached == []
+
+
+def attributes_read(tree) -> Counter:
+    """How often tree reads an attribute of each name."""
+    return Counter(
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    )
+
+
+def test_every_public_method_is_reached():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    src = sum(map(attributes_read, trees.values()), Counter())
+    bench = Counter()
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        bench += attributes_read(ast.parse(path.read_text(encoding="utf-8")))
+    unreached = [
+        f"{module}.{cls.name}.{node.name}"
+        for module, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and not bench[node.name]
+        and src[node.name] <= attributes_read(node)[node.name]
     ]
     assert unreached == []
