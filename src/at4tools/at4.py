@@ -100,7 +100,9 @@ def feasible_r(p: int) -> tuple[int, ...]:
     and 2p(p+1)(p+2)/r even."""
     if p < 2:
         raise ValueError(f"feasible_r requires p >= 2, got {p}")
-    return tuple(r for r in divisors(2 * (p + 1)) if _params_violation(p, r) is None)
+    # from a list, so the tuple is made at its length: one grown from a
+    # generator is resized, and then kept by the free list of its final length
+    return tuple([r for r in divisors(2 * (p + 1)) if _params_violation(p, r) is None])
 
 
 class ClosedForms(NamedTuple):
@@ -152,15 +154,26 @@ def _closed_forms(p, r) -> ClosedForms:
     )
 
 
-def closed_forms(params: At4Params) -> ClosedForms:
-    """Closed forms of the candidate, with the cheap integer identities
-    checked again: v is the sum of the layer sizes, r divides v, and the
-    triple constant 2(p+1)/r equals c2(a1-p)/a2."""
-    p, r = params.p, params.r
+def _checked_forms(p: int, r: int) -> ClosedForms:
+    # the cheap integer identities: v is the sum of the layer sizes, r
+    # divides v, and the triple constant 2(p+1)/r equals c2(a1-p)/a2
     f = _closed_forms(p, r)
     assert f.vertices == sum(f.layer_sizes) and f.vertices % r == 0
     assert f.c[1] * (f.a[1] - p) == f.triple_constant * f.a[2]
     return f
+
+
+def closed_forms(params: At4Params) -> ClosedForms:
+    """Closed forms of the candidate, with the cheap integer identities
+    checked again: v is the sum of the layer sizes, r divides v, and the
+    triple constant 2(p+1)/r equals c2(a1-p)/a2."""
+    return _checked_forms(params.p, params.r)
+
+
+def feasible_closed_forms(p: int) -> tuple[tuple[int, ClosedForms], ...]:
+    """(r, closed forms of (p, r)) for every r of feasible_r(p), checked as
+    closed_forms checks them: each pair is admitted once, by feasible_r."""
+    return tuple([(r, _checked_forms(p, r)) for r in feasible_r(p)])  # from a list: see feasible_r
 
 
 def intersection_array(params: At4Params) -> IntersectionArray:

@@ -12,6 +12,7 @@ on one stderr line).
 from __future__ import annotations
 
 import argparse
+import bisect
 import functools
 import json
 import os
@@ -20,6 +21,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import is_dataclass
 from fractions import Fraction
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 
 from . import at4, graphcheck, higman
@@ -59,45 +61,110 @@ def _items(report: dict) -> list:
 
 
 _INTS = frozenset({int})
-_CONTAINERS = (dict, list, tuple, set, frozenset)
+_CONTAINERS = (dict, list, tuple, set, frozenset, range)
+_SEQUENCES = (list, tuple, range)
+_BOOLS = {True: "true", False: "false"}.__getitem__
 
 
 def _json(value, indent: str = "") -> str:
     """``json.dumps(value, sort_keys=True, indent=2)``, ASCII-escaped, for
-    report values: sets print as sorted lists, tuples as lists, dataclasses
-    as the dict of their fields, Fractions as strings and keys as str."""
+    report values: sets print as sorted lists, tuples and ranges as lists,
+    dataclasses as the dict of their fields, Fractions as strings and keys
+    as str."""
     kind = type(value)
     if kind is int:
         return int.__repr__(value)
     if kind is str:
         return encode_basestring_ascii(value)
     if kind is bool:
-        return "true" if value else "false"
+        return _BOOLS(value)
     if value is None:
         return "null"
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = indent + "  "
-        body = (f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in _items(value))
-        return "{\n" + inner + (",\n" + inner).join(body) + "\n" + indent + "}"
+        return _dict(value, indent)
     if isinstance(value, (set, frozenset)):
         value = sorted(value)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = indent + "  "
-        # exact types: bool is an int subclass that prints as true/false
-        if {*map(type, value)} == _INTS:
-            body = map(int.__repr__, value)
-        else:
-            body = (_json(v, inner) for v in value)
-        return "[\n" + inner + (",\n" + inner).join(body) + "\n" + indent + "]"
+    if isinstance(value, _SEQUENCES):
+        return _sequence(indent)(value)
     if is_dataclass(value):
-        return _json(vars(value), indent)
+        return _dict(vars(value), indent)
     if isinstance(value, Fraction):
         value = str(value)
     return json.dumps(value)
+
+
+def _dict(value: dict, indent: str) -> str:
+    """A dict as _json prints it, filled into the layout of its shape."""
+    if not value:
+        return "{}"
+    values = tuple(value.values())
+    # Keys as str, not as given: 1 and True are equal keys that print apart.
+    # Each tuple is built from a list, at its final length: tuple() of a map
+    # is resized as it grows, and the free list of the final length then
+    # keeps up to 2000 such tuples per length until a full collection.
+    template, slots, printers = _layout((*map(str, value),), (*map(type, values),), indent)
+    return template % (*map(_call, printers, map(values.__getitem__, slots)),)
+
+
+def _call(printer, value) -> str:
+    return printer(value)
+
+
+@functools.lru_cache(maxsize=1024)
+def _layout(keys: tuple, kinds: tuple, indent: str) -> tuple:
+    """How a dict prints at ``indent`` when its keys, made str, are ``keys``
+    and its values have the types ``kinds``, both in the dict's order: a
+    ``%`` template with one slot per value in sorted key order, the index of
+    each slot's value and each slot's printer.  Of keys that str makes
+    equal, the last one's value prints, as in a dict of str keys.  None
+    values are written into the template."""
+    inner = indent + "  "
+    last = {key: i for i, key in enumerate(keys)}
+    lines, slots, printers = [], [], []
+    for key in sorted(last):
+        i = last[key]
+        prefix = encode_basestring_ascii(key).replace("%", "%%") + ": "
+        if kinds[i] is type(None):
+            lines.append(prefix + "null")
+        else:
+            lines.append(prefix + "%s")
+            slots.append(i)
+            printers.append(_printer(kinds[i], inner))
+    pad = inner.replace("%", "%%")
+    template = "{\n" + pad + (",\n" + pad).join(lines) + "\n" + indent.replace("%", "%%") + "}"
+    return template, tuple(slots), tuple(printers)
+
+
+def _printer(kind: type, indent: str):
+    """The printer of values whose type is ``kind``, at ``indent``."""
+    if kind is int:
+        return int.__repr__
+    if kind is str:
+        return encode_basestring_ascii
+    if kind is bool:
+        return _BOOLS
+    if issubclass(kind, dict):
+        return functools.partial(_dict, indent=indent)
+    if issubclass(kind, _SEQUENCES):
+        return _sequence(indent)
+    return functools.partial(_json, indent=indent)
+
+
+@functools.lru_cache(maxsize=64)
+def _sequence(indent: str):
+    """The printer of lists, tuples and ranges at ``indent``."""
+    inner = indent + "  "
+    head, sep, tail = "[\n" + inner, ",\n" + inner, "\n" + indent + "]"
+
+    def sequence(value) -> str:
+        if not value:
+            return "[]"
+        # exact types: bool is an int subclass that prints as true/false
+        if type(value) is range or _INTS.issuperset(map(type, value)):
+            return head + sep.join(map(repr, value)) + tail
+        return head + sep.join(map(_json, value, repeat(inner))) + tail
+
+    return sequence
 
 
 def _flatten(value, path, lines):
@@ -109,7 +176,9 @@ def _flatten(value, path, lines):
         return
     if isinstance(value, (set, frozenset)):
         value = sorted(value)
-    if isinstance(value, (list, tuple)):
+    if type(value) is range:
+        lines.append(f"{path} = [" + ", ".join(map(repr, value)) + "]")
+    elif isinstance(value, _SEQUENCES):
         if any(isinstance(v, _CONTAINERS) or is_dataclass(v) for v in value):
             for i, v in enumerate(value):
                 _flatten(v, f"{path}.{i}", lines)
@@ -128,10 +197,13 @@ def _emit(report: dict, fmt: str, out) -> None:
         out.write("\n".join(lines) + "\n")
 
 
-def _array_payload(params: at4.At4Params) -> dict:
-    f = at4.closed_forms(params)
-    r = params.r
+def _array_payload(r: int, f: at4.ClosedForms) -> dict:
+    """The report of the array of (p, r) from its closed forms ``f``."""
     eigenvalues = f.eigenvalues
+    # lists, not the tuples of f: tuples held until the report is written
+    # go to the interpreter's tuple free lists after it, and only a full
+    # garbage collection, which the writer seldom triggers, empties those
+    # (6% more peak memory over a 30-s scan-sweep run)
     return {
         "b": list(f.b),
         "c": list(f.c),
@@ -154,40 +226,44 @@ def _array_payload(params: at4.At4Params) -> dict:
     }
 
 
-def _spectrum_fields(p: int) -> dict:
+def _spectrum_fields(p: int, prime_power: bool | None = None) -> dict:
     """The edge-stabiliser primes and the spectrum sandwich at p, each
-    "inapplicable" when p is not a prime power above 2."""
-    bounds = higman.spectrum_bounds(p)
+    "inapplicable" when p is not a prime power above 2; ``prime_power`` is
+    whether p is a prime power, when the caller has tested it."""
+    bounds = higman.spectrum_bounds(p, prime_power=prime_power)
     if bounds is None:
         return dict.fromkeys(("edge_stabilizer_primes", "spectrum_lower", "spectrum_upper"), "inapplicable")
+    upper = sorted(bounds[1])
     return {
-        "edge_stabilizer_primes": sorted(higman.edge_stabilizer_primes(p)),
+        # the upper bound holds every prime up to p and no other number up to p
+        "edge_stabilizer_primes": upper[: bisect.bisect_right(upper, p)],
         "spectrum_lower": sorted(bounds[0]),
-        "spectrum_upper": sorted(bounds[1]),
+        "spectrum_upper": upper,
     }
 
 
 def _scan_entry(p: int) -> dict:
     base = prime_power_base(p)
+    prime_power = base is not None
     q = p + 2
     s = (p + 2) ** 2 - 2
-    rs = at4.feasible_r(p)
+    forms = at4.feasible_closed_forms(p)
     local = local_family_params(p)
     entry: dict = {
         "p": p,
-        "prime_power": list(base) if base else None,
+        "prime_power": base,
         "q": q,
         "q_prime": is_prime(q),
         "s": s,
         "s_prime": is_prime(s),
-        "feasible_r": list(rs),
-        "local_srg": list(local.as_tuple()),
+        "feasible_r": [r for r, _ in forms],
+        "local_srg": local.as_tuple(),
         "local_fix_bound": fixed_point_order_bound(local),
         "clique_bound": clique_bound(p),
-        "arrays": [{"r": r, **_array_payload(at4.At4Params(p, r))} for r in rs],
-        **_spectrum_fields(p),
+        "arrays": [{"r": r, **_array_payload(r, f)} for r, f in forms],
+        **_spectrum_fields(p, prime_power),
     }
-    cf = higman.centralizer_filter(p) if p > 2 else None
+    cf = higman.centralizer_filter(p, prime_power=prime_power) if p > 2 else None
     entry["centralizer_filter"] = (
         cf if cf is not None and cf.verdict != higman.INAPPLICABLE else "inapplicable"
     )
@@ -236,7 +312,7 @@ def _cmd_array(args, out) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    payload = _array_payload(params)
+    payload = _array_payload(args.r, at4.closed_forms(params))
     payload["quotient_srg"] = list(at4.quotient_params(args.p).as_tuple())
     payload["second_subconstituent_quotient_srg"] = list(
         at4.second_subconstituent_quotient(args.p).as_tuple()
@@ -268,7 +344,7 @@ def _cmd_profile(args, out) -> int:
         "cover_congruences": list(higman.cover_congruences(p, r, ell)),
         "subconstituent_congruences": list(higman.subconstituent_congruences(p, r, ell)),
         "alpha1_fixed_point_free": (
-            sorted(higman.alpha1_candidates(p, ell, 0)) if p > 2 else "inapplicable"
+            higman.alpha1_candidates(p, ell, 0) if p > 2 else "inapplicable"
         ),
         "cover_fix_bound": higman.cover_fix_bound(p, r),
         "local_fix_bound": fixed_point_order_bound(local_family_params(p)),

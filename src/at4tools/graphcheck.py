@@ -46,6 +46,9 @@ def _bits(mask: int):
         mask ^= low
 
 
+_NO_NEIGHBOURS: frozenset[int] = frozenset()
+
+
 class Graph:
     """Simple undirected graph on vertices 0..n-1, stored as the sorted
     neighbour tuple of each vertex."""
@@ -57,7 +60,10 @@ class Graph:
         of range or a loop raises GraphError, and so does an edge listed at
         one end only, unless a ``warnings`` list is given: the edge is then
         added at its other end and a warning appended, in order of (i, j)."""
-        sets = list(map(set, neighbours))
+        # a vertex with no neighbours listed shares one empty frozenset, so
+        # sparse graphs pay no set per vertex; it gets a set of its own only
+        # when an edge listed at its other end is added to it
+        sets = [set(nbrs) if nbrs else _NO_NEIGHBOURS for nbrs in neighbours]
         n = len(sets)
         for i, nbrs in enumerate(sets):
             if nbrs and (min(nbrs) < 0 or max(nbrs) >= n):
@@ -70,6 +76,8 @@ class Graph:
                         if warnings is None:
                             raise GraphError(f"asymmetric edge {i}-{j}")
                         warnings.append(f"edge {i}-{j} listed only once; symmetrized")
+                        if sets[j] is _NO_NEIGHBOURS:
+                            sets[j] = set()
                         sets[j].add(i)
         self.n = n
         self.adj = tuple(tuple(sorted(nbrs)) for nbrs in sets)

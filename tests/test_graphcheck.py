@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
@@ -77,6 +78,24 @@ def test_parse_symmetrizes_with_warning():
     g, warnings = parse_graph("n 3\n0: 1\n1: 2\n")
     assert g.adj == ((1,), (0, 2), (1,))
     assert len(warnings) == 2
+
+
+def test_parse_makes_no_set_for_a_vertex_without_neighbours():
+    # an empty set costs 216 bytes; the graph itself needs a few pointers
+    # per vertex, so a header-only file must stay well below the former
+    n = 1 << 16
+    tracemalloc.start()
+    try:
+        g, warnings = parse_graph(f"n {n}\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.adj == ((),) * n and warnings == ()
+    assert peak < 64 * n
+    # a vertex listed by its neighbours only still gets every symmetrized edge
+    g, warnings = parse_graph("n 4\n0: 3\n1: 3\n")
+    assert g.adj == ((3,), (3,), (), (0, 1))
+    assert warnings == ("edge 0-3 listed only once; symmetrized", "edge 1-3 listed only once; symmetrized")
 
 
 def test_graph_rejects_bad_rows_passed_directly():

@@ -19,14 +19,14 @@ from at4tools.srg import Verdict
 
 def ref_normalise(value):
     """Dataclasses to the dict of their fields, Fractions to strings, sets to
-    sorted lists, tuples to lists, keys to str."""
+    sorted lists, tuples and ranges to lists, keys to str."""
     if dataclasses.is_dataclass(value):
         return ref_normalise(dataclasses.asdict(value))
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, (frozenset, set)):
         return [ref_normalise(v) for v in sorted(value)]
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple, range)):
         return [ref_normalise(v) for v in value]
     if isinstance(value, dict):
         return {str(k): ref_normalise(v) for k, v in value.items()}
@@ -73,7 +73,10 @@ leaves = (
     | st.frozensets(st.fractions(), max_size=4)
     | st.lists(ints, max_size=6)  # the all-int fast path
     | st.lists(st.booleans() | st.integers(-3, 3), max_size=6)  # bool must not take it
+    | st.builds(range, st.integers(-5, 5), st.integers(-5, 30), st.integers(1, 7))
 )
+# keys that are equal under == or under str, or that a template must escape
+keys = texts | st.integers(-2, 2) | st.booleans() | st.sampled_from(["1", "True", "%s", "%", "{0}", "}{", "%%d"])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -86,11 +89,17 @@ values = st.recursive(
     leaves,
     lambda children: st.lists(children, max_size=4)
     | st.lists(children, max_size=4).map(tuple)
-    | st.dictionaries(texts, children, max_size=4)
+    | st.dictionaries(keys, children, max_size=4)
     | st.builds(Pair, children, children),
     max_leaves=20,
 )
 reports = st.dictionaries(texts, values, max_size=3)
+# dicts that share one key set, with values whose types and lengths vary, so
+# that a layout made for one is offered to the next
+slot_values = leaves | st.lists(leaves, max_size=3) | st.dictionaries(keys, leaves, max_size=3)
+same_keys = st.lists(keys, min_size=1, max_size=5, unique=True).flatmap(
+    lambda ks: st.lists(st.fixed_dictionaries({k: slot_values for k in ks}), min_size=2, max_size=5)
+)
 
 
 @settings(max_examples=150, deadline=None)
@@ -101,8 +110,54 @@ def test_json_writer_matches_stdlib(value):
 
 
 @settings(max_examples=150, deadline=None)
+@given(same_keys)
+def test_json_writer_matches_stdlib_on_dicts_of_one_key_set(dicts):
+    for value in (dicts, dicts[::-1]):
+        expected = json.dumps(ref_normalise(value), sort_keys=True, indent=2) + "\n"
+        assert emit(value, "json") == expected
+
+
+@settings(max_examples=150, deadline=None)
 @given(reports)
 def test_text_writer_matches_reference(report):
+    assert emit(report, "text") == ref_text(ref_normalise(report))
+
+
+def test_writers_on_keys_equal_under_eq_or_str():
+    # 1, True and 1.0 are equal keys, and so are (1,) and (True,), and 0.0
+    # and -0.0; each prints its own str, and a key made equal to an earlier
+    # one by str keeps the later value
+    rows = [
+        {1: "a"}, {True: "a"}, {1.0: "a"}, {"1": "a"}, {(1,): "a"}, {(True,): "a"},
+        {0.0: "a"}, {-0.0: "a"}, {1: "a", "1": "b"}, {"1": "b", 1: "a"}, {True: 1, "True": None},
+    ]
+    for value in (rows, {"rows": rows}):
+        assert emit(value, "json") == json.dumps(ref_normalise(value), sort_keys=True, indent=2) + "\n"
+        assert emit({"v": value}, "text") == ref_text(ref_normalise({"v": value}))
+
+
+def test_writers_on_template_characters():
+    value = {
+        "%s": "%d",
+        "%": {"{0}": "}{", "%%": ["%", "{", 1]},
+        "{}": None,
+        "100%": [{"%(x)s": "%(x)s"}, {"%(x)s": 2}],
+    }
+    for report in (value, {"nested": [value, value]}):
+        assert emit(report, "json") == json.dumps(ref_normalise(report), sort_keys=True, indent=2) + "\n"
+        assert emit(report, "text") == ref_text(ref_normalise(report))
+
+
+def test_writers_on_ranges():
+    report = {
+        "empty": range(0),
+        "reversed_empty": range(5, 0),
+        "one": range(7, 8),
+        "stepped": range(3, 100, 7),
+        "negative": range(-5, 5, 3),
+        "nested": [range(2), {"r": range(1, 4)}],
+    }
+    assert emit(report, "json") == json.dumps(ref_normalise(report), sort_keys=True, indent=2) + "\n"
     assert emit(report, "text") == ref_text(ref_normalise(report))
 
 
