@@ -18,7 +18,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import is_dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -226,11 +225,10 @@ def _array_payload(r: int, f: at4.ClosedForms) -> dict:
     }
 
 
-def _spectrum_fields(p: int, prime_power: bool | None = None) -> dict:
+def _spectrum_fields(p: int) -> dict:
     """The edge-stabiliser primes and the spectrum sandwich at p, each
-    "inapplicable" when p is not a prime power above 2; ``prime_power`` is
-    whether p is a prime power, when the caller has tested it."""
-    bounds = higman.spectrum_bounds(p, prime_power=prime_power)
+    "inapplicable" when p is not a prime power above 2."""
+    bounds = higman.spectrum_bounds(p)
     if bounds is None:
         return dict.fromkeys(("edge_stabilizer_primes", "spectrum_lower", "spectrum_upper"), "inapplicable")
     upper = sorted(bounds[1])
@@ -243,15 +241,13 @@ def _spectrum_fields(p: int, prime_power: bool | None = None) -> dict:
 
 
 def _scan_entry(p: int) -> dict:
-    base = prime_power_base(p)
-    prime_power = base is not None
     q = p + 2
     s = (p + 2) ** 2 - 2
     forms = at4.feasible_closed_forms(p)
     local = local_family_params(p)
     entry: dict = {
         "p": p,
-        "prime_power": base,
+        "prime_power": prime_power_base(p),
         "q": q,
         "q_prime": is_prime(q),
         "s": s,
@@ -261,25 +257,13 @@ def _scan_entry(p: int) -> dict:
         "local_fix_bound": fixed_point_order_bound(local),
         "clique_bound": clique_bound(p),
         "arrays": [{"r": r, **_array_payload(r, f)} for r, f in forms],
-        **_spectrum_fields(p, prime_power),
+        **_spectrum_fields(p),
     }
-    cf = higman.centralizer_filter(p, prime_power=prime_power) if p > 2 else None
+    cf = higman.centralizer_filter(p) if p > 2 else None
     entry["centralizer_filter"] = (
         cf if cf is not None and cf.verdict != higman.INAPPLICABLE else "inapplicable"
     )
     return entry
-
-
-def _jobs(args, count: int) -> int:
-    """Scan workers: --jobs, else AT4_JOBS, else 1; never more than the CPUs
-    or the ``count`` p values to scan."""
-    if args.jobs is not None:
-        jobs = args.jobs
-    else:
-        env = os.environ.get("AT4_JOBS", "")
-        # str.isdigit also accepts characters such as '²' that int() rejects
-        jobs = int(env) if env.isascii() and env.isdigit() else 1
-    return max(1, min(jobs, os.cpu_count() or 1, count))
 
 
 def _cmd_scan(args, out) -> int:
@@ -291,12 +275,7 @@ def _cmd_scan(args, out) -> int:
     if error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_USAGE
-    jobs = _jobs(args, len(ps))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            entries = list(pool.map(_scan_entry, ps))
-    else:
-        entries = [_scan_entry(p) for p in ps]
+    entries = [_scan_entry(p) for p in ps]
     report = {
         "schema": SCHEMA,
         "command": "scan",
@@ -494,7 +473,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--deterministic", action="store_true", help="omit timing for reproducible output")
-    parser.add_argument("--jobs", type=int, default=None, help="parallel workers for scan (env AT4_JOBS)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_scan = sub.add_parser("scan", help="feasibility scan over a p range")

@@ -10,6 +10,7 @@ time about the fourth root of the cofactor.  Divisors are built from the
 factorization.
 """
 
+import functools
 import math
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -165,6 +166,9 @@ def divisors(n: int) -> list[int]:
     return sorted(out)
 
 
+# A report tests the same p in several filters in turn; the few latest
+# answers are kept so that p is factorised once per report.
+@functools.lru_cache(maxsize=16)
 def prime_power_base(n: int) -> tuple[int, int] | None:
     """Return (t, e) with t prime and t**e == n, or None if n is not a prime power."""
     if n < 2:

@@ -85,11 +85,8 @@ def _inapplicable(label: str, params: tuple, why: str) -> CaseReport:
     return CaseReport(label, params, INAPPLICABLE, notes=(why,))
 
 
-def _is_prime_power_gt2(p: int, prime_power: bool | None = None) -> bool:
-    # prime_power: whether p is a prime power, when the caller has tested it
-    if prime_power is None:
-        prime_power = prime_power_base(p) is not None
-    return p > 2 and prime_power
+def _is_prime_power_gt2(p: int) -> bool:
+    return p > 2 and prime_power_base(p) is not None
 
 
 def local_vertex_count(p: int) -> int:
@@ -351,7 +348,7 @@ def block_size_filter(p: int) -> tuple[int, ...]:
     return tuple(d for d in divisors((p + 2) * s) if d <= s)
 
 
-def centralizer_filter(p: int, *, prime_power: bool | None = None) -> CaseReport:
+def centralizer_filter(p: int) -> CaseReport:
     """Constraints on prime orders commuting with an element of the maximal
     order s = (p+2)^2 - 2, applicable when s is prime and p is a prime
     power above 2.
@@ -362,11 +359,10 @@ def centralizer_filter(p: int, *, prime_power: bool | None = None) -> CaseReport
     non-trivial orbits is a clique.  Feeding that displacement count back
     through the character congruences refines the order list further (the
     order must in fact divide (p+1)/2), reported separately as
-    ``alpha1_admissible_orders``.  ``prime_power`` is whether p is a prime
-    power, when the caller has tested it; it is tested here otherwise.
+    ``alpha1_admissible_orders``.
     """
     label = "long-element-centralizer"
-    if not _is_prime_power_gt2(p, prime_power):
+    if not _is_prime_power_gt2(p):
         return _inapplicable(label, (p,), "requires p a prime power with p > 2")
     s = (p + 2) ** 2 - 2
     if not is_prime(s):
@@ -464,31 +460,20 @@ def solvable_cases(p: int) -> CaseReport:
 # ---------------------------------------------------------------------------
 
 
-def edge_stabilizer_primes(p: int, *, prime_power: bool | None = None) -> frozenset[int] | None:
-    """Upper bound on the prime spectrum of an edge stabilizer: every prime
-    up to p.  None when p is not a prime power above 2; ``prime_power`` is
-    whether p is a prime power, when the caller has tested it."""
-    if not _is_prime_power_gt2(p, prime_power):
-        return None
-    return frozenset(primes_upto(p))
-
-
-def spectrum_bounds(
-    p: int, *, prime_power: bool | None = None
-) -> tuple[frozenset[int], frozenset[int]] | None:
+def spectrum_bounds(p: int) -> tuple[frozenset[int], frozenset[int]] | None:
     """Sandwich on the prime spectrum of an arc-transitive automorphism
     group of a cover: lower = prime divisors of (p+2)(p^2+4p+2)(p+1)(p+4),
     upper = primes up to p+2 joined with the divisors of (p^2+4p+2)(p+4).
-    None when p is not a prime power above 2; ``prime_power`` is whether p
-    is a prime power, when the caller has tested it."""
-    edge = edge_stabilizer_primes(p, prime_power=prime_power)
-    if edge is None:
+    The part of upper up to p, which is every prime up to p, bounds the
+    prime spectrum of an edge stabilizer.  None when p is not a prime
+    power above 2."""
+    if not _is_prime_power_gt2(p):
         return None
     s = p * p + 4 * p + 2
     outer = prime_set(s) | prime_set(p + 4)
     lower = prime_set(p + 2) | prime_set(p + 1) | outer
     # the primes up to p+2 are those up to p and whichever of p+1, p+2 is prime
-    upper = edge | {q for q in (p + 1, p + 2) if is_prime(q)} | outer
+    upper = frozenset(primes_upto(p)) | {q for q in (p + 1, p + 2) if is_prime(q)} | outer
     assert lower <= upper
     return (lower, upper)
 

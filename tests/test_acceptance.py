@@ -19,7 +19,6 @@ from at4tools.higman import (
     AutProfile,
     alpha1_candidates,
     chi_filter,
-    edge_stabilizer_primes,
     exclusion_arithmetic,
     local_vertex_count,
     spectrum_bounds,
@@ -115,7 +114,7 @@ def test_criterion_7_spectrum_bound_consistency():
         assert bounds is not None
         lower, upper = bounds
         assert lower <= upper
-        assert edge_stabilizer_primes(p) <= upper
+        assert frozenset(primes_upto(p)) <= upper
         checked += 1
     print(f"criterion 7 (spectrum sandwich holds at {checked} prime powers p <= 200): PASS")
 

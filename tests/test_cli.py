@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import at4tools
-from at4tools import cli, graphcheck, higman
+from at4tools import cli, exactnum, graphcheck, higman
 
 
 def run(argv):
@@ -63,15 +63,32 @@ def test_scan_bad_range_usage_error():
     assert rc == 2 and text == ""
 
 
-def test_scan_byte_identical_and_parallel(monkeypatch):
+def test_scan_byte_identical_in_one_process(monkeypatch):
     rc1, out1 = run(["--format", "json", "--deterministic", "scan", "2", "6"])
     rc2, out2 = run(["--format", "json", "--deterministic", "scan", "2", "6"])
     assert rc1 == rc2 == 0 and out1 == out2
-    rc3, out3 = run(["--format", "json", "--deterministic", "--jobs", "2", "scan", "2", "6"])
-    assert rc3 == 0 and out3 == out1
+    # no worker pool: the option is unknown and the variable is ignored
+    assert run(["--format", "json", "--deterministic", "--jobs", "2", "scan", "2", "6"]) == (2, "")
     monkeypatch.setenv("AT4_JOBS", "2")
-    rc4, out4 = run(["--format", "json", "--deterministic", "scan", "2", "6"])
-    assert rc4 == 0 and out4 == out1
+    assert run(["--format", "json", "--deterministic", "scan", "2", "6"]) == (0, out1)
+
+
+@pytest.mark.parametrize(
+    "argv", [["bounds", "11"], ["bounds", "27"], ["scan", "11", "11"], ["profile", "11", "3", "7"]]
+)
+def test_each_report_factorises_p_once(monkeypatch, argv):
+    p = int(argv[1])
+    calls = []
+    factorize = exactnum.factorize
+
+    def counting(n):
+        calls.append(n)
+        return factorize(n)
+
+    exactnum.prime_power_base.cache_clear()
+    monkeypatch.setattr(exactnum, "factorize", counting)
+    rc, _ = run(["--deterministic", *argv])
+    assert rc == 0 and calls.count(p) == 1
 
 
 def test_array_report():
@@ -228,25 +245,6 @@ def test_timing_present_without_flag():
     rc, out = run(["--format", "json", "array", "2", "3"])
     assert rc == 0
     assert "timing_ms" in json.loads(out)
-
-
-def test_scan_worker_count_is_capped(monkeypatch):
-    # the count is computed, never used to start a pool here
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    parser = cli._build_parser()
-    assert cli._jobs(parser.parse_args(["--jobs", "1000000", "scan", "2", "100"]), 99) == 2
-    assert cli._jobs(parser.parse_args(["--jobs", "1000000", "scan", "2", "4"]), 3) == 2
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
-    assert cli._jobs(parser.parse_args(["--jobs", "1000000", "scan", "2", "4"]), 3) == 3
-    assert cli._jobs(parser.parse_args(["--jobs", "0", "scan", "2", "4"]), 3) == 1
-    monkeypatch.setenv("AT4_JOBS", "999999")
-    assert cli._jobs(parser.parse_args(["scan", "2", "4"]), 3) == 3
-    assert cli._jobs(parser.parse_args(["scan", "2", "2000"]), 1999) == 64
-    # '²' passes str.isdigit but not int(): the value counts as unset
-    monkeypatch.setenv("AT4_JOBS", "\u00b2")
-    assert cli._jobs(parser.parse_args(["scan", "2", "2000"]), 1999) == 1
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-    assert cli._jobs(parser.parse_args(["scan", "2", "4"]), 3) == 1
 
 
 def test_parser_is_built_once_and_each_call_gets_its_own_namespace():

@@ -18,7 +18,6 @@ from at4tools.higman import (
     cover_congruences,
     cover_fix_bound,
     cover_order_classification,
-    edge_stabilizer_primes,
     exclusion_arithmetic,
     local_fixed_structure,
     local_vertex_count,
@@ -317,11 +316,16 @@ def test_solvable_gl_divisibility_against_exact_orders():
 
 
 def test_edge_stabilizer_primes():
-    assert edge_stabilizer_primes(3) == frozenset({2, 3})
-    assert edge_stabilizer_primes(11) == frozenset({2, 3, 5, 7, 11})
-    assert edge_stabilizer_primes(27) == frozenset({2, 3, 5, 7, 11, 13, 17, 19, 23})
-    assert edge_stabilizer_primes(6) is None
-    assert edge_stabilizer_primes(2) is None
+    # the edge-stabiliser bound is the part of the spectrum upper bound up to p
+    def edge(p):
+        bounds = spectrum_bounds(p)
+        return None if bounds is None else frozenset(q for q in bounds[1] if q <= p)
+
+    assert edge(3) == frozenset({2, 3})
+    assert edge(11) == frozenset({2, 3, 5, 7, 11})
+    assert edge(27) == frozenset({2, 3, 5, 7, 11, 13, 17, 19, 23})
+    assert edge(6) is None
+    assert edge(2) is None
 
 
 def test_spectrum_bounds_values():
