@@ -2,14 +2,22 @@
 the audit of automorphisms of a family member.
 
 A graph is stored as the sorted neighbour tuple of each vertex, and every
-check is exact.  Distance-regularity, and strong regularity as its
-diameter-2 case, is checked by the three-term recurrence of the distance
-matrices on rows of packed counts: about n·d sums of k big-int rows for n
-vertices of valency k and diameter d, each sum one C-level call, in place
-of a Python step per vertex pair.  An audit tests each permutation against
-bitset adjacency rows it builds once per graph, and reads each displacement
-profile from the permutation and the neighbour tuples, without a distance
-matrix; tests/oracles.py keeps the distance-matrix route it is held to.
+check is exact.  A graph file is parsed a line at a time: one bulk digit
+test and one ``map(int, ...)`` per vertex line, with the per-token loop
+run only on a line that fails, to name its first offending token; each row
+is then sorted as a list and made a tuple.  Distance-regularity, and strong
+regularity as its diameter-2 case, is checked by the three-term recurrence
+of the distance matrices on rows of packed counts: about n·d sums of k
+big-int rows for n vertices of valency k and diameter d, each sum one
+C-level call, in place of a Python step per vertex pair.  Connectivity is
+tested before those rows are built, by a walk from vertex 0 in layers of
+one set union each, so a disconnected graph costs memory linear in its
+size.  An audit tests each permutation against bitset adjacency rows it
+builds once per graph, reads each displacement profile from the
+permutation and the neighbour tuples, without a distance matrix, and its
+characters as integer numerators over fixed denominators
+(``higman.chi_numerators``), without a Fraction; tests/oracles.py keeps
+the distance-matrix, Fraction and per-token routes they are held to.
 The star witness is the unique SRG(56, 10, 0, 2), built from hyperovals of
 the order-4 projective plane and accepted only after it verifies its own
 parameters.
@@ -26,8 +34,8 @@ from itertools import combinations, repeat
 
 from .at4 import IntersectionArray
 from .exactnum import is_prime
-from .higman import AutProfile, alpha1_candidates, chi_filter, chi_values
-from .srg import SrgParams, fixed_point_order_bound, local_family_params
+from .higman import alpha1_candidates, chi_numerators
+from .srg import SrgParams, family_multiplicities, fixed_point_order_bound, local_family_params
 
 
 # Largest vertex count a graph file may declare; the parser refuses a larger
@@ -59,19 +67,26 @@ class Graph:
         """Graph of one iterable of neighbours per vertex.  A neighbour out
         of range or a loop raises GraphError, and so does an edge listed at
         one end only, unless a ``warnings`` list is given: the edge is then
-        added at its other end and a warning appended, in order of (i, j)."""
-        # a vertex with no neighbours listed shares one empty frozenset, so
-        # sparse graphs pay no set per vertex; it gets a set of its own only
-        # when an edge listed at its other end is added to it
-        sets = [set(nbrs) if nbrs else _NO_NEIGHBOURS for nbrs in neighbours]
-        n = len(sets)
-        for i, nbrs in enumerate(sets):
-            if nbrs and (min(nbrs) < 0 or max(nbrs) >= n):
+        added at its other end and a warning appended, in order of (i, j).
+        A neighbour listed twice counts once."""
+        # rows are sorted as lists, in linear time on the sorted rows a file
+        # holds, and the sets serve the symmetry test.  A vertex with no
+        # neighbours listed shares one empty row and one empty frozenset, so
+        # sparse graphs pay no list or set per vertex; it gets a set of its
+        # own only when an edge listed at its other end is added to it.
+        rows = [sorted(nbrs) if nbrs else () for nbrs in neighbours]
+        sets = [set(row) if row else _NO_NEIGHBOURS for row in rows]
+        n = len(rows)
+        grown = set()
+        for i, row in enumerate(rows):
+            if not row:
+                continue
+            if row[0] < 0 or row[-1] >= n:
                 raise GraphError(f"vertex {i} has a neighbor out of range")
-            if i in nbrs:
+            if i in sets[i]:
                 raise GraphError(f"loop at vertex {i}")
-            if not all(map(operator.contains, map(sets.__getitem__, nbrs), repeat(i))):
-                for j in sorted(nbrs):
+            if not all(map(operator.contains, map(sets.__getitem__, row), repeat(i))):
+                for j in row:
                     if i not in sets[j]:
                         if warnings is None:
                             raise GraphError(f"asymmetric edge {i}-{j}")
@@ -79,8 +94,15 @@ class Graph:
                         if sets[j] is _NO_NEIGHBOURS:
                             sets[j] = set()
                         sets[j].add(i)
+                        grown.add(j)
+        for j in grown:
+            rows[j] = sorted(sets[j])
         self.n = n
-        self.adj = tuple(tuple(sorted(nbrs)) for nbrs in sets)
+        # a row longer than its set lists a neighbour twice
+        self.adj = tuple(
+            tuple(row) if len(row) == len(nbrs) else tuple(sorted(nbrs))
+            for row, nbrs in zip(rows, sets)
+        )
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -100,27 +122,18 @@ class Graph:
     def edge_count(self) -> int:
         return sum(map(len, self.adj)) // 2
 
-    def bfs_distances(self, start: int) -> tuple[int, ...]:
-        """Distances from start, -1 for unreachable vertices."""
-        dist = [-1] * self.n
-        dist[start] = 0
-        frontier = [start]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for v in frontier:
-                for w in self.adj[v]:
-                    if dist[w] < 0:
-                        dist[w] = d
-                        nxt.append(w)
-            frontier = nxt
-        return tuple(dist)
-
     def is_connected(self) -> bool:
+        """True iff vertex 0 reaches every vertex, walked in layers of one
+        C-level set union each."""
         if self.n <= 1:
             return True
-        return -1 not in self.bfs_distances(0)
+        adj = self.adj
+        seen = {0}
+        frontier = seen
+        while frontier:
+            frontier = set().union(*map(adj.__getitem__, frontier)) - seen
+            seen |= frontier
+        return len(seen) == self.n
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +154,17 @@ def _natural(tok: str) -> int | None:
     if tok.isdigit():
         try:
             return int(tok)
+        except ValueError:
+            pass
+    return None
+
+
+def _naturals(toks: list[str]) -> list[int] | None:
+    # _natural of a whole line at once: split tokens are non-empty, so their
+    # concatenation is all digits iff each token is
+    if "".join(toks).isdigit():
+        try:
+            return list(map(int, toks))
         except ValueError:
             pass
     return None
@@ -173,9 +197,15 @@ def parse_graph(text: str) -> tuple[Graph, tuple[str, ...]]:
             raise GraphError(f"line {lineno}: expected 'i: neighbors', got {line!r}")
         if i >= n:
             raise GraphError(f"line {lineno}: vertex {i} out of range for n = {n}")
+        toks = tail.split()
+        js = _naturals(toks)
+        if js and max(js) < n and i not in js:
+            listed.setdefault(i, []).extend(js)
+            continue
+        # an empty line, or one with an offending token, which this loop
+        # names: the first in order
         add = listed.setdefault(i, []).append
-        for tok in tail.split():
-            # inline _natural: this loop runs once per listed edge end
+        for tok in toks:
             if not tok.isdigit():
                 raise GraphError(f"line {lineno}: bad neighbor {tok!r}")
             try:
@@ -465,12 +495,15 @@ def verify_drg(g: Graph) -> IntersectionArray | None:
     base vertex x.  The constants are read from vertex 0, whose
     eccentricity is d.
 
-    The identity is checked for j < d.  It fixes |Γ_{j+1}(w)| for every w
-    from the sizes of the layers before, so every vertex has the layer sizes
-    of vertex 0; as vertex 0 reaches all n vertices within distance d, every
-    vertex does, and has eccentricity d.  At j = d that leaves b_d = 0,
-    a_d = k - c_d and b_{d-1} = k - a_{d-1} - c_{d-1}, so only row 0 of
-    level d is computed, for b_{d-1}.
+    Connectivity is tested first, by the set-union walk of
+    ``Graph.is_connected``, so a disconnected graph is refused before any
+    packed row is built.  The identity is then checked for j < d.  It fixes
+    |Γ_{j+1}(w)| for every w from the sizes of the layers before, so every
+    vertex has the layer sizes of vertex 0; as vertex 0 reaches all n
+    vertices within distance d, every vertex does, and has eccentricity d.
+    At j = d that leaves b_d = 0, a_d = k - c_d and
+    b_{d-1} = k - a_{d-1} - c_{d-1}, so only row 0 of level d is computed,
+    for b_{d-1}.
 
     Row w of A_j is one int with a B-bit count slot per vertex,
     B = k.bit_length() + 1, so row w of A·A_j is one C-level sum of k rows
@@ -483,7 +516,7 @@ def verify_drg(g: Graph) -> IntersectionArray | None:
         return None
     adj = g.adj
     k = len(adj[0])
-    if k == 0 or set(map(len, adj)) != {k}:
+    if k == 0 or set(map(len, adj)) != {k} or not g.is_connected():
         return None
     width = k.bit_length() + 1
     top = width - 1
@@ -493,7 +526,6 @@ def verify_drg(g: Graph) -> IntersectionArray | None:
     low = high - ones
     prev = [1 << (width * v) for v in range(n)]
     cur = [sum(map(prev.__getitem__, nbrs)) for nbrs in adj]
-    reached = prev[0] | cur[0]
     b_seq, c_seq = [], [1]
     while True:
         get_row = cur.__getitem__
@@ -507,7 +539,6 @@ def verify_drg(g: Graph) -> IntersectionArray | None:
         a = (s >> ((cur[0] & -cur[0]).bit_length() - 1)) & slot
         c = (s >> ((nxt & -nxt).bit_length() - 1)) & slot
         c_seq.append(c)
-        reached |= nxt
         for w, nbrs in enumerate(adj):
             s = sum(map(get_row, nbrs))
             inner = prev[w]
@@ -518,8 +549,6 @@ def verify_drg(g: Graph) -> IntersectionArray | None:
                 return None
             prev[w] = out
         prev, cur = cur, prev
-    if reached != ones:
-        return None
     return IntersectionArray(tuple(b_seq), tuple(c_seq))
 
 
@@ -587,6 +616,7 @@ def audit_family_graph(g: Graph, p: int, sigmas) -> AuditReport:
             f"graph verifies as {measured and measured.as_tuple()}, expected {params.as_tuple()}"
         )
     bound = fixed_point_order_bound(params)
+    n1, n2 = family_multiplicities(p)
     n = g.n
     adj = g.adj
     rows = [sum(map((1).__lshift__, nbrs)) for nbrs in adj]
@@ -610,14 +640,17 @@ def audit_family_graph(g: Graph, p: int, sigmas) -> AuditReport:
         adjacent = sum(map(tuple.__contains__, adj, sigma))
         if order > 1 and fix > bound:
             codes.append("fix-bound-exceeded")
-        aut = AutProfile(order, fix, adjacent, n - fix - adjacent)
-        chi1, chi2 = chi_values(p, aut)
-        if chi1.denominator != 1 or chi2.denominator != 1:
+        (num1, den1), (num2, den2) = chi_numerators(p, fix, adjacent, n - fix - adjacent)
+        chi1, rem1 = divmod(num1, den1)
+        chi2, rem2 = divmod(num2, den2)
+        if rem1 or rem2:
             codes.append("non-integral-character")
         elif is_prime(order):
-            verdict = chi_filter(p, aut)
-            if not verdict.ok:
-                codes.extend(verdict.reasons)
+            # the congruences of higman.chi_filter
+            if (chi1 - n1) % order:
+                codes.append("chi1-congruence")
+            if (chi2 - n2) % order:
+                codes.append("chi2-congruence")
             if p > 2 and fix <= bound and adjacent not in alpha1_candidates(p, order, fix):
                 codes.append("alpha1-not-admissible")
         if codes:

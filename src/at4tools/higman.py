@@ -99,6 +99,34 @@ def local_vertex_count(p: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def chi_numerators(p: int, a0: int, a1: int, a2: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """chi_1 and chi_2 of the distance distribution (a0, a1, a2) on the
+    local graph, each as an integer pair (numerator, denominator) over the
+    common denominators 2(p+1)(p+2) and 2(p+1)s, s = (p+2)^2 - 2:
+
+    chi_1 = ((p+1)((p+3)a0 + a1) - a2) / (2(p+1)(p+2))
+    chi_2 = ((p+1)(p(p+3)a0 - (p+2)a1) + p*a2) / (2(p+1)s)
+
+    A character is an integer iff ``divmod`` of its pair leaves remainder 0.
+    The distribution is not checked here."""
+    q = p + 1
+    return (
+        (q * ((p + 3) * a0 + a1) - a2, 2 * q * (p + 2)),
+        (q * (p * (p + 3) * a0 - (p + 2) * a1) + p * a2, 2 * q * (p * p + 4 * p + 2)),
+    )
+
+
+def _profile_counts(p: int, profile: AutProfile) -> tuple[int, int, int]:
+    """The counts of a profile, checked to be a distribution on the local
+    graph at p >= 2."""
+    if p < 2:
+        raise ValueError(f"chi_values requires p >= 2, got {p}")
+    counts = profile.counts()
+    if min(counts) < 0 or sum(counts) != local_vertex_count(p):
+        raise ValueError(f"profile {counts} does not sum to v = {local_vertex_count(p)}")
+    return counts
+
+
 def chi_values(p: int, profile: AutProfile) -> tuple[Fraction, Fraction]:
     """Characters of the permutation action projected to the two
     non-principal eigenspaces of the local graph, as exact rationals.
@@ -106,16 +134,8 @@ def chi_values(p: int, profile: AutProfile) -> tuple[Fraction, Fraction]:
     chi_1 = ((p+3)a0/2 + a1/2 - a2/(2(p+1))) / (p+2)
     chi_2 = (p(p+3)a0/2 - (p+2)a1/2 + p*a2/(2(p+1))) / ((p+2)^2 - 2)
     """
-    if p < 2:
-        raise ValueError(f"chi_values requires p >= 2, got {p}")
-    a0, a1, a2 = profile.counts()
-    if a0 < 0 or a1 < 0 or a2 < 0 or a0 + a1 + a2 != local_vertex_count(p):
-        raise ValueError(f"profile {profile.counts()} does not sum to v = {local_vertex_count(p)}")
-    half = Fraction(1, 2)
-    frac = Fraction(1, 2 * (p + 1))
-    chi1 = ((p + 3) * a0 * half + a1 * half - a2 * frac) / (p + 2)
-    chi2 = (p * (p + 3) * a0 * half - (p + 2) * a1 * half + p * a2 * frac) / ((p + 2) ** 2 - 2)
-    return (chi1, chi2)
+    (num1, den1), (num2, den2) = chi_numerators(p, *_profile_counts(p, profile))
+    return (Fraction(num1, den1), Fraction(num2, den2))
 
 
 def chi_filter(p: int, profile: AutProfile) -> Verdict:
@@ -128,17 +148,19 @@ def chi_filter(p: int, profile: AutProfile) -> Verdict:
     ell = profile.order
     if not is_prime(ell):
         raise ValueError(f"chi_filter requires a prime order, got {ell}")
-    chi1, chi2 = chi_values(p, profile)
-    n1, n2 = family_multiplicities(p)
+    (num1, den1), (num2, den2) = chi_numerators(p, *_profile_counts(p, profile))
+    chi1, rem1 = divmod(num1, den1)
+    chi2, rem2 = divmod(num2, den2)
     reasons = []
-    if chi1.denominator != 1:
+    if rem1:
         reasons.append("chi1-non-integral")
-    if chi2.denominator != 1:
+    if rem2:
         reasons.append("chi2-non-integral")
     if not reasons:
-        if (int(chi1) - n1) % ell != 0:
+        n1, n2 = family_multiplicities(p)
+        if (chi1 - n1) % ell:
             reasons.append("chi1-congruence")
-        if (int(chi2) - n2) % ell != 0:
+        if (chi2 - n2) % ell:
             reasons.append("chi2-congruence")
     return Verdict(not reasons, tuple(reasons))
 

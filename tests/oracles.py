@@ -10,7 +10,13 @@ program derives another way, so that the two can be compared.
   ``higman.alpha1_residues`` against divisibility of the displaced count;
 * ``antipodal_check`` reads the cover index r back from an array;
 * ``is_automorphism`` and ``alpha_profile`` measure a displacement profile
-  from the all-pairs distance matrix, the route the audit avoids.
+  from the all-pairs distance matrix, the route the audit avoids;
+* ``rational_chi_values``, ``rational_chi_filter`` and ``reference_audit``
+  are the character sums in ``Fraction`` arithmetic and the audit loop
+  that reads them, which ``higman.chi_numerators`` replaces by integers;
+* ``reference_parse_graph`` parses a graph file one token at a time and
+  symmetrizes its rows through one set per vertex, where
+  ``graphcheck.parse_graph`` converts a whole line at once and sorts lists.
 """
 
 from __future__ import annotations
@@ -18,8 +24,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import operator
+
 from at4tools.exactnum import is_prime
-from at4tools.higman import alpha1_residues, local_vertex_count
+from at4tools.graphcheck import (
+    MAX_VERTICES,
+    GraphError,
+    _content_lines,
+    _maps_rows,
+    _natural,
+    is_permutation,
+    perm_order,
+    verify_srg,
+)
+from at4tools.higman import AutProfile, alpha1_candidates, alpha1_residues, local_vertex_count
+from at4tools.srg import Verdict, family_multiplicities, fixed_point_order_bound, local_family_params
 
 
 def gl_order(e: int, t: int) -> int:
@@ -113,9 +132,27 @@ def antipodal_check(arr) -> tuple[bool, Fraction | None]:
     return (True, 1 + Fraction(b[2], c[1]))
 
 
+def bfs_distances(g, start: int) -> tuple[int, ...]:
+    """Distances from start, -1 for unreachable vertices."""
+    dist = [-1] * g.n
+    dist[start] = 0
+    frontier = [start]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for v in frontier:
+            for w in g.adj[v]:
+                if dist[w] < 0:
+                    dist[w] = d
+                    nxt.append(w)
+        frontier = nxt
+    return tuple(dist)
+
+
 def distances(g) -> tuple[tuple[int, ...], ...]:
     """All-pairs distance matrix, -1 for unreachable pairs."""
-    return tuple(g.bfs_distances(v) for v in range(g.n))
+    return tuple(bfs_distances(g, v) for v in range(g.n))
 
 
 def diameter(g) -> int:
@@ -143,3 +180,131 @@ def alpha_profile(g, sigma) -> tuple[int, ...]:
     for row, image in zip(distances(g), sigma):
         counts[row[image]] += 1
     return tuple(counts)
+
+
+def rational_chi_values(p: int, profile) -> tuple[Fraction, Fraction]:
+    """chi_1 and chi_2 of a profile summing to v, summed term by term in
+    Fractions:
+
+    chi_1 = ((p+3)a0/2 + a1/2 - a2/(2(p+1))) / (p+2)
+    chi_2 = (p(p+3)a0/2 - (p+2)a1/2 + p*a2/(2(p+1))) / ((p+2)^2 - 2)
+    """
+    a0, a1, a2 = profile.counts()
+    assert min(a0, a1, a2) >= 0 and a0 + a1 + a2 == local_vertex_count(p)
+    half = Fraction(1, 2)
+    frac = Fraction(1, 2 * (p + 1))
+    chi1 = ((p + 3) * a0 * half + a1 * half - a2 * frac) / (p + 2)
+    chi2 = (p * (p + 3) * a0 * half - (p + 2) * a1 * half + p * a2 * frac) / ((p + 2) ** 2 - 2)
+    return (chi1, chi2)
+
+
+def rational_chi_filter(p: int, profile) -> Verdict:
+    """The verdict of ``higman.chi_filter`` on a prime-order profile, read
+    from ``rational_chi_values``."""
+    ell = profile.order
+    chi1, chi2 = rational_chi_values(p, profile)
+    n1, n2 = family_multiplicities(p)
+    reasons = []
+    if chi1.denominator != 1:
+        reasons.append("chi1-non-integral")
+    if chi2.denominator != 1:
+        reasons.append("chi2-non-integral")
+    if not reasons:
+        if (int(chi1) - n1) % ell != 0:
+            reasons.append("chi1-congruence")
+        if (int(chi2) - n2) % ell != 0:
+            reasons.append("chi2-congruence")
+    return Verdict(not reasons, tuple(reasons))
+
+
+def reference_audit(g, p: int, sigmas) -> tuple[tuple, tuple]:
+    """(failures, orders) of ``graphcheck.audit_family_graph``, element by
+    element with the characters in Fractions."""
+    params = local_family_params(p)
+    assert verify_srg(g) == params
+    bound = fixed_point_order_bound(params)
+    n = g.n
+    adj = g.adj
+    rows = [sum(map((1).__lshift__, nbrs)) for nbrs in adj]
+    failures = []
+    orders = []
+    for idx, sigma in enumerate(sigmas):
+        codes = []
+        if not is_permutation(sigma, n):
+            failures.append((idx, ("not-a-permutation",)))
+            orders.append(0)
+            continue
+        if not _maps_rows(rows, adj, sigma):
+            failures.append((idx, ("not-automorphism",)))
+            orders.append(0)
+            continue
+        order = perm_order(sigma)
+        orders.append(order)
+        fix = sum(map(operator.eq, sigma, range(n)))
+        adjacent = sum(map(tuple.__contains__, adj, sigma))
+        if order > 1 and fix > bound:
+            codes.append("fix-bound-exceeded")
+        aut = AutProfile(order, fix, adjacent, n - fix - adjacent)
+        chi1, chi2 = rational_chi_values(p, aut)
+        if chi1.denominator != 1 or chi2.denominator != 1:
+            codes.append("non-integral-character")
+        elif is_prime(order):
+            codes.extend(rational_chi_filter(p, aut).reasons)
+            if p > 2 and fix <= bound and adjacent not in alpha1_candidates(p, order, fix):
+                codes.append("alpha1-not-admissible")
+        if codes:
+            failures.append((idx, tuple(codes)))
+    return tuple(failures), tuple(orders)
+
+
+def _reference_rows(neighbours, warnings: list[str]) -> tuple[tuple[int, ...], ...]:
+    """The sorted neighbour tuples of ``graphcheck.Graph(neighbours,
+    warnings)``, built through one set per vertex."""
+    sets = [set(nbrs) for nbrs in neighbours]
+    n = len(sets)
+    for i, nbrs in enumerate(sets):
+        if nbrs and (min(nbrs) < 0 or max(nbrs) >= n):
+            raise GraphError(f"vertex {i} has a neighbor out of range")
+        if i in nbrs:
+            raise GraphError(f"loop at vertex {i}")
+        for j in sorted(nbrs):
+            if i not in sets[j]:
+                warnings.append(f"edge {i}-{j} listed only once; symmetrized")
+                sets[j].add(i)
+    return tuple(tuple(sorted(nbrs)) for nbrs in sets)
+
+
+def reference_parse_graph(text: str) -> tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]:
+    """(adj, warnings) of ``graphcheck.parse_graph(text)``, each listed
+    neighbour read as its own token."""
+    lines = list(_content_lines(text))
+    if not lines:
+        raise GraphError("empty input: expected header line 'n <count>'")
+    lineno, header = lines[0]
+    parts = header.split()
+    n = _natural(parts[1]) if len(parts) == 2 and parts[0] == "n" else None
+    if n is None:
+        raise GraphError(f"line {lineno}: expected header 'n <count>', got {header!r}")
+    if n > MAX_VERTICES:
+        raise GraphError(f"line {lineno}: vertex count {n} exceeds the limit {MAX_VERTICES}")
+    listed: dict[int, list[int]] = {}
+    for lineno, line in lines[1:]:
+        head, sep, tail = line.partition(":")
+        i = _natural(head.strip()) if sep else None
+        if i is None:
+            raise GraphError(f"line {lineno}: expected 'i: neighbors', got {line!r}")
+        if i >= n:
+            raise GraphError(f"line {lineno}: vertex {i} out of range for n = {n}")
+        add = listed.setdefault(i, []).append
+        for tok in tail.split():
+            j = _natural(tok)
+            if j is None:
+                raise GraphError(f"line {lineno}: bad neighbor {tok!r}")
+            if j >= n:
+                raise GraphError(f"line {lineno}: neighbor {j} out of range for n = {n}")
+            if j == i:
+                raise GraphError(f"line {lineno}: loop at vertex {i}")
+            add(j)
+    warnings: list[str] = []
+    adj = _reference_rows([listed.get(i, ()) for i in range(n)], warnings)
+    return adj, tuple(warnings)

@@ -303,3 +303,32 @@ def test_memory_error_exits_4_without_traceback():
     assert proc.returncode == 4
     assert proc.stdout == ""
     assert proc.stderr == "error: internal: MemoryError()\n"
+
+
+def test_verify_of_a_perfect_matching_runs_in_bounded_memory(tmp_path):
+    # 2^16 vertices of valency 1: packed count rows for all of them would
+    # take n^2 bits per list, 1 GiB for the two, so connectivity must be
+    # refused first; the cap is set on the child only
+    resource = pytest.importorskip("resource")
+    cap = 1 << 30
+    n = 1 << 16
+    path = tmp_path / "matching.txt"
+    path.write_text(f"n {n}\n" + "".join(f"{v}: {v ^ 1}\n" for v in range(n)))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = str(Path(at4tools.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "at4tools.cli", "--format", "json", "--deterministic", "verify", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=limit,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["drg"] is None and report["connected"] is False
+    assert report["vertices"] == n and report["edges"] == n // 2

@@ -25,7 +25,14 @@ from at4tools.graphcheck import (
 from at4tools.higman import AutProfile, chi_values
 from at4tools.srg import SrgParams
 
-from oracles import alpha_profile, antipodal_check, diameter, is_automorphism
+from oracles import (
+    alpha_profile,
+    antipodal_check,
+    diameter,
+    is_automorphism,
+    reference_audit,
+    reference_parse_graph,
+)
 
 
 def cycle(n):
@@ -137,6 +144,35 @@ def test_parse_symmetrizes_each_one_sided_edge_once(case):
     for i, j in one_sided:
         rows[j] |= 1 << i
     assert g.adj == tuple(tuple(_bits(row)) for row in rows)
+
+
+# tokens each of which str.isdigit or int() refuses, or both: a superscript
+# digit, signs, an underscore, and a number beyond int()'s 4300 digits; the
+# Arabic-Indic digit three passes both and reads as 3
+ODD_TOKENS = ("\u00b2", "-3", "+3", "1_0", "\u0663", "9" * 5000)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 8), st.booleans(), st.data())
+def test_parse_matches_the_per_token_reference(n, clean, data):
+    # a clean file lists in-range neighbours other than the vertex itself,
+    # so it parses, with duplicates, one-sided edges and empty rows; the
+    # others mix in loops, ends out of range and odd tokens
+    good = st.integers(0, n - 1).map(str)
+    token = good if clean else st.one_of(good, good, st.integers(n, n + 2).map(str), st.sampled_from(ODD_TOKENS))
+    rows = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.lists(token, max_size=6)), max_size=n + 2))
+    text = f"n {n}\n" + "".join(
+        f"{i}: {' '.join(tok for tok in toks if not clean or tok != str(i))}\n" for i, toks in rows
+    )
+    try:
+        expected = reference_parse_graph(text)
+    except GraphError as exc:
+        with pytest.raises(GraphError) as got:
+            parse_graph(text)
+        assert str(got.value) == str(exc)
+    else:
+        g, warnings = parse_graph(text)
+        assert (g.adj, warnings) == expected
 
 
 def test_graph_text_round_trip():
@@ -331,6 +367,41 @@ def test_audit_flags_non_bijection(gewirtz, gewirtz_witnesses):
     bad[0] = bad[1]
     report = audit_family_graph(gewirtz, 2, [tuple(bad)])
     assert report.failures == ((0, ("not-a-permutation",)),)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_audit_matches_the_rational_reference(gewirtz, gewirtz_witnesses, data):
+    # automorphisms, products of two (of mixed and composite orders), ones
+    # with two images swapped, and lists that are no permutation: a
+    # repeated image, an image out of range, one image short
+    witness = st.sampled_from(gewirtz_witnesses)
+
+    def swapped(sigma, i, j):
+        out = list(sigma)
+        out[i], out[j] = out[j], out[i]
+        return tuple(out)
+
+    def broken(sigma, how, i):
+        out = list(sigma)
+        if how == 0:
+            out[i] = out[(i + 1) % 56]
+        elif how == 1:
+            out[i] = 56
+        else:
+            del out[i]
+        return tuple(out)
+
+    element = st.one_of(
+        witness,
+        st.builds(lambda a, b: tuple(a[x] for x in b), witness, witness),
+        st.builds(swapped, witness, st.integers(0, 55), st.integers(0, 55)),
+        st.builds(broken, witness, st.integers(0, 2), st.integers(0, 55)),
+    )
+    sigmas = data.draw(st.lists(element, min_size=1, max_size=8))
+    report = audit_family_graph(gewirtz, 2, sigmas)
+    assert (report.failures, report.orders) == reference_audit(gewirtz, 2, sigmas)
+    assert report.passed == report.total - len(report.failures)
 
 
 def test_audit_requires_family_params():

@@ -14,6 +14,7 @@ from at4tools.higman import (
     block_size_filter,
     centralizer_filter,
     chi_filter,
+    chi_numerators,
     chi_values,
     cover_congruences,
     cover_fix_bound,
@@ -27,7 +28,13 @@ from at4tools.higman import (
 )
 from at4tools.at4 import At4Params, IntersectionArray, closed_forms, feasible_r, intersection_array
 
-from oracles import alpha1_expressions_consistent, gl_order, second_eigenmatrix
+from oracles import (
+    alpha1_expressions_consistent,
+    gl_order,
+    rational_chi_filter,
+    rational_chi_values,
+    second_eigenmatrix,
+)
 
 
 def test_chi_values_examples():
@@ -150,6 +157,43 @@ def test_alpha1_candidates_match_chi_filter_up_to_p_1000(data):
         if 0 <= a1 <= v - fix:
             profile = AutProfile(ell, fix, a1, v - fix - a1)
             assert (a1 in members) == chi_filter(p, profile).ok, (p, ell, fix, a1)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(2, 10**4), st.data())
+def test_integer_characters_match_the_rational_route(p, data):
+    # the numerators over 2(p+1)(p+2) and 2(p+1)s against the term-by-term
+    # Fraction sums, on any distribution, on integral ones, and on the
+    # alpha_1 class, whose members pass both congruences
+    v = local_vertex_count(p)
+    s = (p + 2) ** 2 - 2
+    ell = data.draw(st.sampled_from([q for q in PRIMES_TO_2000 if q <= s]), label="ell")
+    # the class is empty unless fix <= s and ell divides v - fix
+    r = v % ell
+    fix = data.draw(st.integers(0, v) | st.integers(0, (s - r) // ell).map(lambda t: r + t * ell), label="fix")
+    a1s = [data.draw(st.integers(0, v - fix), label="a1")]
+    # chi_1 = ((p+2)fix + a1 - s) / (2(p+1)) and chi_1 + chi_2 = fix - 1, so
+    # both are integers exactly on this class, whatever ell divides
+    m = 2 * (p + 1)
+    first = (s - (p + 2) * fix) % m
+    if first <= v - fix:
+        a1s.append(first + m * data.draw(st.integers(0, (v - fix - first) // m), label="integral a1"))
+    if p > 2 and fix <= s:
+        members = alpha1_candidates(p, ell, fix)
+        if members:
+            a1 = members[data.draw(st.integers(0, len(members) - 1), label="member index")]
+            a1s += [a1 - 1, a1, a1 + 1]
+    for a1 in a1s:
+        if not 0 <= a1 <= v - fix:
+            continue
+        profile = AutProfile(ell, fix, a1, v - fix - a1)
+        rational = rational_chi_values(p, profile)
+        (num1, den1), (num2, den2) = chi_numerators(p, *profile.counts())
+        assert (den1, den2) == (2 * (p + 1) * (p + 2), 2 * (p + 1) * s)
+        assert num1 * rational[0].denominator == rational[0].numerator * den1
+        assert num2 * rational[1].denominator == rational[1].numerator * den2
+        assert chi_values(p, profile) == rational
+        assert chi_filter(p, profile) == rational_chi_filter(p, profile)
 
 
 def test_centralizer_alpha1_refinement():
