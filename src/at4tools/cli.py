@@ -63,6 +63,13 @@ _INTS = frozenset({int})
 _CONTAINERS = (dict, list, tuple, set, frozenset, range)
 _SEQUENCES = (list, tuple, range)
 _BOOLS = {True: "true", False: "false"}.__getitem__
+# An exact-int list or tuple, or a range, longer than this is written to
+# ``out`` in slices of this many items, never joined whole.
+_SLICE = 4096
+# The (sep, sequence) pairs of the long sequences of the JSON text being
+# printed, in print order; each stands at one "\x00" hole of that text,
+# a character that no printed key or string holds unescaped.
+_HELD: list = []
 
 
 def _json(value, indent: str = "") -> str:
@@ -160,6 +167,9 @@ def _sequence(indent: str):
             return "[]"
         # exact types: bool is an int subclass that prints as true/false
         if type(value) is range or _INTS.issuperset(map(type, value)):
+            if len(value) > _SLICE:
+                _HELD.append((sep, value))
+                return head + "\x00" + tail
             return head + sep.join(map(repr, value)) + tail
         return head + sep.join(map(_json, value, repeat(inner))) + tail
 
@@ -175,7 +185,11 @@ def _flatten(value, path, lines):
         return
     if isinstance(value, (set, frozenset)):
         value = sorted(value)
-    if type(value) is range:
+    if isinstance(value, _SEQUENCES) and len(value) > _SLICE and (
+        type(value) is range or _INTS.issuperset(map(type, value))
+    ):
+        lines.append((f"{path} = [", value))
+    elif type(value) is range:
         lines.append(f"{path} = [" + ", ".join(map(repr, value)) + "]")
     elif isinstance(value, _SEQUENCES):
         if any(isinstance(v, _CONTAINERS) or is_dataclass(v) for v in value):
@@ -187,13 +201,44 @@ def _flatten(value, path, lines):
         lines.append(f"{path} = {_json(value)}")
 
 
+def _write_slices(seq, sep: str, out) -> None:
+    """The items of ``seq`` joined by ``sep``, written _SLICE at a time."""
+    for i in range(0, len(seq), _SLICE):
+        if i:
+            out.write(sep)
+        out.write(sep.join(map(repr, seq[i : i + _SLICE])))
+
+
 def _emit(report: dict, fmt: str, out) -> None:
+    """Write ``report`` to ``out``.  The whole text is made before the first
+    write, except each long integer sequence, which is written in slices."""
     if fmt == "json":
-        out.write(_json(report) + "\n")
+        try:
+            text = _json(report)
+            # split scans the whole text one character at a time
+            parts = text.split("\x00") if _HELD else (text,)
+            for part, (sep, seq) in zip(parts, _HELD):
+                out.write(part)
+                _write_slices(seq, sep, out)
+            out.write(parts[-1])
+            out.write("\n")
+        finally:
+            _HELD.clear()
     else:
-        lines: list[str] = []
+        # a line is a str, or a (prefix, sequence) pair for a long sequence
+        lines: list = []
         _flatten(report, "", lines)
-        out.write("\n".join(lines) + "\n")
+        chunk: list[str] = []
+        for line in lines:
+            if type(line) is str:
+                chunk.append(line)
+            else:
+                chunk.append(line[0])
+                out.write("\n".join(chunk))
+                _write_slices(line[1], ", ", out)
+                chunk = ["]"]
+        out.write("\n".join(chunk))
+        out.write("\n")
 
 
 def _array_payload(r: int, f: at4.ClosedForms) -> dict:
@@ -517,6 +562,14 @@ def main(argv=None, out=None) -> int:
     args._t0 = time.perf_counter()
     try:
         return args.func(args, out)
+    except BrokenPipeError:
+        # the reader closed stdout early, as `| head` does: not an error;
+        # stdout goes to devnull so that the flush at exit stays silent
+        if out is sys.stdout:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return EXIT_OK
     except Exception as exc:
         # exit 1 means findings only; anything unexpected gets its own code
         print(f"error: internal: {exc!r}", file=sys.stderr)

@@ -282,10 +282,10 @@ def test_keyboard_interrupt_propagates(monkeypatch):
 
 
 def test_memory_error_exits_4_without_traceback():
-    # the alpha_1 class of profile 100003 4 7 holds about 7e8 integers: under
-    # a 2 GiB address-space cap, set on the child only, its list cannot be made
+    # bounds 9999991 needs about 120 MB for its report (every prime up to p):
+    # under a 96 MiB address-space cap, set on the child only, it cannot be made
     resource = pytest.importorskip("resource")
-    cap = 2 << 30
+    cap = 96 << 20
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
@@ -293,7 +293,7 @@ def test_memory_error_exits_4_without_traceback():
     src = str(Path(at4tools.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, "-m", "at4tools.cli", "profile", "100003", "4", "7"],
+        [sys.executable, "-m", "at4tools.cli", "bounds", "9999991"],
         capture_output=True,
         text=True,
         env=env,
@@ -303,6 +303,56 @@ def test_memory_error_exits_4_without_traceback():
     assert proc.returncode == 4
     assert proc.stdout == ""
     assert proc.stderr == "error: internal: MemoryError()\n"
+
+
+def test_reader_that_closes_stdout_early_is_not_an_error():
+    # 4.6 MB of JSON, far more than a pipe holds: the writer meets the
+    # closed pipe in the middle of the report
+    src = str(Path(at4tools.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "at4tools.cli", "--format", "json", "profile", "2003", "3", "7"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        assert proc.stdout.read(20) == b'{\n  "alpha1_fixed_po'
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 0
+    assert stderr == b""
+
+
+class CharCount:
+    """An output stream that keeps only the number of characters written."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_profile_report_is_written_in_flat_memory(fmt):
+    # the alpha_1 class of profile 2003 3 7 has 287,288 integers, 4.6 MB of
+    # JSON and 3.4 MB of text; joined whole, the report peaked above 20 MB
+    tracemalloc = pytest.importorskip("tracemalloc")
+    sink = CharCount()
+    argv = ["--format", fmt, "--deterministic", "profile", "2003", "3", "7"]
+    tracemalloc.start()
+    try:
+        rc = cli.main(argv, out=sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert sink.chars > 3_000_000
+    assert peak < 2_000_000, f"{fmt}: peak {peak} B for {sink.chars} characters"
 
 
 def test_verify_of_a_perfect_matching_runs_in_bounded_memory(tmp_path):

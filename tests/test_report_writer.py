@@ -177,3 +177,83 @@ def test_writers_on_edge_values():
     }
     assert emit(report, "json") == json.dumps(ref_normalise(report), sort_keys=True, indent=2) + "\n"
     assert emit(report, "text") == ref_text(ref_normalise(report))
+
+
+def assert_writers_match(report):
+    assert emit(report, "json") == json.dumps(ref_normalise(report), sort_keys=True, indent=2) + "\n"
+    assert emit(report, "text") == ref_text(ref_normalise(report))
+
+
+SLICE = cli._SLICE
+LENGTHS = (SLICE - 1, SLICE, SLICE + 1, 3 * SLICE + 7)
+
+
+def test_writers_on_sequences_around_the_slice_length():
+    for n in LENGTHS:
+        assert_writers_match({
+            "list": list(range(-n // 2, n - n // 2)),
+            "tuple": tuple(range(0, 3 * n, 3)),
+            "range": range(5, 5 + 7 * n, 7),
+            "set": set(range(n)),
+            "big": [2**70 + i for i in range(n)],
+        })
+
+
+def test_writers_on_two_long_sequences_and_a_nested_one():
+    long = range(1, 3 * SLICE + 7)
+    assert_writers_match({"a": list(long), "b": "between", "c": long})
+    assert_writers_match({
+        "rows": [{"ints": list(long), "tag": "x"}, {"ints": [1, 2], "tag": "y"}, {"r": long}],
+        "tail": [3, 4],
+    })
+
+
+def test_writers_on_holes_and_template_characters_beside_long_sequences():
+    long = list(range(2 * SLICE))
+    report = {
+        "\x00": long,
+        "a\x00b": "c\x00d",
+        "%s": ["%", "{", "\x00"],
+        "{0}": {"\x00%{": long, "%%": "\x00"},
+        "z": ["\x00"] * 3 + long,
+    }
+    assert_writers_match(report)
+    assert_writers_match({"nested": [report, report]})
+
+
+def test_writers_on_a_long_list_that_holds_a_bool():
+    for value in ([True] + list(range(2 * SLICE)), list(range(2 * SLICE)) + [False]):
+        assert_writers_match({"v": value})
+
+
+def test_writers_after_printing_raises_behind_a_long_sequence():
+    bad = {"a": list(range(2 * SLICE)), "b": range(3 * SLICE), "c": object()}
+    for fmt in ("json", "text"):
+        buf = io.StringIO()
+        try:
+            cli._emit(bad, fmt, buf)
+        except TypeError:
+            pass
+        else:
+            raise AssertionError("object() printed")
+        assert buf.getvalue() == ""
+        assert_writers_match({"ok": [1, 2, 3], "long": range(SLICE + 1)})
+        assert_writers_match({"ok": [1, 2, 3]})
+
+
+class Writes:
+    """An output stream that keeps the length of the longest write."""
+
+    longest = 0
+
+    def write(self, text):
+        self.longest = max(self.longest, len(text))
+
+
+def test_long_sequences_are_written_in_slices():
+    # 40 digits per item: a slice is at most 43 * SLICE characters
+    report = {"v": [10**39 + i for i in range(10 * SLICE)], "r": range(10**39, 10**39 + 10 * SLICE)}
+    for fmt in ("json", "text"):
+        sink = Writes()
+        cli._emit(report, fmt, sink)
+        assert sink.longest < 48 * SLICE
