@@ -5,8 +5,11 @@ byte-identical for identical inputs; wall-clock timing is attached in a
 separate optional field and suppressed entirely under --deterministic.
 
 Exit codes: 0 success, 1 audit or constraint failure findings, 2 usage
-error, 3 input error, 4 internal error (an unexpected exception, reported
-on one stderr line).
+error, 3 input error, 4 internal error (an unexpected exception).  Each
+``_cmd_*`` function returns its exit code and report body, or raises
+``_Refusal`` with exit 2 or 3 and a message.  ``main`` alone adds the
+``schema``, ``command`` and ``timing_ms`` fields, writes the report, and
+prints every ``error: ...`` line, one per failed call, to stderr.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import functools
 import json
 import os
 import sys
+import threading
 import time
 from dataclasses import is_dataclass
 from fractions import Fraction
@@ -46,12 +50,25 @@ EXIT_INTERNAL = 4
 MAX_LISTED_P = 10**7
 
 
-def _too_large(ps) -> str | None:
-    """Why the report of some p in ps cannot be made, or None."""
+class _Refusal(Exception):
+    """``_Refusal(code, message)``: a command refuses its input; main prints
+    ``error: message`` and exits with ``code`` (EXIT_USAGE or EXIT_INPUT)."""
+
+
+def _refuse_too_large(ps) -> None:
+    """Refuse ps if the report of some p in it would list too many primes."""
     big = next((p for p in ps if p > MAX_LISTED_P and prime_power_base(p)), None)
-    if big is None:
-        return None
-    return f"p = {big} is a prime power above {MAX_LISTED_P}: its report would list every prime up to p"
+    if big is not None:
+        message = f"p = {big} is a prime power above {MAX_LISTED_P}: its report would list every prime up to p"
+        raise _Refusal(EXIT_USAGE, message)
+
+
+def _params(p: int, r: int) -> at4.At4Params:
+    """The parameters (p, r), or a usage refusal saying why they are invalid."""
+    try:
+        return at4.At4Params(p, r)
+    except ValueError as exc:
+        raise _Refusal(EXIT_USAGE, str(exc)) from None
 
 
 def _items(report: dict) -> list:
@@ -66,10 +83,12 @@ _BOOLS = {True: "true", False: "false"}.__getitem__
 # An exact-int list or tuple, or a range, longer than this is written to
 # ``out`` in slices of this many items, never joined whole.
 _SLICE = 4096
-# The (sep, sequence) pairs of the long sequences of the JSON text being
-# printed, in print order; each stands at one "\x00" hole of that text,
-# a character that no printed key or string holds unescaped.
-_HELD: list = []
+# ``_PRINTING.held`` lists the (sep, sequence) pairs of the long sequences
+# of the JSON text this thread is printing, in print order; each stands at
+# one "\x00" hole of that text, a character that no printed key or string
+# holds unescaped.  Each _emit call sets its own list, so calls in other
+# threads, or made from inside its writes, cannot reach it.
+_PRINTING = threading.local()
 
 
 def _json(value, indent: str = "") -> str:
@@ -168,7 +187,7 @@ def _sequence(indent: str):
         # exact types: bool is an int subclass that prints as true/false
         if type(value) is range or _INTS.issuperset(map(type, value)):
             if len(value) > _SLICE:
-                _HELD.append((sep, value))
+                _PRINTING.held.append((sep, value))
                 return head + "\x00" + tail
             return head + sep.join(map(repr, value)) + tail
         return head + sep.join(map(_json, value, repeat(inner))) + tail
@@ -213,17 +232,18 @@ def _emit(report: dict, fmt: str, out) -> None:
     """Write ``report`` to ``out``.  The whole text is made before the first
     write, except each long integer sequence, which is written in slices."""
     if fmt == "json":
+        _PRINTING.held = held = []
         try:
             text = _json(report)
-            # split scans the whole text one character at a time
-            parts = text.split("\x00") if _HELD else (text,)
-            for part, (sep, seq) in zip(parts, _HELD):
-                out.write(part)
-                _write_slices(seq, sep, out)
-            out.write(parts[-1])
-            out.write("\n")
         finally:
-            _HELD.clear()
+            del _PRINTING.held
+        # split scans the whole text one character at a time
+        parts = text.split("\x00") if held else (text,)
+        for part, (sep, seq) in zip(parts, held):
+            out.write(part)
+            _write_slices(seq, sep, out)
+        out.write(parts[-1])
+        out.write("\n")
     else:
         # a line is a str, or a (prefix, sequence) pair for a long sequence
         lines: list = []
@@ -311,59 +331,32 @@ def _scan_entry(p: int) -> dict:
     return entry
 
 
-def _cmd_scan(args, out) -> int:
+def _cmd_scan(args) -> tuple[int, dict]:
     if args.p_min < 2 or args.p_min > args.p_max:
-        print(f"error: bad range {args.p_min}..{args.p_max} (need 2 <= p_min <= p_max)", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Refusal(EXIT_USAGE, f"bad range {args.p_min}..{args.p_max} (need 2 <= p_min <= p_max)")
     ps = range(args.p_min, args.p_max + 1)
-    error = _too_large(ps)
-    if error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_USAGE
+    _refuse_too_large(ps)
     entries = [_scan_entry(p) for p in ps]
-    report = {
-        "schema": SCHEMA,
-        "command": "scan",
-        "inputs": {"p_min": args.p_min, "p_max": args.p_max},
-        "entries": entries,
-    }
-    return _finish(report, args, out)
+    return EXIT_OK, {"inputs": {"p_min": args.p_min, "p_max": args.p_max}, "entries": entries}
 
 
-def _cmd_array(args, out) -> int:
-    try:
-        params = at4.At4Params(args.p, args.r)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    payload = _array_payload(args.r, at4.closed_forms(params))
-    payload["quotient_srg"] = list(at4.quotient_params(args.p).as_tuple())
-    payload["second_subconstituent_quotient_srg"] = list(
+def _cmd_array(args) -> tuple[int, dict]:
+    report = _array_payload(args.r, at4.closed_forms(_params(args.p, args.r)))
+    report["inputs"] = {"p": args.p, "r": args.r}
+    report["quotient_srg"] = list(at4.quotient_params(args.p).as_tuple())
+    report["second_subconstituent_quotient_srg"] = list(
         at4.second_subconstituent_quotient(args.p).as_tuple()
     )
-    report = {
-        "schema": SCHEMA,
-        "command": "array",
-        "inputs": {"p": args.p, "r": args.r},
-        **payload,
-    }
-    return _finish(report, args, out)
+    return EXIT_OK, report
 
 
-def _cmd_profile(args, out) -> int:
-    try:
-        at4.At4Params(args.p, args.r)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+def _cmd_profile(args) -> tuple[int, dict]:
+    _params(args.p, args.r)
     if not is_prime(args.ell):
-        print(f"error: order {args.ell} is not prime", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Refusal(EXIT_USAGE, f"order {args.ell} is not prime")
     p, r, ell = args.p, args.r, args.ell
     classification = higman.cover_order_classification(p, r)
     report = {
-        "schema": SCHEMA,
-        "command": "profile",
         "inputs": {"p": p, "r": r, "ell": ell},
         "cover_congruences": list(higman.cover_congruences(p, r, ell)),
         "subconstituent_congruences": list(higman.subconstituent_congruences(p, r, ell)),
@@ -386,23 +379,17 @@ def _cmd_profile(args, out) -> int:
             ell in classification.data["fixed_point_free_orders"]
         )
         report["local_fixed_structure"] = higman.local_fixed_structure(p, ell)
-    return _finish(report, args, out)
+    return EXIT_OK, report
 
 
-def _cmd_bounds(args, out) -> int:
+def _cmd_bounds(args) -> tuple[int, dict]:
     p = args.p
     if p < 2:
-        print(f"error: p must be >= 2, got {p}", file=sys.stderr)
-        return EXIT_USAGE
-    error = _too_large([p])
-    if error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Refusal(EXIT_USAGE, f"p must be >= 2, got {p}")
+    _refuse_too_large([p])
     params = local_family_params(p)
     spec = srg_spectrum(params)
     report = {
-        "schema": SCHEMA,
-        "command": "bounds",
         "inputs": {"p": p},
         "local_srg": list(params.as_tuple()),
         "spectrum": {
@@ -419,35 +406,34 @@ def _cmd_bounds(args, out) -> int:
         **_spectrum_fields(p),
         "exclusion": higman.exclusion_arithmetic(p) if p > 2 else "inapplicable",
     }
-    return _finish(report, args, out)
+    return EXIT_OK, report
 
 
 def _read(path: str) -> str:
-    """The text of an input file.  A file that is not UTF-8 raises OSError,
-    as an unreadable one does."""
+    """The text of an input file, or an input refusal if it cannot be read
+    or is not UTF-8."""
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
-        raise OSError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
-
-
-def _cmd_verify(args, out) -> int:
-    try:
-        text = _read(args.graph)
+        raise _Refusal(EXIT_INPUT, f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise _Refusal(EXIT_INPUT, str(exc)) from None
+
+
+def _parse(parse, *args):
+    """``parse(*args)``, or an input refusal for the GraphError it raises."""
     try:
-        g, warnings = graphcheck.parse_graph(text)
+        return parse(*args)
     except graphcheck.GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise _Refusal(EXIT_INPUT, str(exc)) from None
+
+
+def _cmd_verify(args) -> tuple[int, dict]:
+    g, warnings = _parse(graphcheck.parse_graph, _read(args.graph))
     drg = graphcheck.verify_drg(g)
     srg_params = graphcheck.srg_of_array(g.n, drg)
     report = {
-        "schema": SCHEMA,
-        "command": "verify",
         "inputs": {"graph": os.path.basename(args.graph)},
         "vertices": g.n,
         "edges": g.edge_count(),
@@ -456,55 +442,23 @@ def _cmd_verify(args, out) -> int:
         "srg": list(srg_params.as_tuple()) if srg_params else None,
         "drg": {"b": list(drg.b), "c": list(drg.c)} if drg else None,
     }
-    return _finish(report, args, out)
+    return EXIT_OK, report
 
 
-def _cmd_audit(args, out) -> int:
+def _cmd_audit(args) -> tuple[int, dict]:
     if args.p < 2:
-        print(f"error: p must be >= 2, got {args.p}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        graph_text = _read(args.graph)
-        perm_text = _read(args.perms)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        g, _ = graphcheck.parse_graph(graph_text)
-        sigmas = graphcheck.parse_permutations(perm_text, g.n)
-    except graphcheck.GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise _Refusal(EXIT_USAGE, f"p must be >= 2, got {args.p}")
+    # both files are read before either is parsed: a read error comes first
+    graph_text, perm_text = _read(args.graph), _read(args.perms)
+    g, _ = _parse(graphcheck.parse_graph, graph_text)
+    sigmas = _parse(graphcheck.parse_permutations, perm_text, g.n)
+    inputs = {"graph": os.path.basename(args.graph), "p": args.p}
     try:
         audit = graphcheck.audit_family_graph(g, args.p, sigmas)
     except graphcheck.GraphError as exc:
-        report = {
-            "schema": SCHEMA,
-            "command": "audit",
-            "inputs": {"graph": os.path.basename(args.graph), "p": args.p},
-            "error": str(exc),
-        }
-        _finish(report, args, out)
-        return EXIT_FINDINGS
-    report = {
-        "schema": SCHEMA,
-        "command": "audit",
-        "inputs": {
-            "graph": os.path.basename(args.graph),
-            "perms": os.path.basename(args.perms),
-            "p": args.p,
-        },
-        **vars(audit),
-    }
-    _finish(report, args, out)
-    return EXIT_OK if audit.ok else EXIT_FINDINGS
-
-
-def _finish(report: dict, args, out) -> int:
-    if not args.deterministic:
-        report["timing_ms"] = round((time.perf_counter() - args._t0) * 1000, 3)
-    _emit(report, args.format, out)
-    return EXIT_OK
+        return EXIT_FINDINGS, {"inputs": inputs, "error": str(exc)}
+    inputs["perms"] = os.path.basename(args.perms)
+    return (EXIT_OK if audit.ok else EXIT_FINDINGS), {"inputs": inputs, **vars(audit)}
 
 
 @functools.cache
@@ -553,15 +507,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None, out=None) -> int:
+    """Run one command, write its report to ``out`` (stdout by default) and
+    return its exit code.  This is the one place that adds the report
+    header and timing and prints an ``error: ...`` line to stderr: for a
+    refusal, with its code, or for an unexpected exception, with exit 4."""
     out = out if out is not None else sys.stdout
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    args._t0 = time.perf_counter()
+    start = time.perf_counter()
     try:
-        return args.func(args, out)
+        code, report = args.func(args)
+        # both writers sort keys, so the header can go in last
+        report["schema"] = SCHEMA
+        report["command"] = args.command
+        if not args.deterministic:
+            report["timing_ms"] = round((time.perf_counter() - start) * 1000, 3)
+        _emit(report, args.format, out)
+        return code
+    except _Refusal as exc:
+        code, message = exc.args
+        print(f"error: {message}", file=sys.stderr)
+        return code
     except BrokenPipeError:
         # the reader closed stdout early, as `| head` does: not an error;
         # stdout goes to devnull so that the flush at exit stays silent

@@ -6,8 +6,8 @@ is trial division that stops as soon as the remaining cofactor is 1 or a
 proven prime (deterministic Miller-Rabin), so its cost is set by the
 second-largest prime factor, not by the square root of n.  Past 2^12 a
 composite cofactor below 3.3e24 is split by Pollard-Brent rho instead, in
-time about the fourth root of the cofactor.  Divisors are built from the
-factorization.
+time about the fourth root of the cofactor.  Divisors of a product are
+built from the factorizations of its factors, taken apart.
 """
 
 import functools
@@ -156,12 +156,18 @@ def primes_upto(n: int) -> list[int]:
     return [i for i, flag in enumerate(sieve) if flag]
 
 
-def divisors(n: int) -> list[int]:
-    """Sorted positive divisors of n >= 1, built from its factorization."""
-    if n < 1:
-        raise ValueError(f"divisors requires n >= 1, got {n}")
+def divisors(*factors: int) -> list[int]:
+    """Sorted positive divisors of the product of factors >= 1.  Each factor
+    is factorised apart and the exponents are added, so a product past the
+    reach of rho costs no more than its factors."""
+    exponents: dict[int, int] = {}
+    for n in factors:
+        if n < 1:
+            raise ValueError(f"divisors requires n >= 1, got {n}")
+        for prime, e in factorize(n):
+            exponents[prime] = exponents.get(prime, 0) + e
     out = [1]
-    for prime, e in factorize(n):
+    for prime, e in exponents.items():
         out = [d * prime**k for d in out for k in range(e + 1)]
     return sorted(out)
 

@@ -367,7 +367,8 @@ def block_size_filter(p: int) -> tuple[int, ...]:
     if p < 2:
         raise ValueError(f"block_size_filter requires p >= 2, got {p}")
     s = (p + 2) ** 2 - 2
-    return tuple(d for d in divisors((p + 2) * s) if d <= s)
+    # p+2 and s apart: their product passes the reach of rho once p > 1.5e8
+    return tuple(d for d in divisors(p + 2, s) if d <= s)
 
 
 def centralizer_filter(p: int) -> CaseReport:

@@ -1,11 +1,14 @@
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import at4tools
 from at4tools import cli, exactnum, graphcheck, higman
@@ -186,6 +189,74 @@ def test_undecodable_file_is_input_error(tmp_path, capsys):
 
 
 @pytest.fixture(scope="module")
+def refusal_dir(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("refusals")
+    (tmp / "loop.txt").write_text("n 2\n0: 0\n")
+    (tmp / "latin1.txt").write_bytes(b"n 2\n0: 1\n# caf\xe9\n")
+    (tmp / "huge.txt").write_text(f"n {graphcheck.MAX_VERTICES + 1}\n")
+    (tmp / "c5.txt").write_text((Path(__file__).parent / "data" / "c5_one_sided.txt").read_text())
+    (tmp / "short.txt").write_text("0 1 2\n")
+    (tmp / "adir").mkdir()
+    return str(tmp)
+
+
+# Each refusal: the argv ({d} is a directory of input files), the exit code
+# and the one stderr line, without its "error: " prefix.  stdout stays empty.
+REFUSALS = [
+    (["scan", "5", "3"], 2, "bad range 5..3 (need 2 <= p_min <= p_max)"),
+    (["scan", "1", "3"], 2, "bad range 1..3 (need 2 <= p_min <= p_max)"),
+    (
+        ["scan", "10000018", "10000020"],
+        2,
+        "p = 10000019 is a prime power above 10000000: its report would list every prime up to p",
+    ),
+    (["array", "2", "4"], 2, "r must satisfy 2 < r < p+2, got r=4, p=2"),
+    (["array", "1", "3"], 2, "p must be >= 2, got 1"),
+    (["array", "11", "5"], 2, "r must divide 2(p+1), got r=5, p=11"),
+    (["profile", "3", "4", "4"], 2, "order 4 is not prime"),
+    (["profile", "3", "5", "7"], 2, "r must satisfy 2 < r < p+2, got r=5, p=3"),
+    (["profile", "3", "4", "-7"], 2, "order -7 is not prime"),
+    (["bounds", "0"], 2, "p must be >= 2, got 0"),
+    (
+        ["bounds", "10000019"],
+        2,
+        "p = 10000019 is a prime power above 10000000: its report would list every prime up to p",
+    ),
+    (["verify", "{d}/loop.txt"], 3, "line 2: loop at vertex 0"),
+    (["verify", "{d}/latin1.txt"], 3, "{d}/latin1.txt: not UTF-8 text: invalid continuation byte at byte 14"),
+    (["verify", "{d}/huge.txt"], 3, "line 1: vertex count 1048577 exceeds the limit 1048576"),
+    (["verify", "{d}/missing.txt"], 3, "[Errno 2] No such file or directory: '{d}/missing.txt'"),
+    (["verify", "{d}/adir"], 3, "[Errno 21] Is a directory: '{d}/adir'"),
+    (["audit", "{d}/c5.txt", "{d}/short.txt", "1"], 2, "p must be >= 2, got 1"),
+    (["audit", "{d}/c5.txt", "{d}/short.txt", "2"], 3, "line 1: expected 5 images, got 3"),
+    # both files are read before either is parsed: the read error wins
+    (["audit", "{d}/loop.txt", "{d}/missing.txt", "2"], 3, "[Errno 2] No such file or directory: '{d}/missing.txt'"),
+    (
+        ["audit", "{d}/latin1.txt", "{d}/short.txt", "2"],
+        3,
+        "{d}/latin1.txt: not UTF-8 text: invalid continuation byte at byte 14",
+    ),
+    (
+        ["audit", "{d}/c5.txt", "{d}/latin1.txt", "2"],
+        3,
+        "{d}/latin1.txt: not UTF-8 text: invalid continuation byte at byte 14",
+    ),
+]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="errno texts and paths as on POSIX")
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize(
+    "argv, code, message", REFUSALS, ids=[" ".join(row[0]).replace("{d}/", "") for row in REFUSALS]
+)
+def test_refusal_contract(refusal_dir, capsys, fmt, argv, code, message):
+    argv = [arg.format(d=refusal_dir) for arg in argv]
+    rc, text = run(["--format", fmt, "--deterministic", *argv])
+    assert (rc, text) == (code, "")
+    assert capsys.readouterr().err == "error: " + message.format(d=refusal_dir) + "\n"
+
+
+@pytest.fixture(scope="module")
 def gewirtz_files(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("audit")
     g = graphcheck.generate_gewirtz()
@@ -216,7 +287,7 @@ def test_audit_corrupted_permutation(gewirtz_files, tmp_path):
     assert rep["failures"] == [[1, ["not-automorphism"]]]
 
 
-def test_audit_wrong_family(gewirtz_files, tmp_path):
+def test_audit_wrong_family(gewirtz_files, tmp_path, capsys):
     pet = tmp_path / "petersen.txt"
     pet.write_text(graphcheck.graph_to_text(graphcheck.generate_petersen()))
     perms = tmp_path / "id.txt"
@@ -224,6 +295,16 @@ def test_audit_wrong_family(gewirtz_files, tmp_path):
     rc, rep = run_json(["audit", str(pet), str(perms), "2"])
     assert rc == 1
     assert "error" in rep
+    # a finding, not a refusal: the report names no perms file
+    error = "graph verifies as (10, 3, 0, 1), expected (56, 10, 0, 2)"
+    assert run(["--format", "text", "--deterministic", "audit", str(pet), str(perms), "2"]) == (
+        1,
+        f'command = "audit"\nerror = "{error}"\ninputs.graph = "petersen.txt"\ninputs.p = 2\n'
+        'schema = "at4.report/1"\n',
+    )
+    inputs = {"graph": "petersen.txt", "p": 2}
+    assert rep == {"command": "audit", "error": error, "inputs": inputs, "schema": cli.SCHEMA}
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("p", [1, 0, -3])
@@ -260,6 +341,59 @@ def test_parser_is_built_once_and_each_call_gets_its_own_namespace():
     assert rc1 == rc2 == 0
     assert "timing_ms" not in json.loads(out1)
     assert out2.startswith("a = ") and "\ntiming_ms = " in out2
+
+
+SMALL = st.integers(min_value=-10, max_value=5000)
+
+
+@st.composite
+def p_and_r(draw, max_p):
+    """(p, r): r is often a divisor of 2(p+1), as a valid r must be."""
+    p = draw(st.integers(min_value=-10, max_value=max_p))
+    divisors = exactnum.divisors(2 * (p + 1)) if p >= 0 else [1]
+    r = draw(st.one_of(st.sampled_from(divisors), SMALL))
+    return p, r
+
+
+@st.composite
+def integer_argvs(draw):
+    """An argv of scan, array, profile or bounds with integer arguments,
+    each kept to a report made in well under a second."""
+    command = draw(st.sampled_from(["scan", "array", "profile", "bounds"]))
+    if command == "scan":
+        p_min = draw(SMALL)
+        args = [p_min, p_min + draw(st.integers(min_value=-20, max_value=8))]
+    elif command == "array":
+        args = list(draw(p_and_r(10**6)))
+    elif command == "profile":
+        p, r = draw(p_and_r(2000))
+        ell = draw(st.one_of(st.sampled_from([2, 3, 5, 7, 11, 13, 23, 29]), SMALL))
+        args = [p, r, ell]
+    else:
+        args = [draw(st.one_of(st.integers(min_value=-10, max_value=10**5), st.integers(10**8, 10**12)))]
+    fmt = draw(st.sampled_from(["json", "text"]))
+    return ["--format", fmt, "--deterministic", command, *map(str, args)]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(integer_argvs())
+def test_integer_arguments_succeed_or_are_refused(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = cli.main(argv, out=out)
+    out, err = out.getvalue(), err.getvalue()
+    assert rc in (0, 2), (argv, rc, err)
+    if rc == 2:
+        assert out == ""
+        # argparse prints its usage and its own error lines
+        if not err.startswith("usage: "):
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+    elif argv[1] == "json":
+        report = json.loads(out)
+        assert (report["schema"], report["command"]) == (cli.SCHEMA, argv[3])
+    else:
+        lines = out.splitlines()
+        assert f'command = "{argv[3]}"' in lines and f'schema = "{cli.SCHEMA}"' in lines
 
 
 def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
@@ -335,6 +469,57 @@ class CharCount:
 
     def write(self, text):
         self.chars += len(text)
+
+
+class Tee:
+    """An output stream that runs another report from inside its first
+    write, as a logging tee that reports its own work might."""
+
+    def __init__(self, argv):
+        self.argv = argv
+        self.parts = []
+        self.inner = None
+
+    def write(self, text):
+        if self.inner is None:
+            self.inner = run(self.argv)
+        self.parts.append(text)
+
+
+def test_a_report_made_inside_another_reports_write_leaves_both_whole():
+    # both reports hold long integer sequences (more than 4096 primes)
+    outer = ["--format", "json", "--deterministic", "bounds", "60013"]
+    inner = ["--format", "json", "--deterministic", "bounds", "40009"]
+    tee = Tee(inner)
+    assert cli.main(outer, out=tee) == 0
+    assert "".join(tee.parts) == run(outer)[1]
+    assert tee.inner == run(inner)
+
+
+def test_reports_made_in_threads_at_once_stay_whole():
+    argvs = [
+        ["--format", "json", "--deterministic", "bounds", "60013"],
+        ["--format", "json", "--deterministic", "profile", "2003", "3", "7"],
+    ] * 2
+    expected = [run(argv) for argv in argvs]
+    results = [[] for _ in argvs]
+
+    def work(i):
+        for _ in range(6):
+            results[i].append(run(argvs[i]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(argvs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    wrong = sum(got != want for got_list, want in zip(results, expected) for got in got_list)
+    assert sum(map(len, results)) == 24 and wrong == 0
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])

@@ -138,6 +138,11 @@ def test_divisors():
     assert divisors(1) == [1]
     assert divisors(56) == [1, 2, 4, 7, 8, 14, 28, 56]
     assert divisors(115) == [1, 5, 23, 115]
+    # several arguments: the divisors of their product
+    assert divisors(8, 7) == divisors(4, 14) == divisors(56)
+    assert divisors(5, 23, 1) == divisors(115)
+    with pytest.raises(ValueError):
+        divisors(3, 0)
 
 
 def test_is_prime_spot_checks():

@@ -83,6 +83,13 @@ def test_exactnum_matches_sympy_on_products_of_large_primes(sympy):
         check_against_sympy(sympy, n)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=10**8), min_size=1, max_size=4))
+@example([1000000006, 1000000012000000034])  # p + 2 and s at p = 1000000004
+def test_divisors_of_several_factors_match_sympy(sympy, factors):
+    assert divisors(*factors) == sympy.divisors(math.prod(factors))
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.integers(min_value=2**19, max_value=2**39),
@@ -118,6 +125,17 @@ def test_bounds_with_two_large_cofactor_primes_finish(sympy):
     assert rc == 0 and elapsed < 10
     s = (p + 1) ** 2 - 2
     assert report["block_sizes"] == [d for d in sympy.divisors(family_order(p - 1)) if d <= s]
+
+
+def test_bounds_at_a_large_composite_p_finish(sympy):
+    # (p+2)s is about 1e27, past the reach of rho, and the least prime of
+    # its cofactor is 500000003: factorising the product took 51 s, while
+    # p + 2 and s factorise apart in well under a second
+    p = 1000000004
+    rc, report, elapsed = run_bounds(p)
+    assert rc == 0 and elapsed < 5
+    s = (p + 2) ** 2 - 2
+    assert report["block_sizes"] == [d for d in sympy.divisors((p + 2) * s) if d <= s]
 
 
 def test_spectrum_bounds_match_sympy(sympy):
