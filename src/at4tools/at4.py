@@ -13,8 +13,7 @@ matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from collections import namedtuple
 
 from .exactnum import divisors
 from .srg import SrgParams, srg_spectrum
@@ -34,17 +33,26 @@ def _params_violation(p: int, r: int) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class At4Params:
-    """Candidate pair (p, r).
+class At4Params(namedtuple("At4Params", "p r")):
+    """Candidate pair (p, r), a record: the tuple (p, r).
 
     Construction enforces the three existence conditions: 2 < r < p + 2,
     r | 2(p+1), and 2p(p+1)(p+2)/r even.  The first two make every array
-    entry integral.
+    entry integral.  The check is ``__post_init__``, looked up on the class
+    at each construction.
     """
 
-    p: int
-    r: int
+    __slots__ = ()
+
+    def __new__(cls, p: int, r: int):
+        self = super().__new__(cls, p, r)
+        self.__post_init__()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, and _replace through it, would skip the check
+        return cls(*iterable)
 
     def __post_init__(self):
         reason = _params_violation(self.p, self.r)
@@ -52,47 +60,60 @@ class At4Params:
             raise ValueError(reason)
 
 
-@dataclass(frozen=True)
-class IntersectionArray:
+def _array_text(b: tuple[int, ...], c: tuple[int, ...]) -> str:
+    return "{%s; %s}" % (",".join(map(str, b)), ",".join(map(str, c)))
+
+
+class IntersectionArray(namedtuple("IntersectionArray", "b c a layer_sizes")):
     """Intersection array {b_0..b_{d-1}; c_1..c_d} of a distance-regular graph.
 
-    Validates positivity, a_i >= 0 and integrality of all distance-layer
-    sizes on construction, and keeps a_0..a_d and the layer sizes k_0..k_d
-    that the validation computes: a_i = b_0 - b_i - c_i (b_d = 0, c_0 = 0),
-    k_0 = 1 and k_{i+1} = k_i b_i / c_{i+1}.
+    ``IntersectionArray(b, c)`` validates positivity, a_i >= 0 and
+    integrality of all distance-layer sizes, and keeps a_0..a_d and the
+    layer sizes k_0..k_d that the validation computes: a_i = b_0 - b_i - c_i
+    (b_d = 0, c_0 = 0), k_0 = 1 and k_{i+1} = k_i b_i / c_{i+1}.  Those two
+    follow from b and c, so the repr shows only b and c.
     """
 
-    b: tuple[int, ...]
-    c: tuple[int, ...]
-    a: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    layer_sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.b) != len(self.c) or not self.b:
+    def __new__(cls, b: tuple[int, ...], c: tuple[int, ...]):
+        if len(b) != len(c) or not b:
             raise ValueError("need b_0..b_{d-1} and c_1..c_d of equal positive length")
-        if min(self.b) <= 0 or min(self.c) <= 0:
-            raise ValueError(f"array entries must be positive: {self}")
-        if self.c[0] != 1:
-            raise ValueError(f"c_1 must be 1: {self}")
-        b0 = self.b[0]
-        a = tuple(b0 - b - c for b, c in zip(self.b + (0,), (0,) + self.c))
+        if min(b) <= 0 or min(c) <= 0:
+            raise ValueError(f"array entries must be positive: {_array_text(b, c)}")
+        if c[0] != 1:
+            raise ValueError(f"c_1 must be 1: {_array_text(b, c)}")
+        b0 = b[0]
+        a = tuple(b0 - bi - ci for bi, ci in zip(b + (0,), (0,) + c))
         if min(a) < 0:
-            raise ValueError(f"negative a_i: {self}")
+            raise ValueError(f"negative a_i: {_array_text(b, c)}")
         sizes = [1]
-        for b, c in zip(self.b, self.c):
-            num = sizes[-1] * b
-            if num % c != 0:
-                raise ValueError(f"non-integral layer size at distance {len(sizes)}: {self}")
-            sizes.append(num // c)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "layer_sizes", tuple(sizes))
+        for bi, ci in zip(b, c):
+            num = sizes[-1] * bi
+            if num % ci != 0:
+                raise ValueError(f"non-integral layer size at distance {len(sizes)}: {_array_text(b, c)}")
+            sizes.append(num // ci)
+        return super().__new__(cls, b, c, a, tuple(sizes))
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, and _replace through it, would skip the checks;
+        # a and layer_sizes are computed again from b and c
+        b, c, *_ = iterable
+        return cls(b, c)
+
+    def __getnewargs__(self):
+        return (self.b, self.c)
+
+    def __repr__(self) -> str:
+        return f"IntersectionArray(b={self.b!r}, c={self.c!r})"
 
     @property
     def diameter(self) -> int:
         return len(self.c)
 
     def __str__(self) -> str:
-        return "{%s; %s}" % (",".join(map(str, self.b)), ",".join(map(str, self.c)))
+        return _array_text(self.b, self.c)
 
 
 def feasible_r(p: int) -> tuple[int, ...]:
@@ -105,7 +126,9 @@ def feasible_r(p: int) -> tuple[int, ...]:
     return tuple([r for r in divisors(2 * (p + 1)) if _params_violation(p, r) is None])
 
 
-class ClosedForms(NamedTuple):
+class ClosedForms(
+    namedtuple("ClosedForms", "b c a layer_sizes vertices triple_constant eigenvalues sub_b sub_c")
+):
     """Every array quantity of a candidate (p, r).
 
     ``b`` and ``c`` are the intersection array, ``a`` is a_0..a_4 and
@@ -114,15 +137,7 @@ class ClosedForms(NamedTuple):
     ``sub_c`` are the array induced on the distance-2 graph of a vertex.
     """
 
-    b: tuple[int, int, int, int]
-    c: tuple[int, int, int, int]
-    a: tuple[int, int, int, int, int]
-    layer_sizes: tuple[int, int, int, int, int]
-    vertices: int
-    triple_constant: int
-    eigenvalues: tuple[int, int, int, int, int]
-    sub_b: tuple[int, int, int, int]
-    sub_c: tuple[int, int, int, int]
+    __slots__ = ()
 
 
 def _closed_forms(p, r) -> ClosedForms:

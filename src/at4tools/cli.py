@@ -4,6 +4,9 @@ Subcommands: scan, array, profile, bounds, verify, audit.  Reports are
 byte-identical for identical inputs; wall-clock timing is attached in a
 separate optional field and suppressed entirely under --deterministic.
 
+Only ``verify`` and ``audit`` need the graph module: they import
+``at4tools.graphcheck`` at first use, so the other commands start without it.
+
 Exit codes: 0 success, 1 audit or constraint failure findings, 2 usage
 error, 3 input error, 4 internal error (an unexpected exception).  Each
 ``_cmd_*`` function returns its exit code and report body, or raises
@@ -22,12 +25,11 @@ import os
 import sys
 import threading
 import time
-from dataclasses import is_dataclass
 from fractions import Fraction
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 
-from . import at4, graphcheck, higman
+from . import at4, higman
 from .exactnum import is_prime, prime_power_base
 from .srg import (
     clique_bound,
@@ -91,11 +93,18 @@ _SLICE = 4096
 _PRINTING = threading.local()
 
 
+def _is_record(kind: type) -> bool:
+    """Whether ``kind`` is a record type, a named tuple such as the
+    package's report records: a record prints as the dict of its fields,
+    which comes before the rule that prints a tuple as a list."""
+    return issubclass(kind, tuple) and hasattr(kind, "_fields")
+
+
 def _json(value, indent: str = "") -> str:
     """``json.dumps(value, sort_keys=True, indent=2)``, ASCII-escaped, for
-    report values: sets print as sorted lists, tuples and ranges as lists,
-    dataclasses as the dict of their fields, Fractions as strings and keys
-    as str."""
+    report values: records print as the dict of their fields, sets as
+    sorted lists, other tuples and ranges as lists, Fractions as strings
+    and keys as str."""
     kind = type(value)
     if kind is int:
         return int.__repr__(value)
@@ -107,12 +116,12 @@ def _json(value, indent: str = "") -> str:
         return "null"
     if isinstance(value, dict):
         return _dict(value, indent)
+    if _is_record(kind):
+        return _dict(value._asdict(), indent)
     if isinstance(value, (set, frozenset)):
         value = sorted(value)
     if isinstance(value, _SEQUENCES):
         return _sequence(indent)(value)
-    if is_dataclass(value):
-        return _dict(vars(value), indent)
     if isinstance(value, Fraction):
         value = str(value)
     return json.dumps(value)
@@ -170,7 +179,7 @@ def _printer(kind: type, indent: str):
         return _BOOLS
     if issubclass(kind, dict):
         return functools.partial(_dict, indent=indent)
-    if issubclass(kind, _SEQUENCES):
+    if issubclass(kind, _SEQUENCES) and not _is_record(kind):
         return _sequence(indent)
     return functools.partial(_json, indent=indent)
 
@@ -196,8 +205,8 @@ def _sequence(indent: str):
 
 
 def _flatten(value, path, lines):
-    if is_dataclass(value):
-        value = vars(value)
+    if _is_record(type(value)):
+        value = value._asdict()
     if isinstance(value, dict):
         for key, v in _items(value):
             _flatten(v, f"{path}.{key}" if path else key, lines)
@@ -211,7 +220,7 @@ def _flatten(value, path, lines):
     elif type(value) is range:
         lines.append(f"{path} = [" + ", ".join(map(repr, value)) + "]")
     elif isinstance(value, _SEQUENCES):
-        if any(isinstance(v, _CONTAINERS) or is_dataclass(v) for v in value):
+        if any(isinstance(v, _CONTAINERS) for v in value):
             for i, v in enumerate(value):
                 _flatten(v, f"{path}.{i}", lines)
         else:
@@ -318,7 +327,7 @@ def _scan_entry(p: int) -> dict:
         "s": s,
         "s_prime": is_prime(s),
         "feasible_r": [r for r, _ in forms],
-        "local_srg": local.as_tuple(),
+        "local_srg": list(local),
         "local_fix_bound": fixed_point_order_bound(local),
         "clique_bound": clique_bound(p),
         "arrays": [{"r": r, **_array_payload(r, f)} for r, f in forms],
@@ -343,10 +352,8 @@ def _cmd_scan(args) -> tuple[int, dict]:
 def _cmd_array(args) -> tuple[int, dict]:
     report = _array_payload(args.r, at4.closed_forms(_params(args.p, args.r)))
     report["inputs"] = {"p": args.p, "r": args.r}
-    report["quotient_srg"] = list(at4.quotient_params(args.p).as_tuple())
-    report["second_subconstituent_quotient_srg"] = list(
-        at4.second_subconstituent_quotient(args.p).as_tuple()
-    )
+    report["quotient_srg"] = list(at4.quotient_params(args.p))
+    report["second_subconstituent_quotient_srg"] = list(at4.second_subconstituent_quotient(args.p))
     return EXIT_OK, report
 
 
@@ -391,7 +398,7 @@ def _cmd_bounds(args) -> tuple[int, dict]:
     spec = srg_spectrum(params)
     report = {
         "inputs": {"p": p},
-        "local_srg": list(params.as_tuple()),
+        "local_srg": list(params),
         "spectrum": {
             "k": spec.k,
             "theta_pos": spec.theta_pos,
@@ -423,6 +430,8 @@ def _read(path: str) -> str:
 
 def _parse(parse, *args):
     """``parse(*args)``, or an input refusal for the GraphError it raises."""
+    from . import graphcheck
+
     try:
         return parse(*args)
     except graphcheck.GraphError as exc:
@@ -430,6 +439,8 @@ def _parse(parse, *args):
 
 
 def _cmd_verify(args) -> tuple[int, dict]:
+    from . import graphcheck
+
     g, warnings = _parse(graphcheck.parse_graph, _read(args.graph))
     drg = graphcheck.verify_drg(g)
     srg_params = graphcheck.srg_of_array(g.n, drg)
@@ -439,7 +450,7 @@ def _cmd_verify(args) -> tuple[int, dict]:
         "edges": g.edge_count(),
         "connected": drg is not None or g.is_connected(),
         "warnings": list(warnings),
-        "srg": list(srg_params.as_tuple()) if srg_params else None,
+        "srg": list(srg_params) if srg_params else None,
         "drg": {"b": list(drg.b), "c": list(drg.c)} if drg else None,
     }
     return EXIT_OK, report
@@ -448,6 +459,8 @@ def _cmd_verify(args) -> tuple[int, dict]:
 def _cmd_audit(args) -> tuple[int, dict]:
     if args.p < 2:
         raise _Refusal(EXIT_USAGE, f"p must be >= 2, got {args.p}")
+    from . import graphcheck
+
     # both files are read before either is parsed: a read error comes first
     graph_text, perm_text = _read(args.graph), _read(args.perms)
     g, _ = _parse(graphcheck.parse_graph, graph_text)
@@ -458,7 +471,7 @@ def _cmd_audit(args) -> tuple[int, dict]:
     except graphcheck.GraphError as exc:
         return EXIT_FINDINGS, {"inputs": inputs, "error": str(exc)}
     inputs["perms"] = os.path.basename(args.perms)
-    return (EXIT_OK if audit.ok else EXIT_FINDINGS), {"inputs": inputs, **vars(audit)}
+    return (EXIT_OK if audit.ok else EXIT_FINDINGS), {"inputs": inputs, **audit._asdict()}
 
 
 @functools.cache

@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from functools import lru_cache
 from itertools import combinations, repeat
 
@@ -588,16 +587,14 @@ def _maps_rows(rows, adj, sigma) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(namedtuple("AuditReport", "p total passed failures orders")):
     """Per-element outcomes of auditing measured automorphism profiles
-    against the character-sum constraints."""
+    against the character-sum constraints: of ``total`` elements at p,
+    ``passed`` passed; ``failures`` holds (index, failure codes) per failed
+    element and ``orders`` the order of each element (0 for one that is not
+    an automorphism)."""
 
-    p: int
-    total: int
-    passed: int
-    failures: tuple[tuple[int, tuple[str, ...]], ...]
-    orders: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -613,7 +610,7 @@ def audit_family_graph(g: Graph, p: int, sigmas) -> AuditReport:
     measured = verify_srg(g)
     if measured != params:
         raise GraphError(
-            f"graph verifies as {measured and measured.as_tuple()}, expected {params.as_tuple()}"
+            f"graph verifies as {measured and tuple(measured)}, expected {tuple(params)}"
         )
     bound = fixed_point_order_bound(params)
     n1, n2 = family_multiplicities(p)

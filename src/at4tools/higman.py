@@ -26,7 +26,7 @@ a constraint outside its range of validity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .at4 import At4Params
@@ -45,40 +45,37 @@ FAIL = "fail"
 INAPPLICABLE = "inapplicable"
 
 
-@dataclass(frozen=True)
-class AutProfile:
+class AutProfile(namedtuple("AutProfile", "order alpha0 alpha1 alpha2")):
     """Distance distribution (alpha_0, alpha_1, alpha_2) of an automorphism
     of a diameter-2 graph, together with the element's order."""
 
-    order: int
-    alpha0: int
-    alpha1: int
-    alpha2: int
+    __slots__ = ()
 
     def counts(self) -> tuple[int, int, int]:
         return (self.alpha0, self.alpha1, self.alpha2)
 
 
-@dataclass(frozen=True)
-class Condition:
-    """One named check inside a case report."""
+class Condition(namedtuple("Condition", "code ok detail", defaults=("",))):
+    """One named check inside a case report: its code, whether it holds,
+    and a detail string (default empty)."""
 
-    code: str
-    ok: bool
-    detail: str = ""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CaseReport:
+class CaseReport(namedtuple("CaseReport", "label params verdict conditions data notes")):
     """Outcome of one case analysis: a verdict plus every condition that was
-    checked, so a failing report doubles as an exclusion certificate."""
+    checked, so a failing report doubles as an exclusion certificate.
 
-    label: str
-    params: tuple
-    verdict: str
-    conditions: tuple[Condition, ...] = ()
-    data: dict = field(default_factory=dict)
-    notes: tuple[str, ...] = ()
+    ``CaseReport(label, params, verdict, conditions=(), data=None,
+    notes=())``: ``params`` is a tuple, ``conditions`` a tuple of Condition,
+    ``data`` a dict (a report made without one gets a new empty dict of its
+    own) and ``notes`` a tuple of str.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, label: str, params: tuple, verdict: str, conditions=(), data=None, notes=()):
+        return super().__new__(cls, label, params, verdict, conditions, {} if data is None else data, notes)
 
 
 def _inapplicable(label: str, params: tuple, why: str) -> CaseReport:

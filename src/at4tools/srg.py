@@ -14,7 +14,7 @@ character values of at4tools.higman to an independent route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .exactnum import exact_sqrt
 
@@ -23,46 +23,33 @@ class SpectrumError(ValueError):
     """Raised when SRG parameters admit no integral (or conference) spectrum."""
 
 
-@dataclass(frozen=True)
-class SrgParams:
+class SrgParams(namedtuple("SrgParams", "v k lam mu")):
     """Parameter tuple (v, k, lam, mu) of a strongly regular graph."""
 
-    v: int
-    k: int
-    lam: int
-    mu: int
+    __slots__ = ()
 
     def identity_holds(self) -> bool:
         """The basic counting identity k(k - lam - 1) = (v - k - 1) mu."""
         return self.k * (self.k - self.lam - 1) == (self.v - self.k - 1) * self.mu
 
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.v, self.k, self.lam, self.mu)
 
+class Spectrum(namedtuple("Spectrum", "k theta_pos m_pos theta_neg m_neg conference", defaults=(False,))):
+    """Eigenvalues of an SRG: k once, theta_pos and theta_neg with
+    multiplicities m_pos and m_neg.
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues of an SRG: k once, theta_pos and theta_neg with multiplicities.
-
-    ``conference=True`` marks the half-case where the non-principal
-    eigenvalues are irrational; both multiplicities are then (v-1)/2 and the
-    theta fields are None.
+    ``conference=True`` (default False) marks the half-case where the
+    non-principal eigenvalues are irrational; both multiplicities are then
+    (v-1)/2 and the theta fields are None.
     """
 
-    k: int
-    theta_pos: int | None
-    m_pos: int
-    theta_neg: int | None
-    m_neg: int
-    conference: bool = False
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """Pass/fail outcome with machine-readable reasons for every failure."""
+class Verdict(namedtuple("Verdict", "ok reasons", defaults=((),))):
+    """Pass/fail outcome ``ok`` with a tuple of machine-readable ``reasons``
+    (default empty), one for every failure."""
 
-    ok: bool
-    reasons: tuple[str, ...] = ()
+    __slots__ = ()
 
 
 def local_family_params(p: int) -> SrgParams:
@@ -81,9 +68,9 @@ def srg_spectrum(params: SrgParams) -> Spectrum:
     parameters are not of conference type, or when a multiplicity fails to
     be a non-negative integer.
     """
-    v, k, lam, mu = params.as_tuple()
+    v, k, lam, mu = params
     if not params.identity_holds():
-        raise SpectrumError(f"violated counting identity: {params.as_tuple()}")
+        raise SpectrumError(f"violated counting identity: {tuple(params)}")
     disc = (lam - mu) ** 2 + 4 * (k - mu)
     root = exact_sqrt(disc)
     if root is None:
@@ -91,18 +78,18 @@ def srg_spectrum(params: SrgParams) -> Spectrum:
         if 2 * k + (v - 1) * (lam - mu) == 0 and (v - 1) % 2 == 0:
             half = (v - 1) // 2
             return Spectrum(k, None, half, None, half, conference=True)
-        raise SpectrumError(f"irrational spectrum with unequal multiplicities: {params.as_tuple()}")
+        raise SpectrumError(f"irrational spectrum with unequal multiplicities: {tuple(params)}")
     if root == 0:
-        raise SpectrumError(f"repeated non-principal eigenvalue: {params.as_tuple()}")
+        raise SpectrumError(f"repeated non-principal eigenvalue: {tuple(params)}")
     theta_pos = (lam - mu + root) // 2
     theta_neg = (lam - mu - root) // 2
     num = 2 * k + (v - 1) * (lam - mu)
     if num % root != 0 or (v - 1 - num // root) % 2 != 0:
-        raise SpectrumError(f"non-integral multiplicities: {params.as_tuple()}")
+        raise SpectrumError(f"non-integral multiplicities: {tuple(params)}")
     m_pos = (v - 1 - num // root) // 2
     m_neg = (v - 1) - m_pos
     if m_pos < 0 or m_neg < 0:
-        raise SpectrumError(f"negative multiplicity: {params.as_tuple()}")
+        raise SpectrumError(f"negative multiplicity: {tuple(params)}")
     return Spectrum(k, theta_pos, m_pos, theta_neg, m_neg)
 
 
@@ -128,14 +115,14 @@ def fixed_point_order_bound(params: SrgParams) -> int:
     """
     spec = srg_spectrum(params)
     if spec.conference:
-        raise SpectrumError(f"bound needs an integral spectrum: {params.as_tuple()}")
+        raise SpectrumError(f"bound needs an integral spectrum: {tuple(params)}")
     return params.mu * params.v // (params.k - spec.theta_pos)
 
 
 def feasibility_basic(params: SrgParams) -> Verdict:
     """Screen (v, k, lam, mu) for the basic SRG feasibility conditions."""
     reasons = []
-    v, k, lam, mu = params.as_tuple()
+    v, k, lam, mu = params
     if min(v, k, lam, mu) < 0:
         reasons.append("negative-parameter")
     if v <= k:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -114,6 +116,41 @@ def test_params_validation():
         At4Params(5, 4)  # 420/4 = 105 is odd
 
 
+def test_params_check_is_looked_up_on_the_class(monkeypatch):
+    # a tracer replaces At4Params.__post_init__ to count constructions
+    seen = []
+    check = At4Params.__post_init__
+    monkeypatch.setattr(At4Params, "__post_init__", lambda self: seen.append(tuple(self)) or check(self))
+    At4Params(2, 3)
+    with pytest.raises(ValueError):
+        At4Params(5, 4)
+    assert seen == [(2, 3), (5, 4)]
+
+
+def test_records_are_immutable_tuples_with_their_repr():
+    params = At4Params(2, 3)
+    assert params == (2, 3) and hash(params) == hash((2, 3))
+    assert repr(params) == "At4Params(p=2, r=3)"
+    arr = intersection_array(params)
+    assert repr(arr) == "IntersectionArray(b=(56, 45, 16, 1), c=(1, 8, 45, 56))"
+    assert arr._asdict() == {
+        "b": (56, 45, 16, 1),
+        "c": (1, 8, 45, 56),
+        "a": (0, 10, 32, 10, 0),
+        "layer_sizes": (1, 56, 315, 112, 2),
+    }
+    for record in (params, arr):
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], ())
+        assert copy.deepcopy(record) == record == pickle.loads(pickle.dumps(record))
+    # _replace builds a new record through the same checks
+    with pytest.raises(ValueError):
+        params._replace(r=4)
+    with pytest.raises(ValueError):
+        arr._replace(c=(2, 8, 45, 56))
+    assert arr._replace(b=(56, 45, 16, 2), c=(1, 8, 45, 28)).layer_sizes == (1, 56, 315, 112, 8)
+
+
 def test_feasible_r():
     assert feasible_r(2) == (3,)
     assert feasible_r(3) == (4,)
@@ -153,15 +190,15 @@ def test_antipodal_check():
 
 
 def test_quotient_params():
-    assert quotient_params(2).as_tuple() == (162, 56, 10, 24)
-    assert quotient_params(3).as_tuple() == (392, 115, 18, 40)
-    assert quotient_params(11).as_tuple() == (16200, 2171, 154, 312)
+    assert quotient_params(2) == (162, 56, 10, 24)
+    assert quotient_params(3) == (392, 115, 18, 40)
+    assert quotient_params(11) == (16200, 2171, 154, 312)
 
 
 def test_second_subconstituent_quotient():
-    assert second_subconstituent_quotient(2).as_tuple() == (105, 32, 4, 12)
-    assert second_subconstituent_quotient(3).as_tuple() == (276, 75, 10, 24)
-    assert second_subconstituent_quotient(5).as_tuple() == (1128, 245, 28, 60)
+    assert second_subconstituent_quotient(2) == (105, 32, 4, 12)
+    assert second_subconstituent_quotient(3) == (276, 75, 10, 24)
+    assert second_subconstituent_quotient(5) == (1128, 245, 28, 60)
 
 
 def test_second_subconstituent_array():
@@ -258,7 +295,7 @@ def test_generated_arrays_invariants():
             assert v == sum(sizes)
             # quotient read off the array equals the closed-form quotient
             quot = (v // params.r, arr.b[0], arr.a[1], params.r * arr.c[1])
-            assert quot == quotient_params(p).as_tuple()
+            assert quot == quotient_params(p)
             # the generic antipodal quotient mu = r*c2 agrees with 2(p+1)(p+2)
             assert params.r * arr.c[1] == 2 * (p + 1) * (p + 2)
             # second subconstituent is antipodal with the same index

@@ -13,6 +13,19 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import at4tools
 from at4tools import cli, exactnum, graphcheck, higman
 
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def child_env() -> dict:
+    """The environment of a child interpreter that imports this at4tools."""
+    src = str(Path(at4tools.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
 
 def run(argv):
     buf = io.StringIO()
@@ -375,13 +388,9 @@ def integer_argvs(draw):
     return ["--format", fmt, "--deterministic", command, *map(str, args)]
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(integer_argvs())
-def test_integer_arguments_succeed_or_are_refused(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stderr(err):
-        rc = cli.main(argv, out=out)
-    out, err = out.getvalue(), err.getvalue()
+def assert_succeeds_or_is_refused(argv, rc, out, err):
+    """Exit 0 with a report that names its schema and command, or exit 2
+    with nothing on stdout and one ``error:`` line unless argparse refused."""
     assert rc in (0, 2), (argv, rc, err)
     if rc == 2:
         assert out == ""
@@ -394,6 +403,59 @@ def test_integer_arguments_succeed_or_are_refused(argv):
     else:
         lines = out.splitlines()
         assert f'command = "{argv[3]}"' in lines and f'schema = "{cli.SCHEMA}"' in lines
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(integer_argvs())
+def test_integer_arguments_succeed_or_are_refused(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = cli.main(argv, out=out)
+    assert_succeeds_or_is_refused(argv, rc, out.getvalue(), err.getvalue())
+
+
+@pytest.mark.skipif(resource is None, reason="the child's memory cap needs the resource module")
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(integer_argvs())
+def test_integer_arguments_in_a_fresh_process_succeed_or_are_refused(argv):
+    # each example is a cold start of the console entry point, with a time
+    # limit and a 1 GiB address-space cap set on the child only
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "at4tools.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        preexec_fn=limit,
+        timeout=60,
+    )
+    assert_succeeds_or_is_refused(argv, proc.returncode, proc.stdout, proc.stderr)
+
+
+# Run with -S, so that no site hook loads modules: what is loaded is what the
+# package imports.
+COLD_START = """
+import io, sys
+from at4tools import cli
+assert cli.main(["--deterministic", "bounds", "11"], out=io.StringIO()) == 0
+print(sorted({"dataclasses", "at4tools.graphcheck"} & set(sys.modules)))
+assert cli.main(["--deterministic", "verify", sys.argv[1]], out=io.StringIO()) == 0
+print("at4tools.graphcheck" in sys.modules)
+"""
+
+
+def test_cold_start_loads_graphcheck_only_for_a_graph_command():
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", COLD_START, str(DATA / "c5_one_sided.txt")],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[]\nTrue\n"
 
 
 def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
@@ -424,13 +486,11 @@ def test_memory_error_exits_4_without_traceback():
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
-    src = str(Path(at4tools.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "at4tools.cli", "bounds", "9999991"],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
         preexec_fn=limit,
         timeout=60,
     )
@@ -442,13 +502,11 @@ def test_memory_error_exits_4_without_traceback():
 def test_reader_that_closes_stdout_early_is_not_an_error():
     # 4.6 MB of JSON, far more than a pipe holds: the writer meets the
     # closed pipe in the middle of the report
-    src = str(Path(at4tools.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.Popen(
         [sys.executable, "-m", "at4tools.cli", "--format", "json", "profile", "2003", "3", "7"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=child_env(),
     )
     try:
         assert proc.stdout.read(20) == b'{\n  "alpha1_fixed_po'
@@ -553,13 +611,11 @@ def test_verify_of_a_perfect_matching_runs_in_bounded_memory(tmp_path):
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
-    src = str(Path(at4tools.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "at4tools.cli", "--format", "json", "--deterministic", "verify", str(path)],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
         preexec_fn=limit,
         timeout=120,
     )

@@ -127,8 +127,8 @@ def test_quotient_spectra():
     # the valency is the principal eigenvalue: the other two differ from it
     assert not same(quotient[1], P) and not same(second[1], P)
     for p in range(2, 41):
-        assert at4.quotient_params(p).as_tuple() == tuple(q.subs(P, p) for q in quotient)
-        assert at4.second_subconstituent_quotient(p).as_tuple() == tuple(
+        assert at4.quotient_params(p) == tuple(q.subs(P, p) for q in quotient)
+        assert at4.second_subconstituent_quotient(p) == tuple(
             q.subs(P, p) for q in second
         )
 

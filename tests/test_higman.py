@@ -9,6 +9,7 @@ from at4tools.higman import (
     INAPPLICABLE,
     PASS,
     AutProfile,
+    CaseReport,
     alpha1_candidates,
     alpha1_residues,
     block_size_filter,
@@ -294,6 +295,14 @@ def test_cover_order_case_split_is_exclusive():
         big_divisors = {q for q in free if q > p and s % q == 0}
         assert p + 2 not in free
         assert not big_divisors
+
+
+def test_case_report_without_data_gets_a_dict_of_its_own():
+    first, second = CaseReport("x", (), PASS), CaseReport("x", (), PASS)
+    assert first.data == {} and first.data is not second.data
+    assert first == ("x", (), PASS, (), {}, ())
+    inapplicable = centralizer_filter(4)
+    assert inapplicable.data == {} and inapplicable.data is not centralizer_filter(4).data
 
 
 def test_cover_fix_bound():

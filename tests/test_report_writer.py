@@ -5,23 +5,25 @@ On random nested report values the JSON writer must print the bytes of
 text writer the lines of ``ref_text(ref_normalise(x))``, where both
 references are the plain normalise-then-print route kept here."""
 
-import dataclasses
 import io
 import json
+from collections import namedtuple
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from at4tools import cli
+from at4tools.at4 import IntersectionArray
 from at4tools.higman import CaseReport, Condition
 from at4tools.srg import Verdict
 
 
 def ref_normalise(value):
-    """Dataclasses to the dict of their fields, Fractions to strings, sets to
-    sorted lists, tuples and ranges to lists, keys to str."""
-    if dataclasses.is_dataclass(value):
-        return ref_normalise(dataclasses.asdict(value))
+    """Records (named tuples) to the dict of their fields, Fractions to
+    strings, sets to sorted lists, other tuples and ranges to lists, keys to
+    str."""
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        return ref_normalise({name: getattr(value, name) for name in value._fields})
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, (frozenset, set)):
@@ -79,10 +81,7 @@ leaves = (
 keys = texts | st.integers(-2, 2) | st.booleans() | st.sampled_from(["1", "True", "%s", "%", "{0}", "}{", "%%d"])
 
 
-@dataclasses.dataclass(frozen=True)
-class Pair:
-    first: object
-    second: object
+Pair = namedtuple("Pair", "first second")
 
 
 values = st.recursive(
@@ -174,6 +173,8 @@ def test_writers_on_edge_values():
             "label", (3, 4), "fail", (Condition("c", False, "d"),), {"inner": Verdict(True)}, ("n",)
         ),
         "bare_case": CaseReport("label", (), "inapplicable"),
+        # a record prints every field, a and layer_sizes too, though its repr omits them
+        "array": IntersectionArray((3, 2), (1, 1)),
     }
     assert emit(report, "json") == json.dumps(ref_normalise(report), sort_keys=True, indent=2) + "\n"
     assert emit(report, "text") == ref_text(ref_normalise(report))

@@ -17,9 +17,9 @@ from oracles import second_eigenmatrix
 
 
 def test_local_family_params():
-    assert local_family_params(2).as_tuple() == (56, 10, 0, 2)
-    assert local_family_params(3).as_tuple() == (115, 18, 1, 3)
-    assert local_family_params(11).as_tuple() == (2171, 154, 9, 11)
+    assert local_family_params(2) == (56, 10, 0, 2)
+    assert local_family_params(3) == (115, 18, 1, 3)
+    assert local_family_params(11) == (2171, 154, 9, 11)
     with pytest.raises(ValueError):
         local_family_params(1)
 
