@@ -4,6 +4,10 @@ Subcommands: scan, array, profile, bounds, verify, audit.  Reports are
 byte-identical for identical inputs; wall-clock timing is attached in a
 separate optional field and suppressed entirely under --deterministic.
 
+Both formats are printed by one traversal of the report, ``_walk``: JSON
+as ``json.dumps(report, sort_keys=True, indent=2)`` prints it, text as one
+``path = value`` line per leaf.
+
 Only ``verify`` and ``audit`` need the graph module: they import
 ``at4tools.graphcheck`` at first use, so the other commands start without it.
 
@@ -23,10 +27,8 @@ import functools
 import json
 import os
 import sys
-import threading
 import time
-from fractions import Fraction
-from itertools import repeat
+from itertools import groupby, islice
 from json.encoder import encode_basestring_ascii
 
 from . import at4, higman
@@ -73,201 +75,136 @@ def _params(p: int, r: int) -> at4.At4Params:
         raise _Refusal(EXIT_USAGE, str(exc)) from None
 
 
-def _items(report: dict) -> list:
-    """Items of a report dict with every key made a str, sorted by key."""
-    return sorted({str(k): v for k, v in report.items()}.items())
-
-
-_INTS = frozenset({int})
-_CONTAINERS = (dict, list, tuple, set, frozenset, range)
 _SEQUENCES = (list, tuple, range)
-_BOOLS = {True: "true", False: "false"}.__getitem__
+_CONTAINERS = (dict, set, frozenset, *_SEQUENCES)
+_INTS = frozenset({int})
+# containers that print as they are; a set, a record or a subclass is converted first
+_PLAIN = frozenset({list, tuple, range, dict})
+_NAMED = {True: "true", False: "false", None: "null"}.__getitem__
+# the printers of the exact scalar types; any other leaf prints as json.dumps
+_SCALARS = {int: repr, str: encode_basestring_ascii, bool: _NAMED, type(None): _NAMED}
 # An exact-int list or tuple, or a range, longer than this is written to
 # ``out`` in slices of this many items, never joined whole.
 _SLICE = 4096
-# ``_PRINTING.held`` lists the (sep, sequence) pairs of the long sequences
-# of the JSON text this thread is printing, in print order; each stands at
-# one "\x00" hole of that text, a character that no printed key or string
-# holds unescaped.  Each _emit call sets its own list, so calls in other
-# threads, or made from inside its writes, cannot reach it.
-_PRINTING = threading.local()
-
-
-def _is_record(kind: type) -> bool:
-    """Whether ``kind`` is a record type, a named tuple such as the
-    package's report records: a record prints as the dict of its fields,
-    which comes before the rule that prints a tuple as a list."""
-    return issubclass(kind, tuple) and hasattr(kind, "_fields")
-
-
-def _json(value, indent: str = "") -> str:
-    """``json.dumps(value, sort_keys=True, indent=2)``, ASCII-escaped, for
-    report values: records print as the dict of their fields, sets as
-    sorted lists, other tuples and ranges as lists, Fractions as strings
-    and keys as str."""
-    kind = type(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is bool:
-        return _BOOLS(value)
-    if value is None:
-        return "null"
-    if isinstance(value, dict):
-        return _dict(value, indent)
-    if _is_record(kind):
-        return _dict(value._asdict(), indent)
-    if isinstance(value, (set, frozenset)):
-        value = sorted(value)
-    if isinstance(value, _SEQUENCES):
-        return _sequence(indent)(value)
-    if isinstance(value, Fraction):
-        value = str(value)
-    return json.dumps(value)
-
-
-def _dict(value: dict, indent: str) -> str:
-    """A dict as _json prints it, filled into the layout of its shape."""
-    if not value:
-        return "{}"
-    values = tuple(value.values())
-    # Keys as str, not as given: 1 and True are equal keys that print apart.
-    # Each tuple is built from a list, at its final length: tuple() of a map
-    # is resized as it grows, and the free list of the final length then
-    # keeps up to 2000 such tuples per length until a full collection.
-    template, slots, printers = _layout((*map(str, value),), (*map(type, values),), indent)
-    return template % (*map(_call, printers, map(values.__getitem__, slots)),)
-
-
-def _call(printer, value) -> str:
-    return printer(value)
 
 
 @functools.lru_cache(maxsize=1024)
-def _layout(keys: tuple, kinds: tuple, indent: str) -> tuple:
-    """How a dict prints at ``indent`` when its keys, made str, are ``keys``
-    and its values have the types ``kinds``, both in the dict's order: a
-    ``%`` template with one slot per value in sorted key order, the index of
-    each slot's value and each slot's printer.  Of keys that str makes
-    equal, the last one's value prints, as in a dict of str keys.  None
-    values are written into the template."""
-    inner = indent + "  "
+def _layout(keys: tuple) -> tuple:
+    """How a dict whose keys, made str, are ``keys`` in the dict's order
+    prints: its distinct keys sorted, each key's JSON head ``"key": ``, and
+    the index of the value each key prints.  Of keys that str makes equal,
+    the last one's value prints, as in a dict of str keys."""
     last = {key: i for i, key in enumerate(keys)}
-    lines, slots, printers = [], [], []
-    for key in sorted(last):
-        i = last[key]
-        prefix = encode_basestring_ascii(key).replace("%", "%%") + ": "
-        if kinds[i] is type(None):
-            lines.append(prefix + "null")
-        else:
-            lines.append(prefix + "%s")
-            slots.append(i)
-            printers.append(_printer(kinds[i], inner))
-    pad = inner.replace("%", "%%")
-    template = "{\n" + pad + (",\n" + pad).join(lines) + "\n" + indent.replace("%", "%%") + "}"
-    return template, tuple(slots), tuple(printers)
-
-
-def _printer(kind: type, indent: str):
-    """The printer of values whose type is ``kind``, at ``indent``."""
-    if kind is int:
-        return int.__repr__
-    if kind is str:
-        return encode_basestring_ascii
-    if kind is bool:
-        return _BOOLS
-    if issubclass(kind, dict):
-        return functools.partial(_dict, indent=indent)
-    if issubclass(kind, _SEQUENCES) and not _is_record(kind):
-        return _sequence(indent)
-    return functools.partial(_json, indent=indent)
+    names = (*sorted(last),)
+    return names, (*(encode_basestring_ascii(key) + ": " for key in names),), (*map(last.__getitem__, names),)
 
 
 @functools.lru_cache(maxsize=64)
-def _sequence(indent: str):
-    """The printer of lists, tuples and ranges at ``indent``."""
+def _brackets(indent: str) -> tuple:
+    """The indent of the items of a JSON list at ``indent``, and the text
+    before, between and after them."""
     inner = indent + "  "
-    head, sep, tail = "[\n" + inner, ",\n" + inner, "\n" + indent + "]"
-
-    def sequence(value) -> str:
-        if not value:
-            return "[]"
-        # exact types: bool is an int subclass that prints as true/false
-        if type(value) is range or _INTS.issuperset(map(type, value)):
-            if len(value) > _SLICE:
-                _PRINTING.held.append((sep, value))
-                return head + "\x00" + tail
-            return head + sep.join(map(repr, value)) + tail
-        return head + sep.join(map(_json, value, repeat(inner))) + tail
-
-    return sequence
+    return inner, "[\n" + inner, ",\n" + inner, "\n" + indent + "]"
 
 
-def _flatten(value, path, lines):
-    if _is_record(type(value)):
-        value = value._asdict()
-    if isinstance(value, dict):
-        for key, v in _items(value):
-            _flatten(v, f"{path}.{key}" if path else key, lines)
-        return
-    if isinstance(value, (set, frozenset)):
-        value = sorted(value)
-    if isinstance(value, _SEQUENCES) and len(value) > _SLICE and (
-        type(value) is range or _INTS.issuperset(map(type, value))
-    ):
-        lines.append((f"{path} = [", value))
-    elif type(value) is range:
-        lines.append(f"{path} = [" + ", ".join(map(repr, value)) + "]")
-    elif isinstance(value, _SEQUENCES):
-        if any(isinstance(v, _CONTAINERS) for v in value):
-            for i, v in enumerate(value):
-                _flatten(v, f"{path}.{i}", lines)
-        else:
-            lines.append(f"{path} = [" + ", ".join(map(_json, value)) + "]")
-    else:
-        lines.append(f"{path} = {_json(value)}")
+def _walk(value, at: str, parts: list, text: bool, lead: str = "") -> None:
+    """Append the report value ``value`` to ``parts``.  In text, ``at`` is
+    the path of ``value`` and each leaf is one ``path = json`` line; in
+    JSON, ``at`` is the indent, ``lead`` the text that goes before
+    ``value``, and ``value`` prints as ``json.dumps(value, sort_keys=True,
+    indent=2)`` does after records become the dicts of their fields, sets
+    sorted lists, other tuples and ranges lists, and keys str.  A part is a
+    str, or a (sep, sequence) pair for an exact-int sequence of more than
+    _SLICE items, printed with ``sep`` between items."""
+    kind = type(value)
+    printer = _SCALARS.get(kind)
+    if printer is None:
+        if kind not in _PLAIN:
+            if isinstance(value, (set, frozenset)):
+                value = sorted(value)
+            # a record is a tuple, but prints as the dict of its fields
+            elif isinstance(value, tuple) and hasattr(value, "_fields"):
+                value = value._asdict()
+        if isinstance(value, _SEQUENCES):
+            if text:
+                head, sep, tail = at + " = [", ", ", "]\n"
+            elif value:
+                inner, head, sep, tail = _brackets(at)
+                head = lead + head
+            else:
+                parts.append(lead + "[]")
+                return
+            # exact types: bool is an int subclass that prints as true/false
+            if type(value) is range or _INTS.issuperset(map(type, value)):
+                if len(value) > _SLICE:
+                    parts += (head, (sep, value), tail)
+                else:
+                    parts.append(head + sep.join(map(repr, value)) + tail)
+            elif not any(isinstance(v, _CONTAINERS) for v in value):
+                parts.append(head + sep.join(map(_scalar, value)) + tail)
+            elif text:
+                for i, v in enumerate(value):
+                    _walk(v, f"{at}.{i}", parts, True)
+            else:
+                for v in value:
+                    _walk(v, inner, parts, False, head)
+                    head = sep
+                parts.append(tail)
+            return
+        if isinstance(value, dict):
+            # Keys as str, not as given: 1 and True are equal keys that print
+            # apart.  The tuple is built from a list, at its final length:
+            # tuple() of a map is resized as it grows, and the free list of
+            # the final length then keeps such tuples until a full collection.
+            names, heads, slots = _layout((*map(str, value),))
+            values = [*value.values()]
+            if text:
+                for name, i in zip(names, slots):
+                    _walk(values[i], f"{at}.{name}" if at else name, parts, True)
+                return
+            if not values:
+                parts.append(lead + "{}")
+                return
+            inner = at + "  "
+            lead, sep = lead + "{\n" + inner, ",\n" + inner
+            for head, i in zip(heads, slots):
+                v = values[i]
+                printer = _SCALARS.get(type(v))
+                if printer is None:
+                    _walk(v, inner, parts, False, lead + head)
+                else:
+                    parts.append(lead + head + printer(v))
+                lead = sep
+            parts.append("\n" + at + "}")
+            return
+        printer = json.dumps
+    parts.append(f"{at} = {printer(value)}\n" if text else lead + printer(value))
 
 
-def _write_slices(seq, sep: str, out) -> None:
-    """The items of ``seq`` joined by ``sep``, written _SLICE at a time."""
-    for i in range(0, len(seq), _SLICE):
-        if i:
-            out.write(sep)
-        out.write(sep.join(map(repr, seq[i : i + _SLICE])))
+def _scalar(value) -> str:
+    """A leaf printed as JSON."""
+    return _SCALARS.get(type(value), json.dumps)(value)
 
 
 def _emit(report: dict, fmt: str, out) -> None:
-    """Write ``report`` to ``out``.  The whole text is made before the first
-    write, except each long integer sequence, which is written in slices."""
-    if fmt == "json":
-        _PRINTING.held = held = []
-        try:
-            text = _json(report)
-        finally:
-            del _PRINTING.held
-        # split scans the whole text one character at a time
-        parts = text.split("\x00") if held else (text,)
-        for part, (sep, seq) in zip(parts, held):
-            out.write(part)
-            _write_slices(seq, sep, out)
-        out.write(parts[-1])
-        out.write("\n")
-    else:
-        # a line is a str, or a (prefix, sequence) pair for a long sequence
-        lines: list = []
-        _flatten(report, "", lines)
-        chunk: list[str] = []
-        for line in lines:
-            if type(line) is str:
-                chunk.append(line)
-            else:
-                chunk.append(line[0])
-                out.write("\n".join(chunk))
-                _write_slices(line[1], ", ", out)
-                chunk = ["]"]
-        out.write("\n".join(chunk))
-        out.write("\n")
+    """Write ``report`` to ``out`` as JSON or as text lines.  All parts are
+    made before the first write; str parts are written joined, _SLICE at a
+    time, and each long integer sequence in slices of _SLICE items."""
+    parts: list = []
+    _walk(report, "", parts, fmt == "text")
+    # a text report with no leaf is one empty line
+    if fmt == "json" or not parts:
+        parts.append("\n")
+    for kind, group in groupby(parts, type):
+        if kind is str:
+            while run := [*islice(group, _SLICE)]:
+                out.write("".join(run))
+        else:
+            for sep, seq in group:
+                for i in range(0, len(seq), _SLICE):
+                    if i:
+                        out.write(sep)
+                    out.write(sep.join(map(repr, seq[i : i + _SLICE])))
 
 
 def _array_payload(r: int, f: at4.ClosedForms) -> dict:
@@ -284,8 +221,8 @@ def _array_payload(r: int, f: at4.ClosedForms) -> dict:
         "layer_sizes": list(f.layer_sizes),
         "vertices": f.vertices,
         "antipodal_classes": f.vertices // r,
-        # b_i = c_{4-i} and 1 + b_2/c_2 = r hold by the closed forms; r is
-        # written as a Fraction is, as a string
+        # b_i = c_{4-i} and 1 + b_2/c_2 = r hold by the closed forms; the
+        # report/1 schema gives the recovered r as a string
         "antipodal": True,
         "recovered_r": str(r),
         "kernel_order_divides": r,
@@ -533,7 +470,7 @@ def main(argv=None, out=None) -> int:
     start = time.perf_counter()
     try:
         code, report = args.func(args)
-        # both writers sort keys, so the header can go in last
+        # the writer sorts keys, so the header can go in last
         report["schema"] = SCHEMA
         report["command"] = args.command
         if not args.deterministic:

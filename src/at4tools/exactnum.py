@@ -1,7 +1,7 @@
 """Exact integer arithmetic: factorization, primality, multiplicative orders.
 
-Everything in this package runs on plain Python integers and
-``fractions.Fraction``; no floating point is used anywhere.  Factorization
+Everything in this package runs on plain Python integers; no floating
+point is used anywhere.  Factorization
 is trial division that stops as soon as the remaining cofactor is 1 or a
 proven prime (deterministic Miller-Rabin), so its cost is set by the
 second-largest prime factor, not by the square root of n.  Past 2^12 a

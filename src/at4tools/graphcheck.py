@@ -643,7 +643,7 @@ def audit_family_graph(g: Graph, p: int, sigmas) -> AuditReport:
         if rem1 or rem2:
             codes.append("non-integral-character")
         elif is_prime(order):
-            # the congruences of higman.chi_filter
+            # the character congruences: the order divides chi_1 - n1 and chi_2 - n2
             if (chi1 - n1) % order:
                 codes.append("chi1-congruence")
             if (chi2 - n2) % order:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 
 from .at4 import At4Params
 from .exactnum import (
@@ -43,16 +42,6 @@ from .srg import Verdict, family_multiplicities
 PASS = "pass"
 FAIL = "fail"
 INAPPLICABLE = "inapplicable"
-
-
-class AutProfile(namedtuple("AutProfile", "order alpha0 alpha1 alpha2")):
-    """Distance distribution (alpha_0, alpha_1, alpha_2) of an automorphism
-    of a diameter-2 graph, together with the element's order."""
-
-    __slots__ = ()
-
-    def counts(self) -> tuple[int, int, int]:
-        return (self.alpha0, self.alpha1, self.alpha2)
 
 
 class Condition(namedtuple("Condition", "code ok detail", defaults=("",))):
@@ -111,55 +100,6 @@ def chi_numerators(p: int, a0: int, a1: int, a2: int) -> tuple[tuple[int, int], 
         (q * ((p + 3) * a0 + a1) - a2, 2 * q * (p + 2)),
         (q * (p * (p + 3) * a0 - (p + 2) * a1) + p * a2, 2 * q * (p * p + 4 * p + 2)),
     )
-
-
-def _profile_counts(p: int, profile: AutProfile) -> tuple[int, int, int]:
-    """The counts of a profile, checked to be a distribution on the local
-    graph at p >= 2."""
-    if p < 2:
-        raise ValueError(f"chi_values requires p >= 2, got {p}")
-    counts = profile.counts()
-    if min(counts) < 0 or sum(counts) != local_vertex_count(p):
-        raise ValueError(f"profile {counts} does not sum to v = {local_vertex_count(p)}")
-    return counts
-
-
-def chi_values(p: int, profile: AutProfile) -> tuple[Fraction, Fraction]:
-    """Characters of the permutation action projected to the two
-    non-principal eigenspaces of the local graph, as exact rationals.
-
-    chi_1 = ((p+3)a0/2 + a1/2 - a2/(2(p+1))) / (p+2)
-    chi_2 = (p(p+3)a0/2 - (p+2)a1/2 + p*a2/(2(p+1))) / ((p+2)^2 - 2)
-    """
-    (num1, den1), (num2, den2) = chi_numerators(p, *_profile_counts(p, profile))
-    return (Fraction(num1, den1), Fraction(num2, den2))
-
-
-def chi_filter(p: int, profile: AutProfile) -> Verdict:
-    """Integrality and order-divisibility filter on a prime-order profile.
-
-    Passes iff chi_1 and chi_2 are integers and the element order divides
-    both chi_1 - n1 and chi_2 - n2, where n1, n2 are the eigenspace
-    dimensions.
-    """
-    ell = profile.order
-    if not is_prime(ell):
-        raise ValueError(f"chi_filter requires a prime order, got {ell}")
-    (num1, den1), (num2, den2) = chi_numerators(p, *_profile_counts(p, profile))
-    chi1, rem1 = divmod(num1, den1)
-    chi2, rem2 = divmod(num2, den2)
-    reasons = []
-    if rem1:
-        reasons.append("chi1-non-integral")
-    if rem2:
-        reasons.append("chi2-non-integral")
-    if not reasons:
-        n1, n2 = family_multiplicities(p)
-        if (chi1 - n1) % ell:
-            reasons.append("chi1-congruence")
-        if (chi2 - n2) % ell:
-            reasons.append("chi2-congruence")
-    return Verdict(not reasons, tuple(reasons))
 
 
 # ---------------------------------------------------------------------------

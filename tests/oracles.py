@@ -4,13 +4,16 @@ None of these is reached by a command: each recomputes something the
 program derives another way, so that the two can be compared.
 * ``gl_order`` is the literal group order behind the modular shortcut of
   ``higman.solvable_cases``;
-* ``second_eigenmatrix`` gives the character values of
-  ``higman.chi_values`` as (1/v) sum_j Q[i][j] alpha_j;
+* ``second_eigenmatrix`` gives the character values of ``chi_values``
+  as (1/v) sum_j Q[i][j] alpha_j;
 * ``alpha1_expressions_consistent`` checks the two alpha_1 congruences of
   ``higman.alpha1_residues`` against divisibility of the displaced count;
 * ``antipodal_check`` reads the cover index r back from an array;
 * ``is_automorphism`` and ``alpha_profile`` measure a displacement profile
   from the all-pairs distance matrix, the route the audit avoids;
+* ``chi_values`` and ``chi_filter`` read the characters of an
+  ``AutProfile`` from the integer pairs of ``higman.chi_numerators``, as
+  Fractions and as the prime-order filter that the audit applies inline;
 * ``rational_chi_values``, ``rational_chi_filter`` and ``reference_audit``
   are the character sums in ``Fraction`` arithmetic and the audit loop
   that reads them, which ``higman.chi_numerators`` replaces by integers;
@@ -21,6 +24,7 @@ program derives another way, so that the two can be compared.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,7 +41,7 @@ from at4tools.graphcheck import (
     perm_order,
     verify_srg,
 )
-from at4tools.higman import AutProfile, alpha1_candidates, alpha1_residues, local_vertex_count
+from at4tools.higman import alpha1_candidates, alpha1_residues, chi_numerators, local_vertex_count
 from at4tools.srg import Verdict, family_multiplicities, fixed_point_order_bound, local_family_params
 
 
@@ -182,6 +186,65 @@ def alpha_profile(g, sigma) -> tuple[int, ...]:
     return tuple(counts)
 
 
+class AutProfile(namedtuple("AutProfile", "order alpha0 alpha1 alpha2")):
+    """Distance distribution (alpha_0, alpha_1, alpha_2) of an automorphism
+    of a diameter-2 graph, together with the element's order."""
+
+    __slots__ = ()
+
+    def counts(self) -> tuple[int, int, int]:
+        return (self.alpha0, self.alpha1, self.alpha2)
+
+
+def _profile_counts(p: int, profile: AutProfile) -> tuple[int, int, int]:
+    """The counts of a profile, checked to be a distribution on the local
+    graph at p >= 2."""
+    if p < 2:
+        raise ValueError(f"chi_values requires p >= 2, got {p}")
+    counts = profile.counts()
+    if min(counts) < 0 or sum(counts) != local_vertex_count(p):
+        raise ValueError(f"profile {counts} does not sum to v = {local_vertex_count(p)}")
+    return counts
+
+
+def chi_values(p: int, profile: AutProfile) -> tuple[Fraction, Fraction]:
+    """Characters of the permutation action projected to the two
+    non-principal eigenspaces of the local graph, as exact rationals.
+
+    chi_1 = ((p+3)a0/2 + a1/2 - a2/(2(p+1))) / (p+2)
+    chi_2 = (p(p+3)a0/2 - (p+2)a1/2 + p*a2/(2(p+1))) / ((p+2)^2 - 2)
+    """
+    (num1, den1), (num2, den2) = chi_numerators(p, *_profile_counts(p, profile))
+    return (Fraction(num1, den1), Fraction(num2, den2))
+
+
+def chi_filter(p: int, profile: AutProfile) -> Verdict:
+    """Integrality and order-divisibility filter on a prime-order profile.
+
+    Passes iff chi_1 and chi_2 are integers and the element order divides
+    both chi_1 - n1 and chi_2 - n2, where n1, n2 are the eigenspace
+    dimensions.
+    """
+    ell = profile.order
+    if not is_prime(ell):
+        raise ValueError(f"chi_filter requires a prime order, got {ell}")
+    (num1, den1), (num2, den2) = chi_numerators(p, *_profile_counts(p, profile))
+    chi1, rem1 = divmod(num1, den1)
+    chi2, rem2 = divmod(num2, den2)
+    reasons = []
+    if rem1:
+        reasons.append("chi1-non-integral")
+    if rem2:
+        reasons.append("chi2-non-integral")
+    if not reasons:
+        n1, n2 = family_multiplicities(p)
+        if (chi1 - n1) % ell:
+            reasons.append("chi1-congruence")
+        if (chi2 - n2) % ell:
+            reasons.append("chi2-congruence")
+    return Verdict(not reasons, tuple(reasons))
+
+
 def rational_chi_values(p: int, profile) -> tuple[Fraction, Fraction]:
     """chi_1 and chi_2 of a profile summing to v, summed term by term in
     Fractions:
@@ -199,7 +262,7 @@ def rational_chi_values(p: int, profile) -> tuple[Fraction, Fraction]:
 
 
 def rational_chi_filter(p: int, profile) -> Verdict:
-    """The verdict of ``higman.chi_filter`` on a prime-order profile, read
+    """The verdict of ``chi_filter`` on a prime-order profile, read
     from ``rational_chi_values``."""
     ell = profile.order
     chi1, chi2 = rational_chi_values(p, profile)

@@ -16,16 +16,14 @@ from at4tools.at4 import (
 from at4tools.exactnum import prime_power_base, primes_upto
 from at4tools.graphcheck import audit_family_graph, verify_srg
 from at4tools.higman import (
-    AutProfile,
     alpha1_candidates,
-    chi_filter,
     exclusion_arithmetic,
     local_vertex_count,
     spectrum_bounds,
 )
 from at4tools.srg import SrgParams, family_multiplicities, local_family_params, srg_spectrum
 
-from oracles import alpha1_expressions_consistent
+from oracles import AutProfile, alpha1_expressions_consistent, chi_filter
 
 
 def test_criterion_1_soicher_array():

@@ -435,12 +435,13 @@ def test_integer_arguments_in_a_fresh_process_succeed_or_are_refused(argv):
 
 
 # Run with -S, so that no site hook loads modules: what is loaded is what the
-# package imports.
+# package imports.  No report holds a Fraction, and the writer keeps no
+# per-thread state.
 COLD_START = """
 import io, sys
 from at4tools import cli
 assert cli.main(["--deterministic", "bounds", "11"], out=io.StringIO()) == 0
-print(sorted({"dataclasses", "at4tools.graphcheck"} & set(sys.modules)))
+print(sorted({"fractions", "threading", "dataclasses", "at4tools.graphcheck"} & set(sys.modules)))
 assert cli.main(["--deterministic", "verify", sys.argv[1]], out=io.StringIO()) == 0
 print("at4tools.graphcheck" in sys.modules)
 """

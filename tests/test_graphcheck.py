@@ -22,12 +22,13 @@ from at4tools.graphcheck import (
     verify_drg,
     verify_srg,
 )
-from at4tools.higman import AutProfile, chi_values
 from at4tools.srg import SrgParams
 
 from oracles import (
+    AutProfile,
     alpha_profile,
     antipodal_check,
+    chi_values,
     diameter,
     is_automorphism,
     reference_audit,

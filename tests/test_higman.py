@@ -8,15 +8,12 @@ from at4tools.higman import (
     FAIL,
     INAPPLICABLE,
     PASS,
-    AutProfile,
     CaseReport,
     alpha1_candidates,
     alpha1_residues,
     block_size_filter,
     centralizer_filter,
-    chi_filter,
     chi_numerators,
-    chi_values,
     cover_congruences,
     cover_fix_bound,
     cover_order_classification,
@@ -30,7 +27,10 @@ from at4tools.higman import (
 from at4tools.at4 import At4Params, IntersectionArray, closed_forms, feasible_r, intersection_array
 
 from oracles import (
+    AutProfile,
     alpha1_expressions_consistent,
+    chi_filter,
+    chi_values,
     gl_order,
     rational_chi_filter,
     rational_chi_values,
