@@ -22,7 +22,6 @@ prints every ``error: ...`` line, one per failed call, to stderr.
 from __future__ import annotations
 
 import argparse
-import bisect
 import functools
 import json
 import os
@@ -242,13 +241,8 @@ def _spectrum_fields(p: int) -> dict:
     bounds = higman.spectrum_bounds(p)
     if bounds is None:
         return dict.fromkeys(("edge_stabilizer_primes", "spectrum_lower", "spectrum_upper"), "inapplicable")
-    upper = sorted(bounds[1])
-    return {
-        # the upper bound holds every prime up to p and no other number up to p
-        "edge_stabilizer_primes": upper[: bisect.bisect_right(upper, p)],
-        "spectrum_lower": sorted(bounds[0]),
-        "spectrum_upper": upper,
-    }
+    lower, edge, above = bounds
+    return {"edge_stabilizer_primes": edge, "spectrum_lower": lower, "spectrum_upper": edge + above}
 
 
 def _scan_entry(p: int) -> dict:

@@ -18,18 +18,22 @@ permutation and the neighbour tuples, without a distance matrix, and its
 characters as integer numerators over fixed denominators
 (``higman.chi_numerators``), without a Fraction; tests/oracles.py keeps
 the distance-matrix, Fraction and per-token routes they are held to.
-The star witness is the unique SRG(56, 10, 0, 2), built from hyperovals of
-the order-4 projective plane and accepted only after it verifies its own
-parameters.
+The star witness is the unique SRG(56, 10, 0, 2), the disjointness graph
+of a class of 56 hyperovals of the order-4 projective plane, accepted only
+after it verifies its own parameters.  The class is the orbit of the
+regular hyperoval (a conic and its nucleus) under the elementary
+transvections, and the automorphisms listed are those the transvections and
+the field automorphism generate; both come from one breadth-first closure,
+``_closure``.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from collections import deque, namedtuple
+from collections import namedtuple
 from functools import lru_cache
-from itertools import combinations, repeat
+from itertools import combinations, permutations, repeat
 
 from .at4 import IntersectionArray
 from .exactnum import is_prime
@@ -326,84 +330,63 @@ def _plane():
     return tuple(pts), index, tuple(sorted(lines))
 
 
-@lru_cache(maxsize=1)
-def _hyperovals() -> tuple[int, ...]:
-    """All 6-point sets meeting every line in 0 or 2 points, as bitmasks.
-
-    Built as 6-arcs: a point extends an arc iff it lies on none of the
-    arc's secant lines.  Every 6-arc in this plane meets each line evenly,
-    which is re-checked for each output."""
-    pts, index, lines = _plane()
-    line_through = [[0] * 21 for _ in range(21)]
-    for mask in lines:
-        members = list(_bits(mask))
-        for a in members:
-            for b in members:
-                if a != b:
-                    line_through[a][b] = mask
-    ovals = []
-
-    def extend(arc, secants):
-        if len(arc) == 6:
-            mask = 0
-            for a in arc:
-                mask |= 1 << a
-            assert all((mask & line).bit_count() in (0, 2) for line in lines)
-            ovals.append(mask)
-            return
-        for nxt in range((arc[-1] + 1) if arc else 0, 21):
-            if (secants >> nxt) & 1:
-                continue
-            new_secants = secants
-            for a in arc:
-                new_secants |= line_through[a][nxt]
-            extend(arc + [nxt], new_secants)
-
-    extend([], 0)
-    return tuple(sorted(ovals))
-
-
-def _matrix_point_perm(m) -> tuple[int, ...]:
-    """Permutation of plane points induced by an invertible matrix over GF(4)."""
+def _point_perm(f) -> tuple[int, ...]:
+    """Permutation of plane points induced by a map ``f`` on coordinate
+    triples that sends points to points."""
     pts, index, _ = _plane()
-    perm = []
-    for pt in pts:
-        image = tuple(
-            _GF4_MUL[m[i][0]][pt[0]] ^ _GF4_MUL[m[i][1]][pt[1]] ^ _GF4_MUL[m[i][2]][pt[2]]
-            for i in range(3)
-        )
-        perm.append(index[_normalize(image)])
+    perm = tuple(index[_normalize(f(pt))] for pt in pts)
     assert len(set(perm)) == 21
-    return tuple(perm)
+    return perm
+
+
+def _regular_hyperoval() -> int:
+    """The conic {(1, t, t^2)} with (0, 0, 1), and its nucleus (0, 1, 0), as
+    a bitmask of plane points; every line meets it in 0 or 2 points."""
+    _, index, lines = _plane()
+    points = [(1, t, _GF4_MUL[t][t]) for t in range(4)] + [(0, 0, 1), (0, 1, 0)]
+    mask = sum(1 << index[pt] for pt in points)
+    assert all((mask & line).bit_count() in (0, 2) for line in lines)
+    return mask
 
 
 @lru_cache(maxsize=1)
 def _transvection_perms() -> tuple[tuple[int, ...], ...]:
-    """Point permutations of the 18 elementary transvections, which
-    generate the determinant-1 collineations."""
-    perms = []
-    for i in range(3):
-        for j in range(3):
-            if i == j:
-                continue
-            for lam in (1, 2, 3):
-                m = [[1 if a == b else 0 for b in range(3)] for a in range(3)]
-                m[i][j] = lam
-                perms.append(_matrix_point_perm(m))
-    return tuple(perms)
+    """Point permutations of the 18 elementary transvections x_i += lam*x_j,
+    which generate the determinant-1 collineations."""
 
+    def transvection(i, j, lam):
+        def f(pt):
+            v = list(pt)
+            v[i] ^= _GF4_MUL[lam][pt[j]]
+            return v
 
-def _frobenius_perm() -> tuple[int, ...]:
-    """Point permutation of the squaring field automorphism."""
-    pts, index, _ = _plane()
-    frob = (0, 1, 3, 2)  # x -> x^2 on GF(4)
-    return tuple(index[_normalize(tuple(frob[c] for c in pt))] for pt in pts)
+        return f
+
+    ijs = permutations(range(3), 2)
+    return tuple(_point_perm(transvection(i, j, lam)) for i, j in ijs for lam in (1, 2, 3))
 
 
 def _apply_point_perm(mask: int, perm: tuple[int, ...]) -> int:
     out = 0
     for b in _bits(mask):
         out |= 1 << perm[b]
+    return out
+
+
+def _closure(seeds, gens, act, count=None) -> list:
+    """The elements reached from ``seeds`` by ``act(element, gen)``, seeds
+    first and the rest breadth-first in the order found; once ``count``
+    elements are found, no more are sought."""
+    out = list(seeds)
+    seen = set(out)
+    for cur in out:
+        for gen in gens:
+            if count is not None and len(out) >= count:
+                return out
+            nxt = act(cur, gen)
+            if nxt not in seen:
+                seen.add(nxt)
+                out.append(nxt)
     return out
 
 
@@ -414,31 +397,13 @@ def _disjointness_graph(vertices: tuple[int, ...]) -> Graph:
 
 @lru_cache(maxsize=1)
 def _gewirtz_class() -> tuple[int, ...]:
-    """The 56-hyperoval class the graph is built on: orbit of the least
-    hyperoval under the determinant-1 collineations, validated as
-    SRG(56, 10, 0, 2); other classes are searched if the first fails."""
-    ovals = _hyperovals()
-    gens = _transvection_perms()
-    target = SrgParams(56, 10, 0, 2)
-    remaining = set(ovals)
-    while remaining:
-        seed = min(remaining)
-        orbit = {seed}
-        queue = deque([seed])
-        while queue:
-            cur = queue.popleft()
-            for perm in gens:
-                img = _apply_point_perm(cur, perm)
-                if img not in orbit:
-                    orbit.add(img)
-                    queue.append(img)
-        remaining -= orbit
-        if len(orbit) != 56:
-            continue
-        vertices = tuple(sorted(orbit))
-        if verify_srg(_disjointness_graph(vertices)) == target:
-            return vertices
-    raise GraphError("no hyperoval class produced SRG(56, 10, 0, 2)")
+    """The 56-hyperoval class the graph is built on, sorted: the orbit of
+    the regular hyperoval under the determinant-1 collineations, validated
+    as SRG(56, 10, 0, 2)."""
+    vertices = tuple(sorted(_closure([_regular_hyperoval()], _transvection_perms(), _apply_point_perm)))
+    if verify_srg(_disjointness_graph(vertices)) != SrgParams(56, 10, 0, 2):
+        raise GraphError("the regular hyperoval's class is not SRG(56, 10, 0, 2)")
+    return vertices
 
 
 def generate_gewirtz() -> Graph:
@@ -448,34 +413,19 @@ def generate_gewirtz() -> Graph:
 
 
 def gewirtz_automorphisms(count: int = 150) -> tuple[tuple[int, ...], ...]:
-    """At least ``count`` distinct automorphisms of the hyperoval-class
-    graph, generated from the construction's own symmetries (elementary
-    transvections, plus the field automorphism when it preserves the class)
-    closed under composition breadth-first."""
+    """The first ``count`` automorphisms of the hyperoval-class graph, all
+    40,320 if ``count`` is larger and the identity alone if it is below 1:
+    the closure of the identity, breadth-first, under the construction's own
+    symmetries (the elementary transvections and the field automorphism,
+    which preserves the class)."""
     vertices = _gewirtz_class()
     vindex = {mask: i for i, mask in enumerate(vertices)}
-    gens = []
-    point_perms = list(_transvection_perms())
-    frob = _frobenius_perm()
-    if all(_apply_point_perm(mask, frob) in vindex for mask in vertices):
-        point_perms.append(frob)
-    for perm in point_perms:
-        gens.append(tuple(vindex[_apply_point_perm(mask, perm)] for mask in vertices))
-    ident = tuple(range(56))
-    seen = {ident}
-    out = [ident]
-    queue = deque([ident])
-    while queue and len(out) < count:
-        cur = queue.popleft()
-        for g in gens:
-            nxt = tuple(g[c] for c in cur)
-            if nxt not in seen:
-                seen.add(nxt)
-                out.append(nxt)
-                queue.append(nxt)
-                if len(out) >= count:
-                    break
-    return tuple(out)
+    frobenius = _point_perm(lambda pt: [_GF4_MUL[c][c] for c in pt])  # x -> x^2
+    gens = [
+        tuple(vindex[_apply_point_perm(mask, perm)] for mask in vertices)
+        for perm in (*_transvection_perms(), frobenius)
+    ]
+    return tuple(_closure([tuple(range(56))], gens, lambda cur, g: tuple(map(g.__getitem__, cur)), count))
 
 
 # ---------------------------------------------------------------------------

@@ -264,17 +264,16 @@ def cover_order_classification(p: int, r: int) -> CaseReport:
     if not _is_prime_power_gt2(p):
         return _inapplicable(label, (p, r), "requires p a prime power with p > 2")
     s = (p + 2) ** 2 - 2
-    fixed = set(primes_upto(p))
+    above = {q for q in prime_set(s) if q > p}
     if is_prime(p + 2):
-        fixed.add(p + 2)
-    fixed |= {q for q in prime_set(s) if q > p}
+        above.add(p + 2)
     free = prime_set((p + 1) * (p + 4))
     return CaseReport(
         label,
         (p, r),
         PASS,
         data={
-            "fixed_point_orders": sorted(fixed),
+            "fixed_point_orders": primes_upto(p) + sorted(above),
             "fixed_point_free_orders": sorted(free),
             "s": s,
         },
@@ -420,22 +419,24 @@ def solvable_cases(p: int) -> CaseReport:
 # ---------------------------------------------------------------------------
 
 
-def spectrum_bounds(p: int) -> tuple[frozenset[int], frozenset[int]] | None:
+def spectrum_bounds(p: int) -> tuple[list[int], list[int], list[int]] | None:
     """Sandwich on the prime spectrum of an arc-transitive automorphism
-    group of a cover: lower = prime divisors of (p+2)(p^2+4p+2)(p+1)(p+4),
-    upper = primes up to p+2 joined with the divisors of (p^2+4p+2)(p+4).
-    The part of upper up to p, which is every prime up to p, bounds the
-    prime spectrum of an edge stabilizer.  None when p is not a prime
-    power above 2."""
+    group of a cover, as ascending lists (lower, edge, above).  lower is the
+    prime divisors of (p+2)(p^2+4p+2)(p+1)(p+4).  The upper bound, the
+    primes up to p+2 joined with the prime divisors of (p^2+4p+2)(p+4), is
+    edge + above: edge is every prime up to p, which bounds the prime
+    spectrum of an edge stabilizer, and above the few members above p.
+    None when p is not a prime power above 2."""
     if not _is_prime_power_gt2(p):
         return None
     s = p * p + 4 * p + 2
     outer = prime_set(s) | prime_set(p + 4)
     lower = prime_set(p + 2) | prime_set(p + 1) | outer
     # the primes up to p+2 are those up to p and whichever of p+1, p+2 is prime
-    upper = frozenset(primes_upto(p)) | {q for q in (p + 1, p + 2) if is_prime(q)} | outer
-    assert lower <= upper
-    return (lower, upper)
+    above = {q for q in outer if q > p} | {q for q in (p + 1, p + 2) if is_prime(q)}
+    # every member of lower up to p is a prime up to p
+    assert {q for q in lower if q > p} <= above
+    return (sorted(lower), primes_upto(p), sorted(above))
 
 
 def exclusion_arithmetic(p: int) -> CaseReport:

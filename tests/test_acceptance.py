@@ -110,9 +110,11 @@ def test_criterion_7_spectrum_bound_consistency():
             continue
         bounds = spectrum_bounds(p)
         assert bounds is not None
-        lower, upper = bounds
-        assert lower <= upper
-        assert frozenset(primes_upto(p)) <= upper
+        lower, edge, above = bounds
+        upper = edge + above
+        assert set(lower) <= set(upper)
+        assert set(primes_upto(p)) <= set(upper)
+        assert upper == sorted(set(upper))
         checked += 1
     print(f"criterion 7 (spectrum sandwich holds at {checked} prime powers p <= 200): PASS")
 

@@ -479,8 +479,9 @@ def test_keyboard_interrupt_propagates(monkeypatch):
 
 
 def test_memory_error_exits_4_without_traceback():
-    # bounds 9999991 needs about 120 MB for its report (every prime up to p):
-    # under a 96 MiB address-space cap, set on the child only, it cannot be made
+    # scan 9999950 9999991 needs about 125 MB for its report (every prime up
+    # to p at each prime power p in the range): under a 96 MiB address-space
+    # cap, set on the child only, it cannot be made
     resource = pytest.importorskip("resource")
     cap = 96 << 20
 
@@ -488,7 +489,7 @@ def test_memory_error_exits_4_without_traceback():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
     proc = subprocess.run(
-        [sys.executable, "-m", "at4tools.cli", "bounds", "9999991"],
+        [sys.executable, "-m", "at4tools.cli", "scan", "9999950", "9999991"],
         capture_output=True,
         text=True,
         env=child_env(),

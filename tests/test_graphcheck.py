@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 from itertools import combinations, product
@@ -13,6 +14,7 @@ from at4tools.graphcheck import (
     _bits,
     audit_family_graph,
     generate_petersen,
+    gewirtz_automorphisms,
     graph_to_text,
     is_permutation,
     parse_graph,
@@ -311,6 +313,28 @@ def test_gewirtz_witnesses_are_automorphisms(gewirtz, gewirtz_witnesses):
     assert len(set(gewirtz_witnesses)) == len(gewirtz_witnesses)
     for sigma in gewirtz_witnesses:
         assert is_automorphism(gewirtz, sigma)
+
+
+def test_gewirtz_witness_bytes_are_pinned(gewirtz, gewirtz_witnesses):
+    # the graph file and the first 600 automorphisms that the verify and
+    # audit golden cases and the benchmark read, as first generated
+    graph_text = graph_to_text(gewirtz)
+    assert len(graph_text) == 1799
+    assert hashlib.sha256(graph_text.encode()).hexdigest() == (
+        "4c657eae19f224fe2c7d090b627a11ead1628b359bf664aa8a79976896e9d6ae"
+    )
+    perms_text = permutations_to_text(gewirtz_witnesses)
+    assert len(perms_text) == 94800
+    assert hashlib.sha256(perms_text.encode()).hexdigest() == (
+        "709926bb447b6b98faf4700f6c3b9b53651ac516fe420821e652892c56409f7f"
+    )
+    # after the identity come the 19 generators themselves (18 elementary
+    # transvections and the field automorphism); they generate a group of
+    # order 40,320
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    gens = gewirtz_automorphisms(20)[1:]
+    group = combinatorics.PermutationGroup([combinatorics.Permutation(list(g)) for g in gens])
+    assert group.order() == 40320
 
 
 def test_gewirtz_witness_order_diversity(gewirtz_witnesses):

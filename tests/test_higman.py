@@ -372,25 +372,26 @@ def test_edge_stabilizer_primes():
     # the edge-stabiliser bound is the part of the spectrum upper bound up to p
     def edge(p):
         bounds = spectrum_bounds(p)
-        return None if bounds is None else frozenset(q for q in bounds[1] if q <= p)
+        return None if bounds is None else bounds[1]
 
-    assert edge(3) == frozenset({2, 3})
-    assert edge(11) == frozenset({2, 3, 5, 7, 11})
-    assert edge(27) == frozenset({2, 3, 5, 7, 11, 13, 17, 19, 23})
+    assert edge(3) == [2, 3]
+    assert edge(11) == [2, 3, 5, 7, 11]
+    assert edge(27) == [2, 3, 5, 7, 11, 13, 17, 19, 23]
     assert edge(6) is None
     assert edge(2) is None
 
 
 def test_spectrum_bounds_values():
-    lower, upper = spectrum_bounds(11)
-    assert lower == frozenset({2, 3, 5, 13, 167})
-    assert upper == frozenset({2, 3, 5, 7, 11, 13, 167})
-    lower3, upper3 = spectrum_bounds(3)
-    assert lower3 == frozenset({2, 5, 7, 23})
-    assert upper3 == frozenset({2, 3, 5, 7, 23})
-    lower5, upper5 = spectrum_bounds(5)
-    assert lower5 == frozenset({2, 3, 7, 47})
-    assert upper5 == frozenset({2, 3, 5, 7, 47})
+    # (lower, edge, above): the upper bound is edge + above
+    lower, edge, above = spectrum_bounds(11)
+    assert lower == [2, 3, 5, 13, 167]
+    assert edge + above == [2, 3, 5, 7, 11, 13, 167]
+    lower3, edge3, above3 = spectrum_bounds(3)
+    assert lower3 == [2, 5, 7, 23]
+    assert edge3 + above3 == [2, 3, 5, 7, 23]
+    lower5, edge5, above5 = spectrum_bounds(5)
+    assert lower5 == [2, 3, 7, 47]
+    assert edge5 + above5 == [2, 3, 5, 7, 47]
     assert spectrum_bounds(12) is None
 
 

@@ -140,9 +140,10 @@ def test_spectrum_bounds_match_sympy(sympy):
             assert spectrum_bounds(p) is None
             continue
         s = p * p + 4 * p + 2
-        lower = frozenset(sympy.primefactors((p + 2) * s * (p + 1) * (p + 4)))
-        upper = frozenset(sympy.primerange(p + 3)) | frozenset(sympy.primefactors(s * (p + 4)))
-        assert spectrum_bounds(p) == (lower, upper), p
+        lower = sympy.primefactors((p + 2) * s * (p + 1) * (p + 4))
+        upper = sorted(set(sympy.primerange(p + 3)) | set(sympy.primefactors(s * (p + 4))))
+        edge = [q for q in upper if q <= p]
+        assert spectrum_bounds(p) == (lower, edge, upper[len(edge) :]), p
 
 
 def test_feasible_r_matches_literal_conditions():
