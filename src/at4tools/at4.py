@@ -198,32 +198,29 @@ def intersection_array(params: At4Params) -> IntersectionArray:
 
 
 def quotient_params(p: int) -> SrgParams:
-    """SRG parameters of the antipodal quotient; the spectrum is verified to
-    have non-principal eigenvalues p and -(p+2)^2."""
+    """SRG parameters (v/r, b_0, a_1, r c_2) of the antipodal quotient from
+    the closed forms at r = p + 1 (a candidate at every p >= 2; the quotient
+    does not depend on r), verified to have non-principal eigenvalues p and
+    -(p+2)^2."""
     if p < 2:
         raise ValueError(f"quotient_params requires p >= 2, got {p}")
-    params = SrgParams(
-        (p + 1) ** 2 * (p + 4) ** 2 // 2,
-        (p + 2) * (p * p + 4 * p + 2),
-        p * (p + 3),
-        2 * (p + 1) * (p + 2),
-    )
+    r = p + 1
+    f = closed_forms(At4Params(p, r))
+    params = SrgParams(f.vertices // r, f.b[0], f.a[1], r * f.c[1])
     spec = srg_spectrum(params)
     assert (spec.theta_pos, spec.theta_neg) == (p, -((p + 2) ** 2))
     return params
 
 
 def second_subconstituent_quotient(p: int) -> SrgParams:
-    """SRG parameters of a second neighborhood in the antipodal quotient;
-    verified to have non-principal eigenvalues p and -(p^2+2p+2)."""
+    """The same for a second neighborhood in the antipodal quotient, read from
+    the second subconstituent (k_2 vertices, a_1 = b_0 - b_1 - 1); verified
+    to have non-principal eigenvalues p and -(p^2+2p+2)."""
     if p < 2:
         raise ValueError(f"second_subconstituent_quotient requires p >= 2, got {p}")
-    params = SrgParams(
-        (p + 1) * (p + 3) * (p * p + 4 * p + 2) // 2,
-        p * (p + 2) ** 2,
-        p * p + p - 2,
-        2 * p * (p + 1),
-    )
+    r = p + 1
+    f = closed_forms(At4Params(p, r))
+    params = SrgParams(f.layer_sizes[2] // r, f.sub_b[0], f.sub_b[0] - f.sub_b[1] - 1, r * f.sub_c[1])
     spec = srg_spectrum(params)
     assert (spec.theta_pos, spec.theta_neg) == (p, -(p * p + 2 * p + 2))
     return params

@@ -264,10 +264,8 @@ def _scan_entry(p: int) -> dict:
         "arrays": [{"r": r, **_array_payload(r, f)} for r, f in forms],
         **_spectrum_fields(p),
     }
-    cf = higman.centralizer_filter(p) if p > 2 else None
-    entry["centralizer_filter"] = (
-        cf if cf is not None and cf.verdict != higman.INAPPLICABLE else "inapplicable"
-    )
+    cf = higman.centralizer_filter(p)
+    entry["centralizer_filter"] = cf if cf.verdict != higman.INAPPLICABLE else "inapplicable"
     return entry
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .at4 import At4Params
+from .at4 import At4Params, IntersectionArray, closed_forms, quotient_params
 from .exactnum import (
     divisors,
     is_prime,
@@ -37,7 +37,7 @@ from .exactnum import (
     prime_set,
     primes_upto,
 )
-from .srg import Verdict, family_multiplicities
+from .srg import family_multiplicities, fixed_point_order_bound, local_family_params
 
 PASS = "pass"
 FAIL = "fail"
@@ -73,11 +73,6 @@ def _inapplicable(label: str, params: tuple, why: str) -> CaseReport:
 
 def _is_prime_power_gt2(p: int) -> bool:
     return p > 2 and prime_power_base(p) is not None
-
-
-def local_vertex_count(p: int) -> int:
-    """Order v = (p+2)((p+2)^2 - 2) of the local graph."""
-    return (p + 2) * ((p + 2) ** 2 - 2)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +134,7 @@ def alpha1_candidates(p: int, ell: int, fix: int) -> range:
     r1, r2, m = alpha1_residues(p, ell, fix)
     if r1 != r2:
         return range(0)
-    return range(r1, local_vertex_count(p) - fix + 1, m)
+    return range(r1, local_family_params(p).v - fix + 1, m)
 
 
 # ---------------------------------------------------------------------------
@@ -223,31 +218,25 @@ def local_fixed_structure(p: int, ell: int) -> CaseReport:
 # ---------------------------------------------------------------------------
 
 
-def cover_congruences(p: int, r: int, ell: int) -> tuple[int, int, int, int]:
-    """Residues mod ell of the fixed-set layer counts x_1..x_4 of a
-    prime-order automorphism of the cover, measured from a fixed vertex."""
-    At4Params(p, r)
+def _residues(sizes: tuple[int, ...], ell: int) -> tuple[int, ...]:
     if not is_prime(ell):
         raise ValueError(f"order must be prime, got {ell}")
-    s = p * p + 4 * p + 2
-    x1 = (p + 2) * s
-    x2 = s * (p + 3) * (p + 1) * r // 2
-    x3 = (p + 2) * s * (r - 1)
-    x4 = r - 1
-    return (x1 % ell, x2 % ell, x3 % ell, x4 % ell)
+    return tuple(k % ell for k in sizes)
+
+
+def cover_congruences(p: int, r: int, ell: int) -> tuple[int, int, int, int]:
+    """Residues mod ell of the fixed-set layer counts x_1..x_4 of a
+    prime-order automorphism of the cover, measured from a fixed vertex:
+    the layer sizes k_1..k_4 of the cover mod ell."""
+    return _residues(closed_forms(At4Params(p, r)).layer_sizes[1:], ell)
 
 
 def subconstituent_congruences(p: int, r: int, ell: int) -> tuple[int, int, int, int]:
     """Residues mod ell of the layer counts y_1..y_4 of the fixed set inside
-    the second subconstituent, measured from a fixed vertex of it."""
-    At4Params(p, r)
-    if not is_prime(ell):
-        raise ValueError(f"order must be prime, got {ell}")
-    y1 = p * (p + 2) ** 2
-    y2 = (p + 2) ** 2 * (p + 1) ** 2 * r // 2
-    y3 = p * (p + 2) ** 2 * (r - 1)
-    y4 = r - 1
-    return (y1 % ell, y2 % ell, y3 % ell, y4 % ell)
+    the second subconstituent, measured from a fixed vertex of it: the layer
+    sizes of the second subconstituent's array mod ell."""
+    f = closed_forms(At4Params(p, r))
+    return _residues(IntersectionArray(f.sub_b, f.sub_c).layer_sizes[1:], ell)
 
 
 def cover_order_classification(p: int, r: int) -> CaseReport:
@@ -286,9 +275,9 @@ def cover_order_classification(p: int, r: int) -> CaseReport:
 
 def cover_fix_bound(p: int, r: int) -> int:
     """Bound r(p+1)(p+2)(p+4) on the fixed set of a non-trivial cover
-    automorphism."""
+    automorphism: r times the fixed-point bound of the antipodal quotient."""
     At4Params(p, r)
-    return r * (p + 1) * (p + 2) * (p + 4)
+    return r * fixed_point_order_bound(quotient_params(p))
 
 
 # ---------------------------------------------------------------------------

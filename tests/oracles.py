@@ -41,7 +41,7 @@ from at4tools.graphcheck import (
     perm_order,
     verify_srg,
 )
-from at4tools.higman import alpha1_candidates, alpha1_residues, chi_numerators, local_vertex_count
+from at4tools.higman import alpha1_candidates, alpha1_residues, chi_numerators
 from at4tools.srg import Verdict, family_multiplicities, fixed_point_order_bound, local_family_params
 
 
@@ -105,7 +105,7 @@ def alpha1_expressions_consistent(p: int, ell: int) -> bool:
         raise ValueError(f"requires p > 2, got {p}")
     if not is_prime(ell):
         raise ValueError(f"requires a prime order, got {ell}")
-    v = local_vertex_count(p)
+    v = local_family_params(p).v
     r1, r2, m = alpha1_residues(p, ell, 0)
     step1 = (p + 2) % m
     step2 = p % m
@@ -202,8 +202,8 @@ def _profile_counts(p: int, profile: AutProfile) -> tuple[int, int, int]:
     if p < 2:
         raise ValueError(f"chi_values requires p >= 2, got {p}")
     counts = profile.counts()
-    if min(counts) < 0 or sum(counts) != local_vertex_count(p):
-        raise ValueError(f"profile {counts} does not sum to v = {local_vertex_count(p)}")
+    if min(counts) < 0 or sum(counts) != local_family_params(p).v:
+        raise ValueError(f"profile {counts} does not sum to v = {local_family_params(p).v}")
     return counts
 
 
@@ -253,7 +253,7 @@ def rational_chi_values(p: int, profile) -> tuple[Fraction, Fraction]:
     chi_2 = (p(p+3)a0/2 - (p+2)a1/2 + p*a2/(2(p+1))) / ((p+2)^2 - 2)
     """
     a0, a1, a2 = profile.counts()
-    assert min(a0, a1, a2) >= 0 and a0 + a1 + a2 == local_vertex_count(p)
+    assert min(a0, a1, a2) >= 0 and a0 + a1 + a2 == local_family_params(p).v
     half = Fraction(1, 2)
     frac = Fraction(1, 2 * (p + 1))
     chi1 = ((p + 3) * a0 * half + a1 * half - a2 * frac) / (p + 2)

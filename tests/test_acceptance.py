@@ -18,7 +18,6 @@ from at4tools.graphcheck import audit_family_graph, verify_srg
 from at4tools.higman import (
     alpha1_candidates,
     exclusion_arithmetic,
-    local_vertex_count,
     spectrum_bounds,
 )
 from at4tools.srg import SrgParams, family_multiplicities, local_family_params, srg_spectrum
@@ -120,7 +119,7 @@ def test_criterion_7_spectrum_bound_consistency():
 
 
 def test_criterion_8_brute_force_oracle_p3():
-    v = local_vertex_count(3)
+    v = local_family_params(3).v
     assert v == 115
     for ell in (2, 3, 5, 23):
         passing: dict[int, set[int]] = {}

@@ -6,6 +6,7 @@ import pytest
 
 from at4tools.at4 import (
     At4Params,
+    _params_violation,
     EQUALITY,
     IntersectionArray,
     STRICT,
@@ -195,6 +196,13 @@ def test_quotient_params():
     assert quotient_params(11) == (16200, 2171, 154, 312)
 
 
+def test_quotients_read_a_candidate_at_every_p():
+    # both quotients read the closed forms at r = p + 1: it divides 2(p+1),
+    # lies strictly between 2 and p + 2, and 2p(p+1)(p+2)/r = 2p(p+2) is even
+    for p in range(2, 10**4 + 1):
+        assert _params_violation(p, p + 1) is None
+
+
 def test_second_subconstituent_quotient():
     assert second_subconstituent_quotient(2) == (105, 32, 4, 12)
     assert second_subconstituent_quotient(3) == (276, 75, 10, 24)
@@ -300,8 +308,12 @@ def test_generated_arrays_invariants():
             assert params.r * arr.c[1] == 2 * (p + 1) * (p + 2)
             # second subconstituent is antipodal with the same index
             f = closed_forms(params)
-            ok2, r2 = antipodal_check(IntersectionArray(f.sub_b, f.sub_c))
+            sub = IntersectionArray(f.sub_b, f.sub_c)
+            ok2, r2 = antipodal_check(sub)
             assert ok2 and r2 == params.r
+            # and its quotient, read off its array, is the closed-form one
+            sub_quot = (sum(sub.layer_sizes) // params.r, sub.b[0], sub.a[1], params.r * sub.c[1])
+            assert sub_quot == second_subconstituent_quotient(p)
 
 
 def test_generated_arrays_are_tight():

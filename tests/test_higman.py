@@ -19,12 +19,12 @@ from at4tools.higman import (
     cover_order_classification,
     exclusion_arithmetic,
     local_fixed_structure,
-    local_vertex_count,
     solvable_cases,
     spectrum_bounds,
     subconstituent_congruences,
 )
 from at4tools.at4 import At4Params, IntersectionArray, closed_forms, feasible_r, intersection_array
+from at4tools.srg import local_family_params
 
 from oracles import (
     AutProfile,
@@ -53,7 +53,7 @@ def test_chi_values_requires_full_profile():
 def test_chi_values_match_eigenmatrix_route():
     # independent route: chi_i = (1/v) sum_j Q[i][j] alpha_j
     for p in (2, 3, 5, 8):
-        v = local_vertex_count(p)
+        v = local_family_params(p).v
         q = second_eigenmatrix(p)
         for profile in [(v, 0, 0), (0, v, 0), (1, p * (p + 3), v - 1 - p * (p + 3)), (0, 2 * (p + 1), v - 2 * (p + 1))]:
             aut = AutProfile(2, *profile)
@@ -94,7 +94,7 @@ def test_alpha1_candidates_against_single_expression_sets():
     # solution sets, is contained in each, and is non-empty exactly when
     # both congruences agree
     for p in (3, 4, 5, 9):
-        v = local_vertex_count(p)
+        v = local_family_params(p).v
         bound = (p + 2) ** 2 - 2
         for ell in [q for q in primes_upto(40)]:
             for fix in (0, 1, 2, 7, bound):
@@ -117,7 +117,7 @@ def test_alpha1_expressions_consistent_small():
 def test_alpha1_candidates_equal_chi_passing_set():
     # the congruence enumeration is not merely contained in the set of
     # profiles passing the character filter: the two coincide exactly
-    v = local_vertex_count(3)
+    v = local_family_params(3).v
     for ell in (2, 3, 5, 23):
         for a0 in (0, 5, 23):
             passing = {
@@ -139,7 +139,7 @@ def test_alpha1_candidates_match_chi_filter_up_to_p_1000(data):
     # it encodes, at prime powers p far beyond the exhaustive p = 3 case
     p = data.draw(st.sampled_from(PRIME_POWERS), label="p")
     s = (p + 2) ** 2 - 2
-    v = local_vertex_count(p)
+    v = local_family_params(p).v
     # p + 2 <= 1002 is among the primes to 2000 when it is prime
     orders = [ell for ell in PRIMES_TO_2000 if ell <= s]
     if s > 2000 and is_prime(s):
@@ -166,7 +166,7 @@ def test_integer_characters_match_the_rational_route(p, data):
     # the numerators over 2(p+1)(p+2) and 2(p+1)s against the term-by-term
     # Fraction sums, on any distribution, on integral ones, and on the
     # alpha_1 class, whose members pass both congruences
-    v = local_vertex_count(p)
+    v = local_family_params(p).v
     s = (p + 2) ** 2 - 2
     ell = data.draw(st.sampled_from([q for q in PRIMES_TO_2000 if q <= s]), label="ell")
     # the class is empty unless fix <= s and ell divides v - fix

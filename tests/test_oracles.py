@@ -14,7 +14,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from at4tools import cli
 from at4tools.at4 import feasible_r
 from at4tools.exactnum import divisors, factorize, is_prime, mult_order, prime_set, primes_upto
-from at4tools.higman import alpha1_candidates, block_size_filter, local_vertex_count, spectrum_bounds
+from at4tools.higman import alpha1_candidates, block_size_filter, spectrum_bounds
+from at4tools.srg import local_family_params
 
 from oracles import AutProfile, chi_filter
 
@@ -170,7 +171,7 @@ def test_block_size_filter_matches_sympy(sympy):
 )
 def test_alpha1_class_equals_chi_passing_set(ell, fix):
     p = 5
-    v = local_vertex_count(p)
+    v = local_family_params(p).v
     passing = {
         a1 for a1 in range(v - fix + 1) if chi_filter(p, AutProfile(ell, fix, a1, v - fix - a1)).ok
     }
