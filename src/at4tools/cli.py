@@ -6,7 +6,12 @@ separate optional field and suppressed entirely under --deterministic.
 
 Both formats are printed by one traversal of the report, ``_walk``: JSON
 as ``json.dumps(report, sort_keys=True, indent=2)`` prints it, text as one
-``path = value`` line per leaf.
+``path = value`` line per leaf.  In JSON a flat dict, one whose values are
+exact ints, str, bool, None, exact-int lists and flat dicts, prints as one
+``template % values``: the template has a slot per int, list items too, and
+is built once per shape (indent, keys, kind of each value, length of each
+short list) in a bounded cache.  Records, sets, long sequences and any
+other dict print value by value.
 
 Only ``verify`` and ``audit`` need the graph module: they import
 ``at4tools.graphcheck`` at first use, so the other commands start without it.
@@ -85,6 +90,11 @@ _SCALARS = {int: repr, str: encode_basestring_ascii, bool: _NAMED, type(None): _
 # An exact-int list or tuple, or a range, longer than this is written to
 # ``out`` in slices of this many items, never joined whole.
 _SLICE = 4096
+# In the template of a flat dict, an exact-int list of at most this many
+# items has one slot per item, and a longer one a single slot.
+_INLINE = 8
+# the types of the values of a flat dict
+_FLAT = frozenset({int, str, bool, type(None), list, tuple, dict})
 
 
 @functools.lru_cache(maxsize=1024)
@@ -104,6 +114,78 @@ def _brackets(indent: str) -> tuple:
     before, between and after them."""
     inner = indent + "  "
     return inner, "[\n" + inner, ",\n" + inner, "\n" + indent + "]"
+
+
+def _flat_shape(heads: tuple, slots: tuple, values: list, at: str, fill: list):
+    """The shape of a flat JSON dict at indent ``at`` whose ``_layout`` is
+    ``heads`` and ``slots`` and whose values are ``values``, or None if the
+    dict is not flat.  A dict is flat when each value is an exact int, a
+    str, a bool, None, a list or tuple of at most _SLICE exact ints, or a
+    flat dict.  The shape is (heads, kinds) with one kind per value: int or
+    str for a leaf that fills a slot, the JSON of a bool or None, the length
+    of a list of at most _INLINE ints, None for a longer one, or the shape
+    of a nested dict.  The values that fill the template's slots are
+    appended to ``fill``, whole only if the dict is flat."""
+    kinds = []
+    for i in slots:
+        v = values[i]
+        kind = type(v)
+        if kind is int:
+            fill.append(v)
+        elif kind is list or kind is tuple:
+            kind = len(v)
+            if kind > _SLICE or not _INTS.issuperset(map(type, v)):
+                return None
+            if kind > _INLINE:
+                # join a long list only if no value's type rules the dict out
+                if not _FLAT.issuperset(map(type, values)):
+                    return None
+                fill.append(_brackets(at + "  ")[2].join(map(repr, v)))
+                kind = None
+            else:
+                fill += v
+        elif kind is str:
+            fill.append(encode_basestring_ascii(v))
+        elif kind is bool or v is None:
+            kind = _NAMED(v)
+        elif kind is dict:
+            _, sub_heads, sub_slots = _layout((*map(str, v),))
+            kind = _flat_shape(sub_heads, sub_slots, [*v.values()], at + "  ", fill)
+            if kind is None:
+                return None
+        else:
+            return None
+        kinds.append(kind)
+    return heads, (*kinds,)
+
+
+@functools.lru_cache(maxsize=256)
+def _template(at: str, shape: tuple) -> str:
+    """The JSON of a flat dict of ``shape`` (see _flat_shape) at indent
+    ``at``, with a %d slot for each int, list items too, and a %s slot for
+    each str and each list of more than _INLINE items; every % of a key is
+    doubled."""
+    heads, kinds = shape
+    if not heads:
+        return "{}"
+    inner = at + "  "
+    _, head, sep, tail = _brackets(inner)
+    items = []
+    for key, kind in zip(heads, kinds):
+        if kind is int:
+            text = "%d"
+        elif kind is str:
+            text = "%s"
+        elif kind is None:
+            text = head + "%s" + tail
+        elif type(kind) is str:
+            text = kind
+        elif type(kind) is int:
+            text = head + sep.join(("%d",) * kind) + tail if kind else "[]"
+        else:
+            text = _template(inner, kind)
+        items.append(key.replace("%", "%%") + text)
+    return "{\n" + inner + (",\n" + inner).join(items) + "\n" + at + "}"
 
 
 def _walk(value, at: str, parts: list, text: bool, lead: str = "") -> None:
@@ -164,6 +246,14 @@ def _walk(value, at: str, parts: list, text: bool, lead: str = "") -> None:
             if not values:
                 parts.append(lead + "{}")
                 return
+            # only a plain dict is tried as flat: a record, made a dict
+            # above, is seldom flat, and the failed try would cost more
+            if kind is dict:
+                fill: list = []
+                shape = _flat_shape(heads, slots, values, at, fill)
+                if shape is not None:
+                    parts.append(lead + _template(at, shape) % (*fill,))
+                    return
             inner = at + "  "
             lead, sep = lead + "{\n" + inner, ",\n" + inner
             for head, i in zip(heads, slots):

@@ -12,7 +12,7 @@ from collections import namedtuple
 from hypothesis import given, settings, strategies as st
 
 from at4tools import cli
-from at4tools.at4 import IntersectionArray
+from at4tools.at4 import IntersectionArray, feasible_closed_forms
 from at4tools.higman import CaseReport, Condition
 from at4tools.srg import Verdict
 
@@ -59,6 +59,11 @@ def emit(value, fmt: str) -> str:
 # str with quotes, backslashes, control characters and non-ASCII text
 texts = st.text(st.characters() | st.sampled_from('"\\\x00\x1f\x7f\xe9\u2028\U0001f600'), max_size=6)
 ints = st.integers() | st.integers(min_value=-(2**256), max_value=2**256) | st.sampled_from([0, -1, 2**63])
+INLINE = cli._INLINE
+# exact-int lists on both sides of the length a flat dict's template inlines
+int_lists = st.lists(ints, min_size=INLINE - 2, max_size=INLINE + 3)
+# an exact-int list but for its last item, a bool, which must not fill a %d slot
+bool_last = st.builds(lambda items, last: [*items, last], st.lists(st.integers(-3, 3), max_size=INLINE + 2), st.booleans())
 leaves = (
     st.none()
     | st.booleans()
@@ -70,6 +75,9 @@ leaves = (
     | st.lists(ints, max_size=6)  # the all-int fast path
     | st.lists(st.booleans() | st.integers(-3, 3), max_size=6)  # bool must not take it
     | st.builds(range, st.integers(-5, 5), st.integers(-5, 30), st.integers(1, 7))
+    | int_lists
+    | int_lists.map(tuple)
+    | bool_last
 )
 # keys that are equal under == or under str, or that a template must escape
 keys = texts | st.integers(-2, 2) | st.booleans() | st.sampled_from(["1", "True", "%s", "%", "{0}", "}{", "%%d"])
@@ -87,11 +95,26 @@ values = st.recursive(
     max_leaves=20,
 )
 reports = st.dictionaries(texts, values, max_size=3)
+# the leaves of a flat dict, and flat dicts nested three deep
+flat_leaves = st.none() | st.booleans() | ints | texts | st.lists(ints, max_size=INLINE + 3) | int_lists.map(tuple)
+flat_dicts = flat_leaves
+for _ in range(3):
+    flat_dicts = st.dictionaries(keys, flat_leaves | flat_dicts, max_size=4)
 # dicts that share one key set, with values whose types and lengths vary, so
 # that a layout made for one is offered to the next
-slot_values = leaves | st.lists(leaves, max_size=3) | st.dictionaries(keys, leaves, max_size=3)
+slot_values = leaves | st.lists(leaves, max_size=3) | st.dictionaries(keys, leaves, max_size=3) | flat_dicts
 same_keys = st.lists(keys, min_size=1, max_size=5, unique=True).flatmap(
     lambda ks: st.lists(st.fixed_dictionaries({k: slot_values for k in ks}), min_size=2, max_size=5)
+)
+# dicts that share one key set and differ only in the lengths of their int
+# lists, nested ones too, so that a template made for one is offered to the next
+int_list_values = st.lists(st.integers(-9, 2**40), max_size=INLINE + 2)
+same_keys_other_lengths = st.lists(keys, min_size=1, max_size=4, unique=True).flatmap(
+    lambda ks: st.lists(
+        st.fixed_dictionaries({k: int_list_values | st.fixed_dictionaries({"in": int_list_values}) for k in ks}),
+        min_size=2,
+        max_size=6,
+    )
 )
 
 
@@ -110,6 +133,21 @@ def test_json_writer_matches_stdlib_on_dicts_of_one_key_set(dicts):
         expected = json.dumps(ref_normalise(value), sort_keys=True, indent=2) + "\n"
         assert emit(value, "json") == expected
         assert emit({"rows": value}, "text") == ref_text(ref_normalise({"rows": value}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(flat_dicts)
+def test_json_writer_matches_stdlib_on_flat_dicts(value):
+    # the template of a flat dict depends on its indent: print it at three
+    for wrapped in (value, [value], {"a": [{"b": value}]}):
+        assert emit(wrapped, "json") == json.dumps(ref_normalise(wrapped), sort_keys=True, indent=2) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(same_keys_other_lengths)
+def test_json_writer_matches_stdlib_on_one_key_set_with_other_list_lengths(dicts):
+    for value in (dicts, dicts[::-1], *dicts):
+        assert emit(value, "json") == json.dumps(ref_normalise(value), sort_keys=True, indent=2) + "\n"
 
 
 @settings(max_examples=150, deadline=None)
@@ -248,8 +286,53 @@ class Writes:
 
 def test_long_sequences_are_written_in_slices():
     # 40 digits per item: a slice is at most 43 * SLICE characters
-    report = {"v": [10**39 + i for i in range(10 * SLICE)], "r": range(10**39, 10**39 + 10 * SLICE)}
-    for fmt in ("json", "text"):
-        sink = Writes()
-        cli._emit(report, fmt, sink)
-        assert sink.longest < 48 * SLICE
+    long = [10**39 + i for i in range(10 * SLICE)]
+    # the second is a flat dict but for the long list
+    for report in ({"v": long, "r": range(10**39, 10**39 + 10 * SLICE)}, {"v": long, "n": 1}):
+        for fmt in ("json", "text"):
+            sink = Writes()
+            cli._emit(report, fmt, sink)
+            assert sink.longest < 48 * SLICE
+
+
+def test_template_cache_stays_at_its_bound():
+    bound = cli._template.cache_info().maxsize
+    # one shape per row: each row has its own key
+    rows = [{f"k{i}": i, "v": list(range(i % (INLINE + 2)))} for i in range(2 * bound)]
+    assert_writers_match({"rows": rows})
+    assert cli._template.cache_info().currsize == bound
+
+
+def test_a_template_does_not_grow_with_a_long_list():
+    # a list longer than INLINE fills one slot, whatever its length
+    cli._template.cache_clear()
+    for n in (INLINE + 1, 100, SLICE):
+        assert_writers_match({"primes": list(range(n)), "p": n})
+    assert cli._template.cache_info().currsize == 1
+
+
+def cli_report(*argv):
+    """The report of ``at4 --deterministic argv`` before it is written."""
+    args = cli._build_parser().parse_args(["--deterministic", *argv])
+    _, report = args.func(args)
+    report["schema"] = cli.SCHEMA
+    report["command"] = args.command
+    return report
+
+
+def test_json_writer_matches_stdlib_on_benchmark_reports():
+    # scan-sweep's whole range, and one p of each single-p stratum: prime
+    # power p with s prime, prime power p, s prime, neither; for profile,
+    # ell = 7 with and without ell | v, at prime power p and at other p.
+    # bounds 1319 and profile 1369 274 7 print the two remaining shapes of
+    # the flat dicts that the benchmark's rounds print.
+    argvs = [("scan", "2", "601"), ("bounds", "1319"), ("profile", "1369", "274", "7")]
+    for p in (1069, 2143, 2107, 2173):
+        argvs.append(("bounds", str(p)))
+        argvs += [("array", str(p), str(r)) for r, _ in feasible_closed_forms(p)]
+    for p in (1129, 1109, 1100, 1105):
+        r, _ = feasible_closed_forms(p)[0]
+        argvs.append(("profile", str(p), str(r), "7"))
+    for argv in argvs:
+        report = cli_report(*argv)
+        assert emit(report, "json") == json.dumps(ref_normalise(report), sort_keys=True, indent=2) + "\n", argv
