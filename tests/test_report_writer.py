@@ -336,3 +336,22 @@ def test_json_writer_matches_stdlib_on_benchmark_reports():
     for argv in argvs:
         report = cli_report(*argv)
         assert emit(report, "json") == json.dumps(ref_normalise(report), sort_keys=True, indent=2) + "\n", argv
+
+
+def test_scan_arrays_print_as_the_dicts_of_their_reports():
+    # A scan array prints in JSON as one fill of a template made from the
+    # report of another array, and in text as its own report: at each (p, r)
+    # the fill must follow that template's layout.  Six spaces is the indent
+    # of an array in a scan report (entries, an entry, its arrays).
+    for p in (*range(2, 301), 1000003, 9999991, 1000000004):
+        for r, f in feasible_closed_forms(p):
+            record = cli._ScanArray((r, f))
+            report = {"r": r, **cli._array_payload(r, f)}
+            expected = json.dumps(report, sort_keys=True, indent=2)
+            for at in ("      ", "", "  "):
+                parts = []
+                cli._walk(record, at, parts, False)
+                assert "".join(parts) == expected.replace("\n", "\n" + at), (p, r, at)
+            parts = []
+            cli._walk(record, "array", parts, True)
+            assert "".join(parts) == ref_text(ref_normalise(report), "array"), (p, r)
