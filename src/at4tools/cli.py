@@ -6,16 +6,13 @@ separate optional field and suppressed entirely under --deterministic.
 
 Both formats are printed by one traversal of the report, ``_walk``: JSON
 as ``json.dumps(report, sort_keys=True, indent=2)`` prints it, text as one
-``path = value`` line per leaf.  In JSON a flat dict, one whose values are
-exact ints, str, bool, None, exact-int lists and flat dicts, prints as one
-``template % values``: the template has a slot per int, list items too, and
-is built once per shape (indent, keys, kind of each value, length of each
-short list) in a bounded cache.  A scan array is kept as the record of r
-and its closed forms, not as a dict: in JSON it prints as one fill of the
-template that route builds, once per indent, for the report of one real
-array, filled straight from the closed forms; in text it prints as that
-dict.  Other records, sets, long sequences and any other dict print value
-by value.
+``path = value`` line per leaf.  A scan array is kept as the record of r
+and its closed forms, not as a dict: in JSON it prints as one ``template %
+values``, filled straight from the closed forms.  The template is the one
+template of the writer: the walk builds it once per indent from the report
+of the Soicher array, with each int and str made a slot, and checks that
+its fill prints that report's bytes.  In text a scan array prints as its
+report; every other value, in both formats, prints value by value.
 
 Only ``verify`` and ``audit`` need the graph module: they import
 ``at4tools.graphcheck`` at first use, so the other commands start without it.
@@ -89,16 +86,18 @@ _INTS = frozenset({int})
 # containers that print as they are; a set, a record or a subclass is converted first
 _PLAIN = frozenset({list, tuple, range, dict})
 _NAMED = {True: "true", False: "false", None: "null"}.__getitem__
+
+
+class _Slot(str):
+    """A leaf that prints as itself: the %d or %s slot that stands for an
+    int or a str in ``_array_template``."""
+
+
 # the printers of the exact scalar types; any other leaf prints as json.dumps
-_SCALARS = {int: repr, str: encode_basestring_ascii, bool: _NAMED, type(None): _NAMED}
+_SCALARS = {int: repr, str: encode_basestring_ascii, bool: _NAMED, type(None): _NAMED, _Slot: str}
 # An exact-int list or tuple, or a range, longer than this is written to
 # ``out`` in slices of this many items, never joined whole.
 _SLICE = 4096
-# In the template of a flat dict, an exact-int list of at most this many
-# items has one slot per item, and a longer one a single slot.
-_INLINE = 8
-# the types of the values of a flat dict
-_FLAT = frozenset({int, str, bool, type(None), list, tuple, dict})
 
 
 @functools.lru_cache(maxsize=1024)
@@ -118,78 +117,6 @@ def _brackets(indent: str) -> tuple:
     before, between and after them."""
     inner = indent + "  "
     return inner, "[\n" + inner, ",\n" + inner, "\n" + indent + "]"
-
-
-def _flat_shape(heads: tuple, slots: tuple, values: list, at: str, fill: list):
-    """The shape of a flat JSON dict at indent ``at`` whose ``_layout`` is
-    ``heads`` and ``slots`` and whose values are ``values``, or None if the
-    dict is not flat.  A dict is flat when each value is an exact int, a
-    str, a bool, None, a list or tuple of at most _SLICE exact ints, or a
-    flat dict.  The shape is (heads, kinds) with one kind per value: int or
-    str for a leaf that fills a slot, the JSON of a bool or None, the length
-    of a list of at most _INLINE ints, None for a longer one, or the shape
-    of a nested dict.  The values that fill the template's slots are
-    appended to ``fill``, whole only if the dict is flat."""
-    kinds = []
-    for i in slots:
-        v = values[i]
-        kind = type(v)
-        if kind is int:
-            fill.append(v)
-        elif kind is list or kind is tuple:
-            kind = len(v)
-            if kind > _SLICE or not _INTS.issuperset(map(type, v)):
-                return None
-            if kind > _INLINE:
-                # join a long list only if no value's type rules the dict out
-                if not _FLAT.issuperset(map(type, values)):
-                    return None
-                fill.append(_brackets(at + "  ")[2].join(map(repr, v)))
-                kind = None
-            else:
-                fill += v
-        elif kind is str:
-            fill.append(encode_basestring_ascii(v))
-        elif kind is bool or v is None:
-            kind = _NAMED(v)
-        elif kind is dict:
-            _, sub_heads, sub_slots = _layout((*map(str, v),))
-            kind = _flat_shape(sub_heads, sub_slots, [*v.values()], at + "  ", fill)
-            if kind is None:
-                return None
-        else:
-            return None
-        kinds.append(kind)
-    return heads, (*kinds,)
-
-
-@functools.lru_cache(maxsize=256)
-def _template(at: str, shape: tuple) -> str:
-    """The JSON of a flat dict of ``shape`` (see _flat_shape) at indent
-    ``at``, with a %d slot for each int, list items too, and a %s slot for
-    each str and each list of more than _INLINE items; every % of a key is
-    doubled."""
-    heads, kinds = shape
-    if not heads:
-        return "{}"
-    inner = at + "  "
-    _, head, sep, tail = _brackets(inner)
-    items = []
-    for key, kind in zip(heads, kinds):
-        if kind is int:
-            text = "%d"
-        elif kind is str:
-            text = "%s"
-        elif kind is None:
-            text = head + "%s" + tail
-        elif type(kind) is str:
-            text = kind
-        elif type(kind) is int:
-            text = head + sep.join(("%d",) * kind) + tail if kind else "[]"
-        else:
-            text = _template(inner, kind)
-        items.append(key.replace("%", "%%") + text)
-    return "{\n" + inner + (",\n" + inner).join(items) + "\n" + at + "}"
 
 
 def _walk(value, at: str, parts: list, text: bool, lead: str = "") -> None:
@@ -253,14 +180,6 @@ def _walk(value, at: str, parts: list, text: bool, lead: str = "") -> None:
             if not values:
                 parts.append(lead + "{}")
                 return
-            # only a plain dict is tried as flat: a record, made a dict
-            # above, is seldom flat, and the failed try would cost more
-            if kind is dict:
-                fill: list = []
-                shape = _flat_shape(heads, slots, values, at, fill)
-                if shape is not None:
-                    parts.append(lead + _template(at, shape) % (*fill,))
-                    return
             inner = at + "  "
             lead, sep = lead + "{\n" + inner, ",\n" + inner
             for head, i in zip(heads, slots):
@@ -333,9 +252,9 @@ def _fundamental_bound(f: at4.ClosedForms) -> str:
 class _ScanArray(tuple):
     """The array of (p, r) in a scan report, a record: the tuple (r, f) of r
     and the closed forms ``f`` of (p, r).  Its fields are the keys of its
-    report ``{"r": r, **_array_payload(r, f)}`` and each reads its value
-    there, so the text format and any reader of records see that dict; the
-    JSON writer prints it as one fill of ``_array_template``."""
+    report ``{"r": r, **_array_payload(r, f)}``, which ``_asdict`` gives, so
+    the text format and any reader of records see that dict; the JSON
+    writer prints it as one fill of ``_array_template``."""
 
     # Held until the report is written, these tuples take less memory than
     # the dicts of lists they replace: `scan 2 4000` as JSON peaks at 127-138
@@ -346,13 +265,6 @@ class _ScanArray(tuple):
     def _asdict(self) -> dict:
         r, f = self
         return {"r": r, **_array_payload(r, f)}
-
-    def __getattr__(self, name):
-        # the fields come here: no attribute of a tuple has their names
-        try:
-            return self._asdict()[name]
-        except KeyError:
-            raise AttributeError(name) from None
 
     def _fill(self) -> tuple:
         """The values of the slots of ``_array_template``, in the order of
@@ -374,17 +286,32 @@ _SOICHER = _ScanArray((3, at4.closed_forms(at4.At4Params(2, 3))))
 _ScanArray._fields = (*_SOICHER._asdict(),)
 
 
+def _marked(value):
+    """``value`` with each exact int marked as a %d slot and each str as a %s
+    slot."""
+    kind = type(value)
+    if kind is int or kind is str:
+        return _Slot("%d" if kind is int else "%s")
+    if kind is dict:
+        return {key: _marked(v) for key, v in value.items()}
+    if kind is list or kind is tuple:
+        return [*map(_marked, value)]
+    return value
+
+
 @functools.lru_cache(maxsize=64)
 def _array_template(at: str) -> str:
-    """The JSON template of a scan array at indent ``at``: the one the flat
-    dict route builds for the report of _SOICHER, whose fill must be the one
-    ``_ScanArray._fill`` gives."""
-    value = _SOICHER._asdict()
-    _, heads, slots = _layout((*value,))
-    fill: list = []
-    shape = _flat_shape(heads, slots, [*value.values()], at, fill)
-    assert fill == [*_SOICHER._fill()], "the fill of a scan array is not in the order of its layout"
-    return _template(at, shape)
+    """The JSON template of a scan array at indent ``at``: the walk's JSON
+    of the report of _SOICHER with its ints and str made slots, which must
+    print that report when ``_ScanArray._fill`` fills it."""
+    report = _SOICHER._asdict()
+    marked: list = []
+    _walk(_marked(report), at, marked, False)
+    expected: list = []
+    _walk(report, at, expected, False)
+    template = "".join(marked)
+    assert template % _SOICHER._fill() == "".join(expected), "a scan array's fill does not print its report"
+    return template
 
 
 def _spectrum_fields(p: int) -> dict:

@@ -8,6 +8,10 @@ generators and text writers serve the benchmark).  A public method or
 property counts as reached when the package outside its own definition, or
 a benchmark script, reads an attribute of that name.  Code that only the
 tests reach belongs in the tests, as the oracles of tests/oracles.py do.
+
+A private module-level function or class is reached when some other
+top-level statement of the package refers to it: one left behind when its
+last caller went fails the test.
 """
 
 import ast
@@ -33,28 +37,39 @@ def names_used(tree) -> set[str]:
     return out
 
 
-def test_every_public_definition_is_reached():
-    statements = [
-        (path.stem, node)
+def unreached(private: bool) -> list[tuple[str, str]]:
+    """(module, name) of each private or each public module-level function
+    and class of the package that no other top-level statement of the
+    package refers to.  Names are collected per top-level statement, so
+    that a definition's use of its own name does not count."""
+    uses = [
+        (path.stem, node, names_used(node))
         for path in sorted(SRC.glob("*.py"))
         for node in ast.parse(path.read_text(encoding="utf-8")).body
     ]
-    # names used per top-level statement, so that a definition's use of
-    # its own name does not count
-    uses = [(node, names_used(node)) for _, node in statements]
+    return [
+        (module, node.name)
+        for module, node, _ in uses
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") == private
+        and not any(node.name in used for _, other, used in uses if other is not node)
+    ]
+
+
+def test_every_public_definition_is_reached():
     bench = set()
     for path in sorted((ROOT / "bench").glob("*.py")):
         bench |= names_used(ast.parse(path.read_text(encoding="utf-8")))
-    unreached = [
-        f"{module}.{node.name}"
-        for module, node in statements
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and node.name not in at4tools.__all__
-        and node.name not in bench
-        and not any(node.name in used for other, used in uses if other is not node)
+    missing = [
+        (module, name)
+        for module, name in unreached(private=False)
+        if name not in at4tools.__all__ and name not in bench
     ]
-    assert unreached == []
+    assert missing == []
+
+
+def test_every_private_definition_is_used():
+    assert unreached(private=True) == []
 
 
 def attributes_read(tree) -> Counter:

@@ -21,7 +21,7 @@ def ref_normalise(value):
     """Records (named tuples) to the dict of their fields, sets to sorted
     lists, other tuples and ranges to lists, keys to str."""
     if isinstance(value, tuple) and hasattr(value, "_fields"):
-        return ref_normalise({name: getattr(value, name) for name in value._fields})
+        return ref_normalise(value._asdict())
     if isinstance(value, (frozenset, set)):
         return [ref_normalise(v) for v in sorted(value)]
     if isinstance(value, (list, tuple, range)):
@@ -59,11 +59,10 @@ def emit(value, fmt: str) -> str:
 # str with quotes, backslashes, control characters and non-ASCII text
 texts = st.text(st.characters() | st.sampled_from('"\\\x00\x1f\x7f\xe9\u2028\U0001f600'), max_size=6)
 ints = st.integers() | st.integers(min_value=-(2**256), max_value=2**256) | st.sampled_from([0, -1, 2**63])
-INLINE = cli._INLINE
-# exact-int lists on both sides of the length a flat dict's template inlines
-int_lists = st.lists(ints, min_size=INLINE - 2, max_size=INLINE + 3)
-# an exact-int list but for its last item, a bool, which must not fill a %d slot
-bool_last = st.builds(lambda items, last: [*items, last], st.lists(st.integers(-3, 3), max_size=INLINE + 2), st.booleans())
+# exact-int lists of 6 to 11 items
+int_lists = st.lists(ints, min_size=6, max_size=11)
+# an exact-int list but for its last item, a bool, which must print as true or false
+bool_last = st.builds(lambda items, last: [*items, last], st.lists(st.integers(-3, 3), max_size=10), st.booleans())
 leaves = (
     st.none()
     | st.booleans()
@@ -79,7 +78,7 @@ leaves = (
     | int_lists.map(tuple)
     | bool_last
 )
-# keys that are equal under == or under str, or that a template must escape
+# keys that are equal under == or under str, or that hold % and braces
 keys = texts | st.integers(-2, 2) | st.booleans() | st.sampled_from(["1", "True", "%s", "%", "{0}", "}{", "%%d"])
 
 
@@ -95,8 +94,8 @@ values = st.recursive(
     max_leaves=20,
 )
 reports = st.dictionaries(texts, values, max_size=3)
-# the leaves of a flat dict, and flat dicts nested three deep
-flat_leaves = st.none() | st.booleans() | ints | texts | st.lists(ints, max_size=INLINE + 3) | int_lists.map(tuple)
+# dicts of scalars and exact-int lists, nested up to three deep
+flat_leaves = st.none() | st.booleans() | ints | texts | st.lists(ints, max_size=11) | int_lists.map(tuple)
 flat_dicts = flat_leaves
 for _ in range(3):
     flat_dicts = st.dictionaries(keys, flat_leaves | flat_dicts, max_size=4)
@@ -107,8 +106,8 @@ same_keys = st.lists(keys, min_size=1, max_size=5, unique=True).flatmap(
     lambda ks: st.lists(st.fixed_dictionaries({k: slot_values for k in ks}), min_size=2, max_size=5)
 )
 # dicts that share one key set and differ only in the lengths of their int
-# lists, nested ones too, so that a template made for one is offered to the next
-int_list_values = st.lists(st.integers(-9, 2**40), max_size=INLINE + 2)
+# lists, nested ones too, so that a layout made for one is offered to the next
+int_list_values = st.lists(st.integers(-9, 2**40), max_size=10)
 same_keys_other_lengths = st.lists(keys, min_size=1, max_size=4, unique=True).flatmap(
     lambda ks: st.lists(
         st.fixed_dictionaries({k: int_list_values | st.fixed_dictionaries({"in": int_list_values}) for k in ks}),
@@ -138,7 +137,7 @@ def test_json_writer_matches_stdlib_on_dicts_of_one_key_set(dicts):
 @settings(max_examples=150, deadline=None)
 @given(flat_dicts)
 def test_json_writer_matches_stdlib_on_flat_dicts(value):
-    # the template of a flat dict depends on its indent: print it at three
+    # print each at three indents
     for wrapped in (value, [value], {"a": [{"b": value}]}):
         assert emit(wrapped, "json") == json.dumps(ref_normalise(wrapped), sort_keys=True, indent=2) + "\n"
 
@@ -287,28 +286,12 @@ class Writes:
 def test_long_sequences_are_written_in_slices():
     # 40 digits per item: a slice is at most 43 * SLICE characters
     long = [10**39 + i for i in range(10 * SLICE)]
-    # the second is a flat dict but for the long list
+    # the second holds an int beside the long list
     for report in ({"v": long, "r": range(10**39, 10**39 + 10 * SLICE)}, {"v": long, "n": 1}):
         for fmt in ("json", "text"):
             sink = Writes()
             cli._emit(report, fmt, sink)
             assert sink.longest < 48 * SLICE
-
-
-def test_template_cache_stays_at_its_bound():
-    bound = cli._template.cache_info().maxsize
-    # one shape per row: each row has its own key
-    rows = [{f"k{i}": i, "v": list(range(i % (INLINE + 2)))} for i in range(2 * bound)]
-    assert_writers_match({"rows": rows})
-    assert cli._template.cache_info().currsize == bound
-
-
-def test_a_template_does_not_grow_with_a_long_list():
-    # a list longer than INLINE fills one slot, whatever its length
-    cli._template.cache_clear()
-    for n in (INLINE + 1, 100, SLICE):
-        assert_writers_match({"primes": list(range(n)), "p": n})
-    assert cli._template.cache_info().currsize == 1
 
 
 def cli_report(*argv):
@@ -324,8 +307,8 @@ def test_json_writer_matches_stdlib_on_benchmark_reports():
     # scan-sweep's whole range, and one p of each single-p stratum: prime
     # power p with s prime, prime power p, s prime, neither; for profile,
     # ell = 7 with and without ell | v, at prime power p and at other p.
-    # bounds 1319 and profile 1369 274 7 print the two remaining shapes of
-    # the flat dicts that the benchmark's rounds print.
+    # bounds 1319 and profile 1369 274 7 print the two remaining report
+    # shapes that the benchmark's rounds print.
     argvs = [("scan", "2", "601"), ("bounds", "1319"), ("profile", "1369", "274", "7")]
     for p in (1069, 2143, 2107, 2173):
         argvs.append(("bounds", str(p)))
