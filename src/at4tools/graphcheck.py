@@ -12,10 +12,13 @@ big-int rows for n vertices of valency k and diameter d, each sum one
 C-level call, in place of a Python step per vertex pair.  Connectivity is
 tested before those rows are built, by a walk from vertex 0 in layers of
 one set union each, so a disconnected graph costs memory linear in its
-size.  An audit tests each permutation against bitset adjacency rows it
-builds once per graph, reads each displacement profile from the
-permutation and the neighbour tuples, without a distance matrix, and its
-characters as integer numerators over fixed denominators
+size.  An audit reads each permutation of a graph on at most 256 vertices
+as a ``bytes.translate`` table: it translates the byte string of the edges
+and looks each image edge up in a frozenset of 16-bit edge codes, and
+counts alpha_1 as the pairs (u, sigma[u]) among those codes, all built
+once per graph (``_displacement_kernel``); a larger graph is tested on
+bitset adjacency rows.  The displacement profile needs no distance
+matrix, and the characters are integer numerators over fixed denominators
 (``higman.chi_numerators``), without a Fraction; tests/oracles.py keeps
 the distance-matrix, Fraction and per-token routes they are held to.
 The star witness is the unique SRG(56, 10, 0, 2), the disjointness graph
@@ -24,7 +27,8 @@ after it verifies its own parameters.  The class is the orbit of the
 regular hyperoval (a conic and its nucleus) under the elementary
 transvections, and the automorphisms listed are those the transvections and
 the field automorphism generate; both come from one breadth-first closure,
-``_closure``.
+``_closure``, the automorphisms on 56-byte strings composed by
+``bytes.translate``.
 """
 
 from __future__ import annotations
@@ -152,9 +156,10 @@ def _content_lines(text: str):
 
 
 def _natural(tok: str) -> int | None:
-    # str.isdigit also accepts characters such as '²' that int() rejects,
-    # and int() refuses numbers of thousands of digits.
-    if tok.isdigit():
+    # ASCII digits only: str.isdigit also accepts characters such as '²'
+    # that int() rejects and such as the Arabic-Indic '٣' that int() reads
+    # as 3, and int() refuses numbers of thousands of digits.
+    if tok.isascii() and tok.isdigit():
         try:
             return int(tok)
         except ValueError:
@@ -164,8 +169,9 @@ def _natural(tok: str) -> int | None:
 
 def _naturals(toks: list[str]) -> list[int] | None:
     # _natural of a whole line at once: split tokens are non-empty, so their
-    # concatenation is all digits iff each token is
-    if "".join(toks).isdigit():
+    # concatenation is all ASCII digits iff each token is
+    line = "".join(toks)
+    if line.isascii() and line.isdigit():
         try:
             return list(map(int, toks))
         except ValueError:
@@ -209,12 +215,9 @@ def parse_graph(text: str) -> tuple[Graph, tuple[str, ...]]:
         # names: the first in order
         add = listed.setdefault(i, []).append
         for tok in toks:
-            if not tok.isdigit():
+            j = _natural(tok)
+            if j is None:
                 raise GraphError(f"line {lineno}: bad neighbor {tok!r}")
-            try:
-                j = int(tok)
-            except ValueError:
-                raise GraphError(f"line {lineno}: bad neighbor {tok!r}") from None
             if j >= n:
                 raise GraphError(f"line {lineno}: neighbor {j} out of range for n = {n}")
             if j == i:
@@ -235,20 +238,24 @@ def graph_to_text(g: Graph) -> str:
 
 
 def parse_permutations(text: str, n: int) -> tuple[tuple[int, ...], ...]:
-    """Parse one permutation per line: n space-separated images.
+    """Parse one permutation per line: n space-separated images, each a
+    natural number in ASCII digits, as ``parse_graph`` reads neighbours.
 
-    Being a bijection is not checked here; a corrupted line of the right
-    shape is reported by the audit rather than rejected at parse time.
+    Being a bijection is not checked here; a line of the right shape with
+    an image of n or more, or an image repeated, is reported by the audit
+    rather than rejected at parse time.  Any other token (a sign, an
+    underscore, a non-ASCII digit) raises GraphError naming its line.
     """
     perms = []
     for lineno, line in _content_lines(text):
         toks = line.split()
         if len(toks) != n:
             raise GraphError(f"line {lineno}: expected {n} images, got {len(toks)}")
-        try:
-            perms.append(tuple(map(int, toks)))
-        except ValueError:
-            raise GraphError(f"line {lineno}: non-integer image") from None
+        images = _naturals(toks)
+        if images is None:
+            bad = next(tok for tok in toks if _natural(tok) is None)
+            raise GraphError(f"line {lineno}: bad image {bad!r}")
+        perms.append(tuple(images))
     return tuple(perms)
 
 
@@ -417,15 +424,18 @@ def gewirtz_automorphisms(count: int = 150) -> tuple[tuple[int, ...], ...]:
     40,320 if ``count`` is larger and the identity alone if it is below 1:
     the closure of the identity, breadth-first, under the construction's own
     symmetries (the elementary transvections and the field automorphism,
-    which preserves the class)."""
+    which preserves the class).  The closure runs on 56-byte strings, each
+    generator a 256-byte ``bytes.translate`` table, so composing with a
+    generator and hashing the result are each one C-level call."""
     vertices = _gewirtz_class()
     vindex = {mask: i for i, mask in enumerate(vertices)}
     frobenius = _point_perm(lambda pt: [_GF4_MUL[c][c] for c in pt])  # x -> x^2
+    pad = bytes(256 - 56)
     gens = [
-        tuple(vindex[_apply_point_perm(mask, perm)] for mask in vertices)
+        bytes([vindex[_apply_point_perm(mask, perm)] for mask in vertices]) + pad
         for perm in (*_transvection_perms(), frobenius)
     ]
-    return tuple(_closure([tuple(range(56))], gens, lambda cur, g: tuple(map(g.__getitem__, cur)), count))
+    return tuple(map(tuple, _closure([bytes(range(56))], gens, bytes.translate, count)))
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +542,49 @@ def _maps_rows(rows, adj, sigma) -> bool:
     return list(map(rows.__getitem__, sigma)) == list(images)
 
 
+def _displacement_kernel(g: Graph):
+    """The function that takes a permutation sigma of g's vertices to None
+    if sigma is no automorphism of g, and otherwise to its alpha_1: the
+    number of vertices u with sigma[u] adjacent to u.
+
+    On at most 256 vertices a vertex is a byte.  ``ends`` holds the bytes
+    u0 v0 u1 v1 ... of the edges with u < v, and ``edges`` the 16-bit codes
+    of both orientations, so that the set does not depend on the host's
+    byte order.  sigma, padded to 256 bytes, is a ``bytes.translate`` table:
+    a bijection is an automorphism iff it maps every edge to an edge, that
+    is iff every code of ``ends.translate(table)`` lies in ``edges``.  The
+    pairs (u, sigma[u]) are read as codes from one bytearray whose even
+    bytes are 0..n-1 and whose odd bytes take sigma.  On more vertices each
+    permutation is tested on bitset rows built once (``_maps_rows``)."""
+    n = g.n
+    adj = g.adj
+    if n > 256:
+        rows = [sum(map((1).__lshift__, nbrs)) for nbrs in adj]
+
+        def displacement(sigma):
+            if not _maps_rows(rows, adj, sigma):
+                return None
+            return sum(map(tuple.__contains__, adj, sigma))
+
+        return displacement
+    ends = bytes([x for u, nbrs in enumerate(adj) for v in nbrs if u < v for x in (u, v)])
+    arcs = bytes([x for u, nbrs in enumerate(adj) for v in nbrs for x in (u, v)])
+    edges = frozenset(memoryview(arcs).cast("H"))
+    pad = bytes(256 - n)
+    pairs = bytearray(2 * n)
+    pairs[::2] = range(n)
+    codes = memoryview(pairs).cast("H")
+
+    def displacement(sigma):
+        image = bytes(sigma)
+        if not edges.issuperset(memoryview(ends.translate(image + pad)).cast("H")):
+            return None
+        pairs[1::2] = image
+        return len(edges.intersection(codes))
+
+    return displacement
+
+
 # ---------------------------------------------------------------------------
 # end-to-end audit against the constraint engine
 # ---------------------------------------------------------------------------
@@ -565,8 +618,7 @@ def audit_family_graph(g: Graph, p: int, sigmas) -> AuditReport:
     bound = fixed_point_order_bound(params)
     n1, n2 = family_multiplicities(p)
     n = g.n
-    adj = g.adj
-    rows = [sum(map((1).__lshift__, nbrs)) for nbrs in adj]
+    displacement = _displacement_kernel(g)
     failures = []
     orders = []
     for idx, sigma in enumerate(sigmas):
@@ -575,16 +627,16 @@ def audit_family_graph(g: Graph, p: int, sigmas) -> AuditReport:
             failures.append((idx, ("not-a-permutation",)))
             orders.append(0)
             continue
-        if not _maps_rows(rows, adj, sigma):
+        # g is strongly regular, so of diameter 2: a moved vertex goes to a
+        # neighbour or to distance 2
+        adjacent = displacement(sigma)
+        if adjacent is None:
             failures.append((idx, ("not-automorphism",)))
             orders.append(0)
             continue
         order = perm_order(sigma)
         orders.append(order)
-        # g is strongly regular, so of diameter 2: a moved vertex goes to a
-        # neighbour or to distance 2
         fix = sum(map(operator.eq, sigma, range(n)))
-        adjacent = sum(map(tuple.__contains__, adj, sigma))
         if order > 1 and fix > bound:
             codes.append("fix-bound-exceeded")
         (num1, den1), (num2, den2) = chi_numerators(p, fix, adjacent, n - fix - adjacent)

@@ -17,9 +17,14 @@ program derives another way, so that the two can be compared.
 * ``rational_chi_values``, ``rational_chi_filter`` and ``reference_audit``
   are the character sums in ``Fraction`` arithmetic and the audit loop
   that reads them, which ``higman.chi_numerators`` replaces by integers;
-* ``reference_parse_graph`` parses a graph file one token at a time and
-  symmetrizes its rows through one set per vertex, where
-  ``graphcheck.parse_graph`` converts a whole line at once and sorts lists.
+  the loop shares no kernel with the audit: it tests a bijection by
+  sorting, an automorphism edge by edge (``is_automorphism``) and counts
+  alpha_1 from ``g.neighbors``, where the audit translates byte tables or
+  compares bitset rows;
+* ``reference_parse_graph`` parses a graph file one token at a time, each
+  token by a full match of ASCII digits, and symmetrizes its rows through
+  one set per vertex, where ``graphcheck.parse_graph`` converts a whole
+  line at once and sorts lists.
 """
 
 from __future__ import annotations
@@ -29,15 +34,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import operator
+import re
 
 from at4tools.exactnum import is_prime
 from at4tools.graphcheck import (
     MAX_VERTICES,
     GraphError,
     _content_lines,
-    _maps_rows,
-    _natural,
-    is_permutation,
     perm_order,
     verify_srg,
 )
@@ -287,24 +290,22 @@ def reference_audit(g, p: int, sigmas) -> tuple[tuple, tuple]:
     assert verify_srg(g) == params
     bound = fixed_point_order_bound(params)
     n = g.n
-    adj = g.adj
-    rows = [sum(map((1).__lshift__, nbrs)) for nbrs in adj]
     failures = []
     orders = []
     for idx, sigma in enumerate(sigmas):
         codes = []
-        if not is_permutation(sigma, n):
+        if len(sigma) != n or sorted(sigma) != list(range(n)):
             failures.append((idx, ("not-a-permutation",)))
             orders.append(0)
             continue
-        if not _maps_rows(rows, adj, sigma):
+        if not is_automorphism(g, sigma):
             failures.append((idx, ("not-automorphism",)))
             orders.append(0)
             continue
         order = perm_order(sigma)
         orders.append(order)
         fix = sum(map(operator.eq, sigma, range(n)))
-        adjacent = sum(map(tuple.__contains__, adj, sigma))
+        adjacent = sum(sigma[u] in g.neighbors(u) for u in range(n))
         if order > 1 and fix > bound:
             codes.append("fix-bound-exceeded")
         aut = AutProfile(order, fix, adjacent, n - fix - adjacent)
@@ -335,6 +336,17 @@ def _reference_rows(neighbours, warnings: list[str]) -> tuple[tuple[int, ...], .
                 warnings.append(f"edge {i}-{j} listed only once; symmetrized")
                 sets[j].add(i)
     return tuple(tuple(sorted(nbrs)) for nbrs in sets)
+
+
+def _natural(tok: str) -> int | None:
+    """The natural number a token of ASCII digits spells, or None for any
+    other token and for one that int() refuses as too long."""
+    if re.fullmatch("[0-9]+", tok):
+        try:
+            return int(tok)
+        except ValueError:
+            pass
+    return None
 
 
 def reference_parse_graph(text: str) -> tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]:

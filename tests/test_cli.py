@@ -209,6 +209,7 @@ def refusal_dir(tmp_path_factory):
     (tmp / "huge.txt").write_text(f"n {graphcheck.MAX_VERTICES + 1}\n")
     (tmp / "c5.txt").write_text((Path(__file__).parent / "data" / "c5_one_sided.txt").read_text())
     (tmp / "short.txt").write_text("0 1 2\n")
+    (tmp / "signed.txt").write_text("0 1 2 3 4\n4 3 2 1 -1\n")
     (tmp / "adir").mkdir()
     return str(tmp)
 
@@ -242,6 +243,8 @@ REFUSALS = [
     (["verify", "{d}/adir"], 3, "[Errno 21] Is a directory: '{d}/adir'"),
     (["audit", "{d}/c5.txt", "{d}/short.txt", "1"], 2, "p must be >= 2, got 1"),
     (["audit", "{d}/c5.txt", "{d}/short.txt", "2"], 3, "line 1: expected 5 images, got 3"),
+    # an image is a natural in ASCII digits, as a neighbour is in a graph file
+    (["audit", "{d}/c5.txt", "{d}/signed.txt", "2"], 3, "line 2: bad image '-1'"),
     # both files are read before either is parsed: the read error wins
     (["audit", "{d}/loop.txt", "{d}/missing.txt", "2"], 3, "[Errno 2] No such file or directory: '{d}/missing.txt'"),
     (
@@ -298,6 +301,20 @@ def test_audit_corrupted_permutation(gewirtz_files, tmp_path):
     rc, rep = run_json(["audit", str(gpath), str(ppath), "2"])
     assert rc == 1
     assert rep["failures"] == [[1, ["not-automorphism"]]]
+
+
+def test_audit_reports_images_out_of_range_or_repeated(gewirtz_files, tmp_path):
+    # naturals that make no permutation parse, and the audit reports them
+    gpath, _, witnesses = gewirtz_files
+    out_of_range = list(witnesses[1])
+    out_of_range[3] = 56
+    repeated = list(witnesses[2])
+    repeated[3] = repeated[4]
+    ppath = tmp_path / "broken.txt"
+    ppath.write_text(graphcheck.permutations_to_text([witnesses[0], out_of_range, repeated]))
+    rc, rep = run_json(["audit", str(gpath), str(ppath), "2"])
+    assert rc == 1
+    assert rep["failures"] == [[1, ["not-a-permutation"]], [2, ["not-a-permutation"]]]
 
 
 def test_audit_wrong_family(gewirtz_files, tmp_path, capsys):

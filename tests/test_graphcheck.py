@@ -6,6 +6,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from at4tools import graphcheck
 from at4tools.at4 import IntersectionArray
 from at4tools.graphcheck import (
     MAX_VERTICES,
@@ -78,6 +79,8 @@ def test_parse_rejects_oversize_header():
 def test_parse_rejects_non_ascii_and_overlong_numbers():
     with pytest.raises(GraphError, match="line 1"):
         parse_graph("n \u00b2\n")  # '²' passes str.isdigit but not int()
+    with pytest.raises(GraphError, match="line 3: bad neighbor '\u0663'"):
+        parse_graph("n 4\n0: 1\n1: \u0663\n")  # Arabic-Indic 3, which int() reads
     with pytest.raises(GraphError, match="line 2"):
         parse_graph("n 2\n" + "9" * 5000 + ": 1\n")
     with pytest.raises(GraphError, match="line 2"):
@@ -149,9 +152,10 @@ def test_parse_symmetrizes_each_one_sided_edge_once(case):
     assert g.adj == tuple(tuple(_bits(row)) for row in rows)
 
 
-# tokens each of which str.isdigit or int() refuses, or both: a superscript
-# digit, signs, an underscore, and a number beyond int()'s 4300 digits; the
-# Arabic-Indic digit three passes both and reads as 3
+# tokens that are no natural in ASCII digits: a superscript digit, which
+# str.isdigit passes and int() refuses, signs and an underscore, which int()
+# reads, the Arabic-Indic digit three, which both pass and int() reads as 3,
+# and a number beyond int()'s 4300 digits
 ODD_TOKENS = ("\u00b2", "-3", "+3", "1_0", "\u0663", "9" * 5000)
 
 
@@ -194,6 +198,23 @@ def test_permutation_text_round_trip():
     assert parse_permutations(text, 3) == perms
     with pytest.raises(GraphError, match="line 1"):
         parse_permutations("0 1\n", 3)
+
+
+@pytest.mark.parametrize("token", ["+0", "1_0", "\u0663", "-1", "\u00b2", "9" * 5000])
+def test_parse_permutations_refuses_what_parse_graph_refuses(token):
+    # int() would read the first three as 0, 10 and 3 and the fourth as -1;
+    # an image is a natural in ASCII digits, as a neighbour is
+    text = f"0 1 2\n# a comment\n2 {token} 0\n"
+    with pytest.raises(GraphError) as got:
+        parse_permutations(text, 3)
+    assert str(got.value) == f"line 3: bad image {token!r}"
+    with pytest.raises(GraphError, match="line 2: bad neighbor"):
+        parse_graph(f"n 3\n0: {token}\n")
+
+
+def test_parse_permutations_leaves_non_bijections_to_the_audit():
+    # naturals of n or more and repeated images are audit findings
+    assert parse_permutations("0 1 3\n0 0 1\n", 3) == ((0, 1, 3), (0, 0, 1))
 
 
 def test_generate_petersen():
@@ -427,6 +448,102 @@ def test_audit_matches_the_rational_reference(gewirtz, gewirtz_witnesses, data):
     report = audit_family_graph(gewirtz, 2, sigmas)
     assert (report.failures, report.orders) == reference_audit(gewirtz, 2, sigmas)
     assert report.passed == report.total - len(report.failures)
+
+
+def _hamming_square(q):
+    """H(2, q): the pairs (a, b) as a * q + b, adjacent when they differ in
+    exactly one coordinate."""
+    n = q * q
+    return n, [(u, v) for u, v in combinations(range(n), 2) if (u // q == v // q) != (u % q == v % q)]
+
+
+def _cycle_symmetries(n):
+    return [tuple((u + t) % n for u in range(n)) for t in (1, 2, n // 2)] + [
+        tuple((t - u) % n for u in range(n)) for t in (0, 1)
+    ]
+
+
+def _hamming_symmetries(q):
+    def image(f):
+        return tuple(x * q + y for x, y in (f(u // q, u % q) for u in range(q * q)))
+
+    return [
+        image(lambda a, b: ((a + 1) % q, b)),
+        image(lambda a, b: (a, (b + 3) % q)),
+        image(lambda a, b: (b, a)),
+        image(lambda a, b: ((b + 1) % q, (q - a) % q)),
+    ]
+
+
+def _conjugate(sigma, relabel):
+    out = [0] * len(sigma)
+    for u, image in enumerate(sigma):
+        out[relabel[u]] = relabel[image]
+    return tuple(out)
+
+
+@pytest.mark.parametrize(
+    "n, edges, symmetries",
+    [
+        (256, [(i, (i + 1) % 256) for i in range(256)], _cycle_symmetries(256)),
+        (257, [(i, (i + 1) % 257) for i in range(257)], _cycle_symmetries(257)),
+        (*_hamming_square(17), _hamming_symmetries(17)),
+    ],
+    ids=["C_256", "C_257", "H(2,17)"],
+)
+def test_displacement_kernel_on_both_sides_of_256_vertices(monkeypatch, n, edges, symmetries):
+    # the byte-table route holds graphs on at most 256 vertices and the
+    # bitset rows the rest; no family graph that large is known, so the
+    # audit never reaches the second route and only this test covers it
+    calls = []
+    maps_rows = graphcheck._maps_rows
+
+    def counted(*args):
+        calls.append(1)
+        return maps_rows(*args)
+
+    rng = random.Random(n)
+    relabel = rng.sample(range(n), n)
+    cases = []
+    for graph_edges, perms in (
+        (edges, symmetries),
+        # the graph relabelled, with its symmetries conjugated to match
+        ([(relabel[u], relabel[v]) for u, v in edges], [_conjugate(s, relabel) for s in symmetries]),
+    ):
+        g = Graph.from_edges(n, graph_edges)
+        sigmas = list(perms)
+        for sigma in perms:
+            i, j = rng.sample(range(n), 2)
+            swapped = list(sigma)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            sigmas.append(tuple(swapped))
+        sigmas += [tuple(rng.sample(range(n), n)) for _ in range(4)]
+        cases.append((g, sigmas))
+    monkeypatch.setattr(graphcheck, "_maps_rows", counted)
+    verdicts = []
+    for g, sigmas in cases:
+        displacement = graphcheck._displacement_kernel(g)
+        for sigma in sigmas:
+            automorphism = is_automorphism(g, sigma)
+            verdicts.append(automorphism)
+            expected = sum(sigma[u] in g.neighbors(u) for u in range(n)) if automorphism else None
+            assert displacement(sigma) == expected
+    assert verdicts.count(True) == 2 * len(symmetries)
+    assert len(calls) == (len(verdicts) if n > 256 else 0)
+
+
+def test_gewirtz_group_closes_whole(gewirtz, gewirtz_witnesses):
+    # the order sympy gives from the generators; the first 600 elements are
+    # the witnesses whose bytes test_gewirtz_witness_bytes_are_pinned pins,
+    # and the whole list keeps the bytes and order it had as tuples
+    group = gewirtz_automorphisms(10**5)
+    assert len(group) == len(set(group)) == 40320
+    assert group[:600] == gewirtz_witnesses
+    assert hashlib.sha256(permutations_to_text(group).encode()).hexdigest() == (
+        "6ff407f7cde0e9e9ca19f1779b7d789c497454e98fd0060abcdec61f9382e614"
+    )
+    for sigma in random.Random(40320).sample(group, 200):
+        assert is_automorphism(gewirtz, sigma)
 
 
 def test_audit_requires_family_params():
