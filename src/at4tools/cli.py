@@ -4,15 +4,18 @@ Subcommands: scan, array, profile, bounds, verify, audit.  Reports are
 byte-identical for identical inputs; wall-clock timing is attached in a
 separate optional field and suppressed entirely under --deterministic.
 
-Both formats are printed by one traversal of the report, ``_walk``: JSON
-as ``json.dumps(report, sort_keys=True, indent=2)`` prints it, text as one
-``path = value`` line per leaf.  A scan array is kept as the record of r
-and its closed forms, not as a dict: in JSON it prints as one ``template %
-values``, filled straight from the closed forms.  The template is the one
-template of the writer: the walk builds it once per indent from the report
-of the Soicher array, with each int and str made a slot, and checks that
-its fill prints that report's bytes.  In text a scan array prints as its
-report; every other value, in both formats, prints value by value.
+A report holds dicts with str keys, lists, tuples, ranges, records, and
+int, str, bool, None or float leaves; a set or a key that is not str raises
+TypeError before the first write.  Both formats are printed by one
+traversal of the report, ``_walk``: JSON as ``json.dumps(report,
+sort_keys=True, indent=2)`` prints it, text as one ``path = value`` line
+per leaf.  A scan array is kept as the record of r and its closed forms,
+not as a dict: in JSON it prints as one ``template % values``, filled
+straight from the closed forms.  The template is the one template of the
+writer: the walk builds it once per indent from the report of the Soicher
+array, with each int and str made a slot, and checks that its fill prints
+that report's bytes.  In text a scan array prints as its report; every
+other value, in both formats, prints value by value.
 
 Only ``verify`` and ``audit`` need the graph module: they import
 ``at4tools.graphcheck`` at first use, so the other commands start without it.
@@ -81,9 +84,9 @@ def _params(p: int, r: int) -> at4.At4Params:
 
 
 _SEQUENCES = (list, tuple, range)
-_CONTAINERS = (dict, set, frozenset, *_SEQUENCES)
+_CONTAINERS = (dict, *_SEQUENCES)
 _INTS = frozenset({int})
-# containers that print as they are; a set, a record or a subclass is converted first
+# containers that print as they are; a record or a subclass is converted first
 _PLAIN = frozenset({list, tuple, range, dict})
 _NAMED = {True: "true", False: "false", None: "null"}.__getitem__
 
@@ -102,13 +105,10 @@ _SLICE = 4096
 
 @functools.lru_cache(maxsize=1024)
 def _layout(keys: tuple) -> tuple:
-    """How a dict whose keys, made str, are ``keys`` in the dict's order
-    prints: its distinct keys sorted, each key's JSON head ``"key": ``, and
-    the index of the value each key prints.  Of keys that str makes equal,
-    the last one's value prints, as in a dict of str keys."""
-    last = {key: i for i, key in enumerate(keys)}
-    names = (*sorted(last),)
-    return names, (*(encode_basestring_ascii(key) + ": " for key in names),), (*map(last.__getitem__, names),)
+    """How a dict whose str keys are ``keys`` in the dict's order prints:
+    its keys sorted, and each key's JSON head ``"key": ``."""
+    names = (*sorted(keys),)
+    return names, (*(encode_basestring_ascii(key) + ": " for key in names),)
 
 
 @functools.lru_cache(maxsize=64)
@@ -124,10 +124,12 @@ def _walk(value, at: str, parts: list, text: bool, lead: str = "") -> None:
     the path of ``value`` and each leaf is one ``path = json`` line; in
     JSON, ``at`` is the indent, ``lead`` the text that goes before
     ``value``, and ``value`` prints as ``json.dumps(value, sort_keys=True,
-    indent=2)`` does after records become the dicts of their fields, sets
-    sorted lists, other tuples and ranges lists, and keys str.  A part is a
-    str, or a (sep, sequence) pair for an exact-int sequence of more than
-    _SLICE items, printed with ``sep`` between items."""
+    indent=2)`` does after records become the dicts of their fields and
+    other tuples and ranges lists.  Out of the report domain, a set reaches
+    ``json.dumps`` and a key that is not str ``encode_basestring_ascii``,
+    and both raise TypeError.  A part is a str, or a (sep, sequence) pair
+    for an exact-int sequence of more than _SLICE items, printed with
+    ``sep`` between items."""
     kind = type(value)
     printer = _SCALARS.get(kind)
     if printer is None:
@@ -135,10 +137,8 @@ def _walk(value, at: str, parts: list, text: bool, lead: str = "") -> None:
             if kind is _ScanArray and not text:
                 parts.append(lead + _array_template(at) % value._fill())
                 return
-            if isinstance(value, (set, frozenset)):
-                value = sorted(value)
             # a record is a tuple, but prints as the dict of its fields
-            elif isinstance(value, tuple) and hasattr(value, "_fields"):
+            if isinstance(value, tuple) and hasattr(value, "_fields"):
                 value = value._asdict()
         if isinstance(value, _SEQUENCES):
             if text:
@@ -167,23 +167,18 @@ def _walk(value, at: str, parts: list, text: bool, lead: str = "") -> None:
                 parts.append(tail)
             return
         if isinstance(value, dict):
-            # Keys as str, not as given: 1 and True are equal keys that print
-            # apart.  The tuple is built from a list, at its final length:
-            # tuple() of a map is resized as it grows, and the free list of
-            # the final length then keeps such tuples until a full collection.
-            names, heads, slots = _layout((*map(str, value),))
-            values = [*value.values()]
+            names, heads = _layout((*value,))
             if text:
-                for name, i in zip(names, slots):
-                    _walk(values[i], f"{at}.{name}" if at else name, parts, True)
+                for name in names:
+                    _walk(value[name], f"{at}.{name}" if at else name, parts, True)
                 return
-            if not values:
+            if not names:
                 parts.append(lead + "{}")
                 return
             inner = at + "  "
             lead, sep = lead + "{\n" + inner, ",\n" + inner
-            for head, i in zip(heads, slots):
-                v = values[i]
+            for name, head in zip(names, heads):
+                v = value[name]
                 printer = _SCALARS.get(type(v))
                 if printer is None:
                     _walk(v, inner, parts, False, lead + head)

@@ -179,6 +179,12 @@ def _naturals(toks: list[str]) -> list[int] | None:
     return None
 
 
+def _quoted(text: str) -> str:
+    """The repr of a refused token or line for an error message: at most its
+    first 32 characters, then ``...`` and its length."""
+    return repr(text) if len(text) <= 32 else f"{text[:32]!r}... ({len(text)} characters)"
+
+
 def parse_graph(text: str) -> tuple[Graph, tuple[str, ...]]:
     """Parse the adjacency text format, returning the graph and a warning
     per edge that had to be symmetrized.
@@ -195,7 +201,7 @@ def parse_graph(text: str) -> tuple[Graph, tuple[str, ...]]:
     parts = header.split()
     n = _natural(parts[1]) if len(parts) == 2 and parts[0] == "n" else None
     if n is None:
-        raise GraphError(f"line {lineno}: expected header 'n <count>', got {header!r}")
+        raise GraphError(f"line {lineno}: expected header 'n <count>', got {_quoted(header)}")
     if n > MAX_VERTICES:
         raise GraphError(f"line {lineno}: vertex count {n} exceeds the limit {MAX_VERTICES}")
     listed: dict[int, list[int]] = {}
@@ -203,7 +209,7 @@ def parse_graph(text: str) -> tuple[Graph, tuple[str, ...]]:
         head, sep, tail = line.partition(":")
         i = _natural(head.strip()) if sep else None
         if i is None:
-            raise GraphError(f"line {lineno}: expected 'i: neighbors', got {line!r}")
+            raise GraphError(f"line {lineno}: expected 'i: neighbors', got {_quoted(line)}")
         if i >= n:
             raise GraphError(f"line {lineno}: vertex {i} out of range for n = {n}")
         toks = tail.split()
@@ -217,7 +223,7 @@ def parse_graph(text: str) -> tuple[Graph, tuple[str, ...]]:
         for tok in toks:
             j = _natural(tok)
             if j is None:
-                raise GraphError(f"line {lineno}: bad neighbor {tok!r}")
+                raise GraphError(f"line {lineno}: bad neighbor {_quoted(tok)}")
             if j >= n:
                 raise GraphError(f"line {lineno}: neighbor {j} out of range for n = {n}")
             if j == i:
@@ -254,7 +260,7 @@ def parse_permutations(text: str, n: int) -> tuple[tuple[int, ...], ...]:
         images = _naturals(toks)
         if images is None:
             bad = next(tok for tok in toks if _natural(tok) is None)
-            raise GraphError(f"line {lineno}: bad image {bad!r}")
+            raise GraphError(f"line {lineno}: bad image {_quoted(bad)}")
         perms.append(tuple(images))
     return tuple(perms)
 

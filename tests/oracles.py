@@ -349,6 +349,14 @@ def _natural(tok: str) -> int | None:
     return None
 
 
+def _quoted(text: str) -> str:
+    """A refused token or line as an error message quotes it: whole up to 32
+    characters, else its first 32, ``...`` and its length."""
+    if len(text) > 32:
+        return repr(text[:32]) + f"... ({len(text)} characters)"
+    return repr(text)
+
+
 def reference_parse_graph(text: str) -> tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]:
     """(adj, warnings) of ``graphcheck.parse_graph(text)``, each listed
     neighbour read as its own token."""
@@ -359,7 +367,7 @@ def reference_parse_graph(text: str) -> tuple[tuple[tuple[int, ...], ...], tuple
     parts = header.split()
     n = _natural(parts[1]) if len(parts) == 2 and parts[0] == "n" else None
     if n is None:
-        raise GraphError(f"line {lineno}: expected header 'n <count>', got {header!r}")
+        raise GraphError(f"line {lineno}: expected header 'n <count>', got {_quoted(header)}")
     if n > MAX_VERTICES:
         raise GraphError(f"line {lineno}: vertex count {n} exceeds the limit {MAX_VERTICES}")
     listed: dict[int, list[int]] = {}
@@ -367,14 +375,14 @@ def reference_parse_graph(text: str) -> tuple[tuple[tuple[int, ...], ...], tuple
         head, sep, tail = line.partition(":")
         i = _natural(head.strip()) if sep else None
         if i is None:
-            raise GraphError(f"line {lineno}: expected 'i: neighbors', got {line!r}")
+            raise GraphError(f"line {lineno}: expected 'i: neighbors', got {_quoted(line)}")
         if i >= n:
             raise GraphError(f"line {lineno}: vertex {i} out of range for n = {n}")
         add = listed.setdefault(i, []).append
         for tok in tail.split():
             j = _natural(tok)
             if j is None:
-                raise GraphError(f"line {lineno}: bad neighbor {tok!r}")
+                raise GraphError(f"line {lineno}: bad neighbor {_quoted(tok)}")
             if j >= n:
                 raise GraphError(f"line {lineno}: neighbor {j} out of range for n = {n}")
             if j == i:

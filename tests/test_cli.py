@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import at4tools
 from at4tools import cli, exactnum, graphcheck, higman
+from test_graphcheck import ODD_TOKENS
 
 try:
     import resource
@@ -210,6 +211,11 @@ def refusal_dir(tmp_path_factory):
     (tmp / "c5.txt").write_text((Path(__file__).parent / "data" / "c5_one_sided.txt").read_text())
     (tmp / "short.txt").write_text("0 1 2\n")
     (tmp / "signed.txt").write_text("0 1 2 3 4\n4 3 2 1 -1\n")
+    long = max(ODD_TOKENS, key=len)
+    (tmp / "long_neighbor.txt").write_text(f"n 3\n0: 1 {long}\n")
+    (tmp / "long_header.txt").write_text(f"n {long}\n")
+    (tmp / "long_vertex.txt").write_text(f"n 3\n{long}: 1\n")
+    (tmp / "long_image.txt").write_text(f"0 1 2 3 4\n4 3 2 {long} 0\n")
     (tmp / "adir").mkdir()
     return str(tmp)
 
@@ -245,6 +251,20 @@ REFUSALS = [
     (["audit", "{d}/c5.txt", "{d}/short.txt", "2"], 3, "line 1: expected 5 images, got 3"),
     # an image is a natural in ASCII digits, as a neighbour is in a graph file
     (["audit", "{d}/c5.txt", "{d}/signed.txt", "2"], 3, "line 2: bad image '-1'"),
+    # a refused token or line of 5000 digits is quoted by its first 32
+    # characters, so the error line stays short
+    (["verify", "{d}/long_neighbor.txt"], 3, "line 2: bad neighbor '" + "9" * 32 + "'... (5000 characters)"),
+    (
+        ["verify", "{d}/long_header.txt"],
+        3,
+        "line 1: expected header 'n <count>', got 'n " + "9" * 30 + "'... (5002 characters)",
+    ),
+    (
+        ["verify", "{d}/long_vertex.txt"],
+        3,
+        "line 2: expected 'i: neighbors', got '" + "9" * 32 + "'... (5003 characters)",
+    ),
+    (["audit", "{d}/c5.txt", "{d}/long_image.txt", "2"], 3, "line 2: bad image '" + "9" * 32 + "'... (5000 characters)"),
     # both files are read before either is parsed: the read error wins
     (["audit", "{d}/loop.txt", "{d}/missing.txt", "2"], 3, "[Errno 2] No such file or directory: '{d}/missing.txt'"),
     (

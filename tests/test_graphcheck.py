@@ -203,11 +203,13 @@ def test_permutation_text_round_trip():
 @pytest.mark.parametrize("token", ["+0", "1_0", "\u0663", "-1", "\u00b2", "9" * 5000])
 def test_parse_permutations_refuses_what_parse_graph_refuses(token):
     # int() would read the first three as 0, 10 and 3 and the fourth as -1;
-    # an image is a natural in ASCII digits, as a neighbour is
+    # an image is a natural in ASCII digits, as a neighbour is.  The message
+    # quotes at most 32 characters of the token.
     text = f"0 1 2\n# a comment\n2 {token} 0\n"
     with pytest.raises(GraphError) as got:
         parse_permutations(text, 3)
-    assert str(got.value) == f"line 3: bad image {token!r}"
+    quoted = repr(token) if len(token) < 32 else "'" + "9" * 32 + "'... (5000 characters)"
+    assert str(got.value) == f"line 3: bad image {quoted}"
     with pytest.raises(GraphError, match="line 2: bad neighbor"):
         parse_graph(f"n 3\n0: {token}\n")
 

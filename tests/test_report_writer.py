@@ -15,19 +15,18 @@ from at4tools import cli
 from at4tools.at4 import IntersectionArray, feasible_closed_forms
 from at4tools.higman import CaseReport, Condition
 from at4tools.srg import Verdict
+from test_golden import CASES, write_inputs
 
 
 def ref_normalise(value):
-    """Records (named tuples) to the dict of their fields, sets to sorted
-    lists, other tuples and ranges to lists, keys to str."""
+    """Records (named tuples) to the dict of their fields, other tuples and
+    ranges to lists."""
     if isinstance(value, tuple) and hasattr(value, "_fields"):
         return ref_normalise(value._asdict())
-    if isinstance(value, (frozenset, set)):
-        return [ref_normalise(v) for v in sorted(value)]
     if isinstance(value, (list, tuple, range)):
         return [ref_normalise(v) for v in value]
     if isinstance(value, dict):
-        return {str(k): ref_normalise(v) for k, v in value.items()}
+        return {k: ref_normalise(v) for k, v in value.items()}
     return value
 
 
@@ -40,7 +39,7 @@ def ref_text(value, path="", lines=None) -> str:
         return "\n".join(lines) + "\n"
     if isinstance(value, dict):
         for key in sorted(value):
-            ref_text(value[key], f"{path}.{key}" if path else str(key), lines)
+            ref_text(value[key], f"{path}.{key}" if path else key, lines)
     elif isinstance(value, list) and any(isinstance(v, (dict, list)) for v in value):
         for i, v in enumerate(value):
             ref_text(v, f"{path}.{i}", lines)
@@ -69,8 +68,6 @@ leaves = (
     | ints
     | st.floats()
     | texts
-    | st.sets(ints, max_size=4)
-    | st.frozensets(texts, max_size=4)
     | st.lists(ints, max_size=6)  # the all-int fast path
     | st.lists(st.booleans() | st.integers(-3, 3), max_size=6)  # bool must not take it
     | st.builds(range, st.integers(-5, 5), st.integers(-5, 30), st.integers(1, 7))
@@ -78,8 +75,8 @@ leaves = (
     | int_lists.map(tuple)
     | bool_last
 )
-# keys that are equal under == or under str, or that hold % and braces
-keys = texts | st.integers(-2, 2) | st.booleans() | st.sampled_from(["1", "True", "%s", "%", "{0}", "}{", "%%d"])
+# report keys are str: any text, and keys that hold % and braces
+keys = texts | st.sampled_from(["1", "True", "%s", "%", "{0}", "}{", "%%d"])
 
 
 Pair = namedtuple("Pair", "first second")
@@ -155,19 +152,6 @@ def test_text_writer_matches_reference(report):
     assert emit(report, "text") == ref_text(ref_normalise(report))
 
 
-def test_writers_on_keys_equal_under_eq_or_str():
-    # 1, True and 1.0 are equal keys, and so are (1,) and (True,), and 0.0
-    # and -0.0; each prints its own str, and a key made equal to an earlier
-    # one by str keeps the later value
-    rows = [
-        {1: "a"}, {True: "a"}, {1.0: "a"}, {"1": "a"}, {(1,): "a"}, {(True,): "a"},
-        {0.0: "a"}, {-0.0: "a"}, {1: "a", "1": "b"}, {"1": "b", 1: "a"}, {True: 1, "True": None},
-    ]
-    for value in (rows, {"rows": rows}):
-        assert emit(value, "json") == json.dumps(ref_normalise(value), sort_keys=True, indent=2) + "\n"
-        assert emit({"v": value}, "text") == ref_text(ref_normalise({"v": value}))
-
-
 def test_writers_on_template_characters():
     value = {
         "%s": "%d",
@@ -195,7 +179,7 @@ def test_writers_on_ranges():
 
 def test_writers_on_edge_values():
     report = {
-        "empty": {"d": {}, "l": [], "t": (), "s": set(), "f": frozenset()},
+        "empty": {"d": {}, "l": [], "t": ()},
         "ints": [2**100, -(2**100), 0],
         "bools": [True, False, 1],
         "quote\"keyé": "tab\tnewline\n \U0001f600",
@@ -227,7 +211,6 @@ def test_writers_on_sequences_around_the_slice_length():
             "list": list(range(-n // 2, n - n // 2)),
             "tuple": tuple(range(0, 3 * n, 3)),
             "range": range(5, 5 + 7 * n, 7),
-            "set": set(range(n)),
             "big": [2**70 + i for i in range(n)],
         })
 
@@ -259,19 +242,47 @@ def test_writers_on_a_long_list_that_holds_a_bool():
         assert_writers_match({"v": value})
 
 
+# values outside the report domain, printed alone, nested, and behind long
+# sequences
+OUT_OF_DOMAIN = {
+    "object": object(),
+    "set": {1, 2},
+    "frozenset": frozenset({"a"}),
+    "int key": {1: "a"},
+    "bool key": {True: "a"},
+    "tuple key": {(1,): "a"},
+    "str and int keys": {"a": 1, 2: "b"},
+    "list of a set": [1, {2}],
+    "list of a dict and a set": [{"a": 1}, {2}],
+}
+
+
 def test_writers_after_printing_raises_behind_a_long_sequence():
-    bad = {"a": list(range(2 * SLICE)), "b": range(3 * SLICE), "c": object()}
-    for fmt in ("json", "text"):
-        buf = io.StringIO()
-        try:
-            cli._emit(bad, fmt, buf)
-        except TypeError:
-            pass
-        else:
-            raise AssertionError("object() printed")
-        assert buf.getvalue() == ""
+    long = {"a": list(range(2 * SLICE)), "b": range(3 * SLICE)}
+    for name, value in OUT_OF_DOMAIN.items():
+        for bad in (value, {"v": value}, {**long, "c": value}, {**long, "c": [value]}):
+            for fmt in ("json", "text"):
+                buf = io.StringIO()
+                try:
+                    cli._emit(bad, fmt, buf)
+                except TypeError:
+                    pass
+                else:
+                    raise AssertionError(f"{name} printed in {fmt}")
+                assert buf.getvalue() == "", (name, fmt)
         assert_writers_match({"ok": [1, 2, 3], "long": range(SLICE + 1)})
         assert_writers_match({"ok": [1, 2, 3]})
+
+
+def test_main_exits_4_and_prints_no_report_that_holds_a_set(monkeypatch, capsys):
+    # _cmd_bounds looks _spectrum_fields up at each call
+    monkeypatch.setattr(cli, "_spectrum_fields", lambda p: {"edge_stabilizer_primes": {2, 3}})
+    for fmt in ("json", "text"):
+        out = io.StringIO()
+        assert cli.main(["--format", fmt, "bounds", "11"], out=out) == cli.EXIT_INTERNAL
+        assert out.getvalue() == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: internal: TypeError(") and err.count("\n") == 1, err
 
 
 class Writes:
@@ -303,20 +314,58 @@ def cli_report(*argv):
     return report
 
 
-def test_json_writer_matches_stdlib_on_benchmark_reports():
-    # scan-sweep's whole range, and one p of each single-p stratum: prime
-    # power p with s prime, prime power p, s prime, neither; for profile,
-    # ell = 7 with and without ell | v, at prime power p and at other p.
-    # bounds 1319 and profile 1369 274 7 print the two remaining report
-    # shapes that the benchmark's rounds print.
-    argvs = [("scan", "2", "601"), ("bounds", "1319"), ("profile", "1369", "274", "7")]
+def domain_faults(value, path: str) -> list:
+    """The paths in ``value`` that leave the report domain: a key that is not
+    str, or a leaf that is not an exact int, str, bool or None (a set, a
+    frozenset, a float)."""
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        value = value._asdict()
+    if isinstance(value, dict):
+        faults = [f"{path}: key {key!r}" for key in value if type(key) is not str]
+        for key, v in value.items():
+            faults += domain_faults(v, f"{path}.{key}")
+        return faults
+    if isinstance(value, (list, tuple)):
+        return [fault for i, v in enumerate(value) for fault in domain_faults(v, f"{path}.{i}")]
+    if type(value) in (range, int, str, bool, type(None)):
+        return []
+    return [f"{path}: {type(value).__name__}"]
+
+
+def benchmark_argvs() -> list:
+    """scan-sweep's whole range, and one p of each single-p stratum: prime
+    power p with s prime, prime power p, s prime, neither; for profile,
+    ell = 7 with and without ell | v, at prime power p and at other p.
+    bounds 1319 and profile 1369 274 7 print the two remaining report
+    shapes that the benchmark's rounds print."""
+    argvs = [["scan", "2", "601"], ["bounds", "1319"], ["profile", "1369", "274", "7"]]
     for p in (1069, 2143, 2107, 2173):
-        argvs.append(("bounds", str(p)))
-        argvs += [("array", str(p), str(r)) for r, _ in feasible_closed_forms(p)]
+        argvs.append(["bounds", str(p)])
+        argvs += [["array", str(p), str(r)] for r, _ in feasible_closed_forms(p)]
     for p in (1129, 1109, 1100, 1105):
         r, _ = feasible_closed_forms(p)[0]
-        argvs.append(("profile", str(p), str(r), "7"))
-    for argv in argvs:
+        argvs.append(["profile", str(p), str(r), "7"])
+    return argvs
+
+
+def test_every_report_stays_in_the_report_domain(tmp_path):
+    # the benchmark's reports and every golden case; audit at p = 1 alone
+    # is refused, with no report
+    inputs = write_inputs(tmp_path)
+    golden = [[a.format(**inputs) for a in argv] for argv, _ in CASES.values()]
+    refused = 0
+    for argv in benchmark_argvs() + golden:
+        try:
+            report = cli_report(*argv)
+        except cli._Refusal:
+            refused += 1
+            continue
+        assert domain_faults(report, " ".join(argv)) == []
+    assert refused == 1
+
+
+def test_json_writer_matches_stdlib_on_benchmark_reports():
+    for argv in benchmark_argvs():
         report = cli_report(*argv)
         assert emit(report, "json") == json.dumps(ref_normalise(report), sort_keys=True, indent=2) + "\n", argv
 
