@@ -4,14 +4,13 @@ antipodal tight diameter-4 graphs with local eigenvalue parameters
 witnesses."""
 
 from .at4 import At4Params, IntersectionArray, feasible_r, intersection_array
-from .higman import CaseReport, alpha1_candidates, chi_numerators
+from .higman import alpha1_candidates, chi_numerators
 from .srg import SrgParams, Spectrum, local_family_params, srg_spectrum
 
 __version__ = "0.1.0"
 
 __all__ = [
     "At4Params",
-    "CaseReport",
     "IntersectionArray",
     "SrgParams",
     "Spectrum",

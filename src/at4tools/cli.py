@@ -4,18 +4,19 @@ Subcommands: scan, array, profile, bounds, verify, audit.  Reports are
 byte-identical for identical inputs; wall-clock timing is attached in a
 separate optional field and suppressed entirely under --deterministic.
 
-A report holds dicts with str keys, lists, tuples, ranges, records, and
-int, str, bool, None or float leaves; a set or a key that is not str raises
-TypeError before the first write.  Both formats are printed by one
-traversal of the report, ``_walk``: JSON as ``json.dumps(report,
-sort_keys=True, indent=2)`` prints it, text as one ``path = value`` line
-per leaf.  A scan array is kept as the record of r and its closed forms,
-not as a dict: in JSON it prints as one ``template % values``, filled
-straight from the closed forms.  The template is the one template of the
-writer: the walk builds it once per indent from the report of the Soicher
-array, with each int and str made a slot, and checks that its fill prints
-that report's bytes.  In text a scan array prints as its report; every
-other value, in both formats, prints value by value.
+A report holds dicts with str keys, lists, tuples, ranges, scan arrays,
+and int, str, bool, None or float leaves, each of exactly that type; any
+other value (a set, a record, a key that is not str) raises TypeError
+before the first write.  Both formats are printed by one traversal of the
+report, ``_walk``: JSON as ``json.dumps(report, sort_keys=True, indent=2)``
+prints it, text as one ``path = value`` line per leaf.  A scan array is
+kept as the tuple of r and its closed forms, not as a dict: in JSON it
+prints as one ``template % values``, filled straight from the closed
+forms.  The template is the one template of the writer: the walk builds
+it once per indent from the report of the Soicher array, with each int
+and str made a slot, and checks that its fill prints that report's bytes.
+In text a scan array prints as its report; every other value, in both
+formats, prints value by value.
 
 Only ``verify`` and ``audit`` need the graph module: they import
 ``at4tools.graphcheck`` at first use, so the other commands start without it.
@@ -86,8 +87,6 @@ def _params(p: int, r: int) -> at4.At4Params:
 _SEQUENCES = (list, tuple, range)
 _CONTAINERS = (dict, *_SEQUENCES)
 _INTS = frozenset({int})
-# containers that print as they are; a record or a subclass is converted first
-_PLAIN = frozenset({list, tuple, range, dict})
 _NAMED = {True: "true", False: "false", None: "null"}.__getitem__
 
 
@@ -96,8 +95,8 @@ class _Slot(str):
     int or a str in ``_array_template``."""
 
 
-# the printers of the exact scalar types; any other leaf prints as json.dumps
-_SCALARS = {int: repr, str: encode_basestring_ascii, bool: _NAMED, type(None): _NAMED, _Slot: str}
+# the printers of the exact scalar types
+_SCALARS = {int: repr, str: encode_basestring_ascii, bool: _NAMED, type(None): _NAMED, float: json.dumps, _Slot: str}
 # An exact-int list or tuple, or a range, longer than this is written to
 # ``out`` in slices of this many items, never joined whole.
 _SLICE = 4096
@@ -124,76 +123,78 @@ def _walk(value, at: str, parts: list, text: bool, lead: str = "") -> None:
     the path of ``value`` and each leaf is one ``path = json`` line; in
     JSON, ``at`` is the indent, ``lead`` the text that goes before
     ``value``, and ``value`` prints as ``json.dumps(value, sort_keys=True,
-    indent=2)`` does after records become the dicts of their fields and
-    other tuples and ranges lists.  Out of the report domain, a set reaches
-    ``json.dumps`` and a key that is not str ``encode_basestring_ascii``,
-    and both raise TypeError.  A part is a str, or a (sep, sequence) pair
-    for an exact-int sequence of more than _SLICE items, printed with
+    indent=2)`` does after scan arrays become their reports and other
+    tuples and ranges lists.  Values are told apart by their exact type:
+    any type out of the report domain, a record or a set among them,
+    raises TypeError, and so does a key that is not str, in
+    ``encode_basestring_ascii``.  A part is a str, or a (sep, sequence)
+    pair for an exact-int sequence of more than _SLICE items, printed with
     ``sep`` between items."""
     kind = type(value)
     printer = _SCALARS.get(kind)
-    if printer is None:
-        if kind not in _PLAIN:
-            if kind is _ScanArray and not text:
-                parts.append(lead + _array_template(at) % value._fill())
-                return
-            # a record is a tuple, but prints as the dict of its fields
-            if isinstance(value, tuple) and hasattr(value, "_fields"):
-                value = value._asdict()
-        if isinstance(value, _SEQUENCES):
-            if text:
-                head, sep, tail = at + " = [", ", ", "]\n"
-            elif value:
-                inner, head, sep, tail = _brackets(at)
-                head = lead + head
-            else:
-                parts.append(lead + "[]")
-                return
-            # exact types: bool is an int subclass that prints as true/false
-            if type(value) is range or _INTS.issuperset(map(type, value)):
-                if len(value) > _SLICE:
-                    parts += (head, (sep, value), tail)
-                else:
-                    parts.append(head + sep.join(map(repr, value)) + tail)
-            elif not any(isinstance(v, _CONTAINERS) for v in value):
-                parts.append(head + sep.join(map(_scalar, value)) + tail)
-            elif text:
-                for i, v in enumerate(value):
-                    _walk(v, f"{at}.{i}", parts, True)
-            else:
-                for v in value:
-                    _walk(v, inner, parts, False, head)
-                    head = sep
-                parts.append(tail)
+    if printer is not None:
+        parts.append(f"{at} = {printer(value)}\n" if text else lead + printer(value))
+        return
+    if kind is _ScanArray:
+        if not text:
+            parts.append(lead + _array_template(at) % value._fill())
             return
-        if isinstance(value, dict):
-            names, heads = _layout((*value,))
-            if text:
-                for name in names:
-                    _walk(value[name], f"{at}.{name}" if at else name, parts, True)
-                return
-            if not names:
-                parts.append(lead + "{}")
-                return
-            inner = at + "  "
-            lead, sep = lead + "{\n" + inner, ",\n" + inner
-            for name, head in zip(names, heads):
-                v = value[name]
-                printer = _SCALARS.get(type(v))
-                if printer is None:
-                    _walk(v, inner, parts, False, lead + head)
-                else:
-                    parts.append(lead + head + printer(v))
-                lead = sep
-            parts.append("\n" + at + "}")
+        value, kind = value._asdict(), dict
+    if kind in _SEQUENCES:
+        if text:
+            head, sep, tail = at + " = [", ", ", "]\n"
+        elif value:
+            inner, head, sep, tail = _brackets(at)
+            head = lead + head
+        else:
+            parts.append(lead + "[]")
             return
-        printer = json.dumps
-    parts.append(f"{at} = {printer(value)}\n" if text else lead + printer(value))
+        # exact types: bool is an int subclass that prints as true/false
+        if kind is range or _INTS.issuperset(map(type, value)):
+            if len(value) > _SLICE:
+                parts += (head, (sep, value), tail)
+            else:
+                parts.append(head + sep.join(map(repr, value)) + tail)
+        elif not any(isinstance(v, _CONTAINERS) for v in value):
+            parts.append(head + sep.join(map(_scalar, value)) + tail)
+        elif text:
+            for i, v in enumerate(value):
+                _walk(v, f"{at}.{i}", parts, True)
+        else:
+            for v in value:
+                _walk(v, inner, parts, False, head)
+                head = sep
+            parts.append(tail)
+        return
+    if kind is not dict:
+        raise TypeError(f"{kind.__name__} is not a report value")
+    names, heads = _layout((*value,))
+    if text:
+        for name in names:
+            _walk(value[name], f"{at}.{name}" if at else name, parts, True)
+        return
+    if not names:
+        parts.append(lead + "{}")
+        return
+    inner = at + "  "
+    lead, sep = lead + "{\n" + inner, ",\n" + inner
+    for name, head in zip(names, heads):
+        v = value[name]
+        printer = _SCALARS.get(type(v))
+        if printer is None:
+            _walk(v, inner, parts, False, lead + head)
+        else:
+            parts.append(lead + head + printer(v))
+        lead = sep
+    parts.append("\n" + at + "}")
 
 
 def _scalar(value) -> str:
     """A leaf printed as JSON."""
-    return _SCALARS.get(type(value), json.dumps)(value)
+    printer = _SCALARS.get(type(value))
+    if printer is None:
+        raise TypeError(f"{type(value).__name__} is not a report value")
+    return printer(value)
 
 
 def _emit(report: dict, fmt: str, out) -> None:
@@ -245,11 +246,10 @@ def _fundamental_bound(f: at4.ClosedForms) -> str:
 
 
 class _ScanArray(tuple):
-    """The array of (p, r) in a scan report, a record: the tuple (r, f) of r
-    and the closed forms ``f`` of (p, r).  Its fields are the keys of its
-    report ``{"r": r, **_array_payload(r, f)}``, which ``_asdict`` gives, so
-    the text format and any reader of records see that dict; the JSON
-    writer prints it as one fill of ``_array_template``."""
+    """The array of (p, r) in a scan report: the tuple (r, f) of r and the
+    closed forms ``f`` of (p, r).  Its report is ``{"r": r,
+    **_array_payload(r, f)}``, which ``_asdict`` gives and the text format
+    prints; the JSON writer prints it as one fill of ``_array_template``."""
 
     # Held until the report is written, these tuples take less memory than
     # the dicts of lists they replace: `scan 2 4000` as JSON peaks at 127-138
@@ -276,9 +276,8 @@ class _ScanArray(tuple):
 
 
 # the array of the Soicher graph, (p, r) = (2, 3): the one whose report gives
-# every scan array its fields and its template
+# every scan array its template
 _SOICHER = _ScanArray((3, at4.closed_forms(at4.At4Params(2, 3))))
-_ScanArray._fields = (*_SOICHER._asdict(),)
 
 
 def _marked(value):
@@ -339,7 +338,7 @@ def _scan_entry(p: int) -> dict:
         **_spectrum_fields(p),
     }
     cf = higman.centralizer_filter(p)
-    entry["centralizer_filter"] = cf if cf.verdict != higman.INAPPLICABLE else "inapplicable"
+    entry["centralizer_filter"] = cf if cf["verdict"] != higman.INAPPLICABLE else "inapplicable"
     return entry
 
 
@@ -377,16 +376,16 @@ def _cmd_profile(args) -> tuple[int, dict]:
         "local_fix_bound": fixed_point_order_bound(local_family_params(p)),
         "order_classification": (
             classification
-            if classification.verdict != higman.INAPPLICABLE
+            if classification["verdict"] != higman.INAPPLICABLE
             else "inapplicable"
         ),
     }
-    if classification.verdict != higman.INAPPLICABLE:
+    if classification["verdict"] != higman.INAPPLICABLE:
         report["order_admissible_with_fixed_points"] = (
-            ell in classification.data["fixed_point_orders"]
+            ell in classification["data"]["fixed_point_orders"]
         )
         report["order_admissible_fixed_point_free"] = (
-            ell in classification.data["fixed_point_free_orders"]
+            ell in classification["data"]["fixed_point_free_orders"]
         )
         report["local_fixed_structure"] = higman.local_fixed_structure(p, ell)
     return EXIT_OK, report
@@ -474,7 +473,7 @@ def _cmd_audit(args) -> tuple[int, dict]:
     except graphcheck.GraphError as exc:
         return EXIT_FINDINGS, {"inputs": inputs, "error": str(exc)}
     inputs["perms"] = os.path.basename(args.perms)
-    return (EXIT_OK if audit.ok else EXIT_FINDINGS), {"inputs": inputs, **audit._asdict()}
+    return (EXIT_FINDINGS if audit["failures"] else EXIT_OK), {"inputs": inputs, **audit}
 
 
 @functools.cache

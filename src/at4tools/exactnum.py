@@ -12,6 +12,7 @@ built from the factorizations of its factors, taken apart.
 
 import functools
 import math
+from itertools import compress
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # The strong-pseudoprime test to the thirteen bases above has no false
@@ -153,7 +154,7 @@ def primes_upto(n: int) -> list[int]:
         if sieve[p]:
             start = p * p
             sieve[start : n + 1 : p] = b"\x00" * ((n - start) // p + 1)
-    return [i for i, flag in enumerate(sieve) if flag]
+    return [*compress(range(n + 1), sieve)]
 
 
 def divisors(*factors: int) -> list[int]:

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations, permutations, repeat
 
@@ -596,25 +595,16 @@ def _displacement_kernel(g: Graph):
 # ---------------------------------------------------------------------------
 
 
-class AuditReport(namedtuple("AuditReport", "p total passed failures orders")):
-    """Per-element outcomes of auditing measured automorphism profiles
-    against the character-sum constraints: of ``total`` elements at p,
-    ``passed`` passed; ``failures`` holds (index, failure codes) per failed
-    element and ``orders`` the order of each element (0 for one that is not
-    an automorphism)."""
-
-    __slots__ = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def audit_family_graph(g: Graph, p: int, sigmas) -> AuditReport:
+def audit_family_graph(g: Graph, p: int, sigmas) -> dict:
     """Audit each permutation of a concrete family member: automorphism
     check, fixed-set bound, character integrality for every element, and
     the congruence filter plus alpha_1 admissibility for prime orders
-    (the latter only when p > 2)."""
+    (the latter only when p > 2).
+
+    The report ``{"p", "total", "passed", "failures", "orders"}``: of
+    ``total`` elements at p, ``passed`` passed; ``failures`` holds (index,
+    failure codes) per failed element, empty when all pass, and ``orders``
+    the order of each element (0 for one that is not an automorphism)."""
     params = local_family_params(p)
     measured = verify_srg(g)
     if measured != params:
@@ -660,4 +650,10 @@ def audit_family_graph(g: Graph, p: int, sigmas) -> AuditReport:
                 codes.append("alpha1-not-admissible")
         if codes:
             failures.append((idx, tuple(codes)))
-    return AuditReport(p, len(sigmas), len(sigmas) - len(failures), tuple(failures), tuple(orders))
+    return {
+        "p": p,
+        "total": len(sigmas),
+        "passed": len(sigmas) - len(failures),
+        "failures": tuple(failures),
+        "orders": tuple(orders),
+    }

@@ -26,7 +26,6 @@ a constraint outside its range of validity.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 
 from .at4 import At4Params, IntersectionArray, closed_forms, quotient_params
 from .exactnum import (
@@ -44,31 +43,24 @@ FAIL = "fail"
 INAPPLICABLE = "inapplicable"
 
 
-class Condition(namedtuple("Condition", "code ok detail", defaults=("",))):
-    """One named check inside a case report: its code, whether it holds,
-    and a detail string (default empty)."""
-
-    __slots__ = ()
-
-
-class CaseReport(namedtuple("CaseReport", "label params verdict conditions data notes")):
-    """Outcome of one case analysis: a verdict plus every condition that was
-    checked, so a failing report doubles as an exclusion certificate.
-
-    ``CaseReport(label, params, verdict, conditions=(), data=None,
-    notes=())``: ``params`` is a tuple, ``conditions`` a tuple of Condition,
-    ``data`` a dict (a report made without one gets a new empty dict of its
-    own) and ``notes`` a tuple of str.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, label: str, params: tuple, verdict: str, conditions=(), data=None, notes=()):
-        return super().__new__(cls, label, params, verdict, conditions, {} if data is None else data, notes)
+def _case(label: str, params: tuple, verdict: str, conditions=(), data=None, notes=()) -> dict:
+    """The report of one case analysis: a verdict plus every condition that
+    was checked, so a failing report doubles as an exclusion certificate.
+    ``params`` is a tuple, ``conditions`` a tuple of ``{"code", "ok",
+    "detail"}`` dicts, ``data`` a dict (a report made without one gets a new
+    empty dict of its own) and ``notes`` a tuple of str."""
+    return {
+        "label": label,
+        "params": params,
+        "verdict": verdict,
+        "conditions": conditions,
+        "data": {} if data is None else data,
+        "notes": notes,
+    }
 
 
-def _inapplicable(label: str, params: tuple, why: str) -> CaseReport:
-    return CaseReport(label, params, INAPPLICABLE, notes=(why,))
+def _inapplicable(label: str, params: tuple, why: str) -> dict:
+    return _case(label, params, INAPPLICABLE, notes=(why,))
 
 
 def _is_prime_power_gt2(p: int) -> bool:
@@ -142,7 +134,7 @@ def alpha1_candidates(p: int, ell: int, fix: int) -> range:
 # ---------------------------------------------------------------------------
 
 
-def local_fixed_structure(p: int, ell: int) -> CaseReport:
+def local_fixed_structure(p: int, ell: int) -> dict:
     """Structural constraints on the fixed subgraph of an order-ell
     automorphism of the local graph, classified by how ell compares to p.
 
@@ -164,7 +156,7 @@ def local_fixed_structure(p: int, ell: int) -> CaseReport:
         ell == 2 and p % 2 == 0
     )
     if ell < p:
-        return CaseReport(
+        return _case(
             label,
             (p, ell),
             PASS,
@@ -176,7 +168,7 @@ def local_fixed_structure(p: int, ell: int) -> CaseReport:
             },
         )
     if ell == p:
-        return CaseReport(
+        return _case(
             label,
             (p, ell),
             PASS,
@@ -193,12 +185,12 @@ def local_fixed_structure(p: int, ell: int) -> CaseReport:
             },
             notes=("every fixed component is a single vertex or amply regular of diameter >= 3",),
         )
-    cond = Condition(
-        "fixed-point-free-order-admissible",
-        fpf_ok,
-        f"order {ell} > p must divide {s} or {p + 2} to act without fixed points",
-    )
-    return CaseReport(
+    cond = {
+        "code": "fixed-point-free-order-admissible",
+        "ok": fpf_ok,
+        "detail": f"order {ell} > p must divide {s} or {p + 2} to act without fixed points",
+    }
+    return _case(
         label,
         (p, ell),
         PASS if fpf_ok else FAIL,
@@ -239,7 +231,7 @@ def subconstituent_congruences(p: int, r: int, ell: int) -> tuple[int, int, int,
     return _residues(IntersectionArray(f.sub_b, f.sub_c).layer_sizes[1:], ell)
 
 
-def cover_order_classification(p: int, r: int) -> CaseReport:
+def cover_order_classification(p: int, r: int) -> dict:
     """Admissible prime orders of a cover automorphism, split by whether it
     can have fixed points, for prime-power p > 2.
 
@@ -257,7 +249,7 @@ def cover_order_classification(p: int, r: int) -> CaseReport:
     if is_prime(p + 2):
         above.add(p + 2)
     free = prime_set((p + 1) * (p + 4))
-    return CaseReport(
+    return _case(
         label,
         (p, r),
         PASS,
@@ -296,7 +288,7 @@ def block_size_filter(p: int) -> tuple[int, ...]:
     return tuple(d for d in divisors(p + 2, s) if d <= s)
 
 
-def centralizer_filter(p: int) -> CaseReport:
+def centralizer_filter(p: int) -> dict:
     """Constraints on prime orders commuting with an element of the maximal
     order s = (p+2)^2 - 2, applicable when s is prime and p is a prime
     power above 2.
@@ -328,7 +320,7 @@ def centralizer_filter(p: int) -> CaseReport:
             f"orders {dropped} cannot realize alpha1 = {alpha1} with {s} fixed "
             "points: the displacement congruence eliminates them"
         )
-    return CaseReport(
+    return _case(
         label,
         (p,),
         PASS,
@@ -343,7 +335,7 @@ def centralizer_filter(p: int) -> CaseReport:
     )
 
 
-def solvable_cases(p: int) -> CaseReport:
+def solvable_cases(p: int) -> dict:
     """The two arithmetic branches available to a solvable vertex-transitive
     group containing an element of prime order s = (p+2)^2 - 2.
 
@@ -387,14 +379,14 @@ def solvable_cases(p: int) -> CaseReport:
         any_ii = any_ii or entry["survives"]
         case_ii.append(entry)
     conds = (
-        Condition("normal-s-subgroup-branch", case_i_ok, "p+2 a power of 3 and s = 1 mod 3"),
-        Condition(
-            "elementary-abelian-branch",
-            any_ii,
-            "t^e = 1 mod s with e >= 2 and p+2 composite for some t | p+2",
-        ),
+        {"code": "normal-s-subgroup-branch", "ok": case_i_ok, "detail": "p+2 a power of 3 and s = 1 mod 3"},
+        {
+            "code": "elementary-abelian-branch",
+            "ok": any_ii,
+            "detail": "t^e = 1 mod s with e >= 2 and p+2 composite for some t | p+2",
+        },
     )
-    return CaseReport(
+    return _case(
         label,
         (p,),
         PASS if (case_i_ok or any_ii) else FAIL,
@@ -428,7 +420,7 @@ def spectrum_bounds(p: int) -> tuple[list[int], list[int], list[int]] | None:
     return (sorted(lower), primes_upto(p), sorted(above))
 
 
-def exclusion_arithmetic(p: int) -> CaseReport:
+def exclusion_arithmetic(p: int) -> dict:
     """Arithmetic skeleton of the arc-transitivity exclusion at p.
 
     Reports primality of q = p+2 and s = p^2+4p+2, the order s(s^2-1)/2 of
@@ -445,10 +437,10 @@ def exclusion_arithmetic(p: int) -> CaseReport:
     s_prime = is_prime(s)
     g = math.gcd(s * s - 1, q)
     conds = (
-        Condition("q-prime", q_prime, f"q = {q}"),
-        Condition("s-prime", s_prime, f"s = {s}"),
+        {"code": "q-prime", "ok": q_prime, "detail": f"q = {q}"},
+        {"code": "s-prime", "ok": s_prime, "detail": f"s = {s}"},
     )
-    return CaseReport(
+    return _case(
         "arc-transitive-exclusion",
         (p,),
         PASS if (q_prime and s_prime) else FAIL,

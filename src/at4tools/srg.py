@@ -45,13 +45,6 @@ class Spectrum(namedtuple("Spectrum", "k theta_pos m_pos theta_neg m_neg confere
     __slots__ = ()
 
 
-class Verdict(namedtuple("Verdict", "ok reasons", defaults=((),))):
-    """Pass/fail outcome ``ok`` with a tuple of machine-readable ``reasons``
-    (default empty), one for every failure."""
-
-    __slots__ = ()
-
-
 def local_family_params(p: int) -> SrgParams:
     """Local-graph family member for parameter p >= 2."""
     if p < 2:
@@ -64,14 +57,16 @@ def local_family_params(p: int) -> SrgParams:
 def srg_spectrum(params: SrgParams) -> Spectrum:
     """Exact spectrum of an SRG parameter tuple.
 
-    Raises SpectrumError when the discriminant is not a square and the
-    parameters are not of conference type, or when a multiplicity fails to
-    be a non-negative integer.
+    Raises SpectrumError when the discriminant is negative, or is not a
+    square and the parameters are not of conference type, or when a
+    multiplicity fails to be a non-negative integer.
     """
     v, k, lam, mu = params
     if not params.identity_holds():
         raise SpectrumError(f"violated counting identity: {tuple(params)}")
     disc = (lam - mu) ** 2 + 4 * (k - mu)
+    if disc < 0:
+        raise SpectrumError(f"negative discriminant {disc}: {tuple(params)}")
     root = exact_sqrt(disc)
     if root is None:
         # conference type: 2k + (v-1)(lam-mu) = 0 forces equal multiplicities
@@ -119,8 +114,10 @@ def fixed_point_order_bound(params: SrgParams) -> int:
     return params.mu * params.v // (params.k - spec.theta_pos)
 
 
-def feasibility_basic(params: SrgParams) -> Verdict:
-    """Screen (v, k, lam, mu) for the basic SRG feasibility conditions."""
+def feasibility_basic(params: SrgParams) -> dict:
+    """Screen (v, k, lam, mu) for the basic SRG feasibility conditions: the
+    report ``{"ok": ..., "reasons": [...]}`` with one machine-readable
+    reason for every failure."""
     reasons = []
     v, k, lam, mu = params
     if min(v, k, lam, mu) < 0:
@@ -134,4 +131,4 @@ def feasibility_basic(params: SrgParams) -> Verdict:
             srg_spectrum(params)
         except SpectrumError:
             reasons.append("non-integral-multiplicities")
-    return Verdict(not reasons, tuple(reasons))
+    return {"ok": not reasons, "reasons": reasons}

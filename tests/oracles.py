@@ -45,7 +45,14 @@ from at4tools.graphcheck import (
     verify_srg,
 )
 from at4tools.higman import alpha1_candidates, alpha1_residues, chi_numerators
-from at4tools.srg import Verdict, family_multiplicities, fixed_point_order_bound, local_family_params
+from at4tools.srg import family_multiplicities, fixed_point_order_bound, local_family_params
+
+
+class Verdict(namedtuple("Verdict", "ok reasons", defaults=((),))):
+    """Pass/fail outcome ``ok`` of a chi filter, with a tuple of
+    machine-readable ``reasons`` (default empty), one for every failure."""
+
+    __slots__ = ()
 
 
 def gl_order(e: int, t: int) -> int:

@@ -8,7 +8,6 @@ from at4tools.higman import (
     FAIL,
     INAPPLICABLE,
     PASS,
-    CaseReport,
     alpha1_candidates,
     alpha1_residues,
     block_size_filter,
@@ -201,44 +200,44 @@ def test_centralizer_alpha1_refinement():
     # feeding the claimed displacement count back through the character
     # congruences keeps only the orders dividing (p+1)/2: at p = 5 the
     # order 2 drops out even though it divides p+1
-    assert centralizer_filter(3).data["alpha1_admissible_orders"] == [2]
-    assert centralizer_filter(5).data["alpha1_admissible_orders"] == [3]
-    assert centralizer_filter(11).data["alpha1_admissible_orders"] == [2, 3]
-    assert centralizer_filter(17).data["alpha1_admissible_orders"] == [3]
+    assert centralizer_filter(3)["data"]["alpha1_admissible_orders"] == [2]
+    assert centralizer_filter(5)["data"]["alpha1_admissible_orders"] == [3]
+    assert centralizer_filter(11)["data"]["alpha1_admissible_orders"] == [2, 3]
+    assert centralizer_filter(17)["data"]["alpha1_admissible_orders"] == [3]
     for p in (3, 5, 11, 17, 27):
         rep = centralizer_filter(p)
-        fix = rep.data["fixed_set_size"]
-        alpha1 = rep.data["alpha1"]
-        for t in rep.data["alpha1_admissible_orders"]:
+        fix = rep["data"]["fixed_set_size"]
+        alpha1 = rep["data"]["alpha1"]
+        for t in rep["data"]["alpha1_admissible_orders"]:
             assert alpha1 in alpha1_candidates(p, t, fix)
-        assert rep.data["alpha1_admissible_orders"] == [
-            t for t in rep.data["admissible_orders"] if (p + 1) // 2 % t == 0
+        assert rep["data"]["alpha1_admissible_orders"] == [
+            t for t in rep["data"]["admissible_orders"] if (p + 1) // 2 % t == 0
         ]
 
 
 def test_local_fixed_structure_order_p():
     rep = local_fixed_structure(3, 3)
-    assert rep.verdict == PASS
-    assert rep.data["case"] == "order-p"
-    assert rep.data["fix_residue_mod_p"] == 1
-    assert rep.data["component_valencies"] == [6, 12]
-    assert rep.data["min_component_order"] == 16
-    assert not rep.data["fixed_point_free_possible"]
+    assert rep["verdict"] == PASS
+    assert rep["data"]["case"] == "order-p"
+    assert rep["data"]["fix_residue_mod_p"] == 1
+    assert rep["data"]["component_valencies"] == [6, 12]
+    assert rep["data"]["min_component_order"] == 16
+    assert not rep["data"]["fixed_point_free_possible"]
 
 
 def test_local_fixed_structure_excluded_order():
     rep = local_fixed_structure(3, 7)
-    assert rep.verdict == FAIL
-    assert rep.data["fixed_points_possible"] is False
-    assert rep.data["fixed_point_free_possible"] is False
+    assert rep["verdict"] == FAIL
+    assert rep["data"]["fixed_points_possible"] is False
+    assert rep["data"]["fixed_point_free_possible"] is False
 
 
 def test_local_fixed_structure_small_and_gates():
     rep = local_fixed_structure(4, 2)
-    assert rep.verdict == PASS and rep.data["case"] == "small-order"
-    assert rep.data["fixed_point_free_possible"]  # order 2 with p even
-    assert local_fixed_structure(6, 5).verdict == INAPPLICABLE
-    assert local_fixed_structure(2, 5).verdict == INAPPLICABLE
+    assert rep["verdict"] == PASS and rep["data"]["case"] == "small-order"
+    assert rep["data"]["fixed_point_free_possible"]  # order 2 with p even
+    assert local_fixed_structure(6, 5)["verdict"] == INAPPLICABLE
+    assert local_fixed_structure(2, 5)["verdict"] == INAPPLICABLE
     with pytest.raises(ValueError):
         local_fixed_structure(3, 4)
 
@@ -267,17 +266,17 @@ def test_congruences_match_layer_sizes():
 
 def test_cover_order_classification():
     rep = cover_order_classification(11, 4)
-    assert rep.data["fixed_point_orders"] == [2, 3, 5, 7, 11, 13, 167]
-    assert rep.data["fixed_point_free_orders"] == [2, 3, 5]
+    assert rep["data"]["fixed_point_orders"] == [2, 3, 5, 7, 11, 13, 167]
+    assert rep["data"]["fixed_point_free_orders"] == [2, 3, 5]
     rep17 = cover_order_classification(17, 3)
-    assert 19 in rep17.data["fixed_point_orders"]
-    assert 359 in rep17.data["fixed_point_orders"]
-    assert rep17.data["fixed_point_free_orders"] == [2, 3, 7]
+    assert 19 in rep17["data"]["fixed_point_orders"]
+    assert 359 in rep17["data"]["fixed_point_orders"]
+    assert rep17["data"]["fixed_point_free_orders"] == [2, 3, 7]
     rep27 = cover_order_classification(27, 4)
-    assert 29 in rep27.data["fixed_point_orders"]
-    assert 839 in rep27.data["fixed_point_orders"]
-    assert rep27.data["fixed_point_free_orders"] == [2, 7, 31]
-    assert cover_order_classification(2, 3).verdict == INAPPLICABLE
+    assert 29 in rep27["data"]["fixed_point_orders"]
+    assert 839 in rep27["data"]["fixed_point_orders"]
+    assert rep27["data"]["fixed_point_free_orders"] == [2, 7, 31]
+    assert cover_order_classification(2, 3)["verdict"] == INAPPLICABLE
 
 
 def test_cover_order_case_split_is_exclusive():
@@ -290,7 +289,7 @@ def test_cover_order_case_split_is_exclusive():
         if not rs:
             continue
         rep = cover_order_classification(p, rs[0])
-        free = set(rep.data["fixed_point_free_orders"])
+        free = set(rep["data"]["fixed_point_free_orders"])
         s = (p + 2) ** 2 - 2
         big_divisors = {q for q in free if q > p and s % q == 0}
         assert p + 2 not in free
@@ -298,11 +297,16 @@ def test_cover_order_case_split_is_exclusive():
 
 
 def test_case_report_without_data_gets_a_dict_of_its_own():
-    first, second = CaseReport("x", (), PASS), CaseReport("x", (), PASS)
-    assert first.data == {} and first.data is not second.data
-    assert first == ("x", (), PASS, (), {}, ())
     inapplicable = centralizer_filter(4)
-    assert inapplicable.data == {} and inapplicable.data is not centralizer_filter(4).data
+    assert inapplicable == {
+        "label": "long-element-centralizer",
+        "params": (4,),
+        "verdict": INAPPLICABLE,
+        "conditions": (),
+        "data": {},
+        "notes": ("requires (p+2)^2 - 2 = 34 prime",),
+    }
+    assert inapplicable["data"] is not centralizer_filter(4)["data"]
 
 
 def test_cover_fix_bound():
@@ -328,41 +332,41 @@ def test_block_size_filter():
 
 def test_centralizer_filter():
     rep = centralizer_filter(3)
-    assert rep.verdict == PASS
-    assert rep.data["admissible_orders"] == [2]
-    assert rep.data["alpha1"] == 92
-    assert centralizer_filter(11).data["admissible_orders"] == [2, 3]
-    assert centralizer_filter(11).data["alpha1"] == 2004
-    assert centralizer_filter(5).data["admissible_orders"] == [2, 3]
-    assert centralizer_filter(5).data["alpha1"] == 282
-    assert centralizer_filter(4).verdict == INAPPLICABLE  # 34 composite
+    assert rep["verdict"] == PASS
+    assert rep["data"]["admissible_orders"] == [2]
+    assert rep["data"]["alpha1"] == 92
+    assert centralizer_filter(11)["data"]["admissible_orders"] == [2, 3]
+    assert centralizer_filter(11)["data"]["alpha1"] == 2004
+    assert centralizer_filter(5)["data"]["admissible_orders"] == [2, 3]
+    assert centralizer_filter(5)["data"]["alpha1"] == 282
+    assert centralizer_filter(4)["verdict"] == INAPPLICABLE  # 34 composite
 
 
 def test_solvable_cases_exclusions():
     rep11 = solvable_cases(11)
-    assert rep11.verdict == FAIL
-    assert not rep11.data["case_i"]["applicable"]  # 13 is not a power of 3
-    branch = rep11.data["case_ii"][0]
+    assert rep11["verdict"] == FAIL
+    assert not rep11["data"]["case_i"]["applicable"]  # 13 is not a power of 3
+    branch = rep11["data"]["case_ii"][0]
     assert branch["t"] == 13 and branch["e"] >= 2 and not branch["q_composite"]
     rep3 = solvable_cases(3)
-    assert rep3.verdict == FAIL
-    assert not rep3.data["case_i"]["applicable"]  # 5 is not a power of 3
-    assert not rep3.data["case_ii"][0]["q_composite"]
+    assert rep3["verdict"] == FAIL
+    assert not rep3["data"]["case_i"]["applicable"]  # 5 is not a power of 3
+    assert not rep3["data"]["case_ii"][0]["q_composite"]
 
 
 def test_solvable_cases_p25_both_branches_live():
     rep = solvable_cases(25)
-    assert rep.verdict == PASS
-    assert rep.data["case_i"]["applicable"]  # 27 = 3^3 and 727 = 1 mod 3
-    assert rep.data["case_ii"][0]["survives"]
-    assert solvable_cases(4).verdict == INAPPLICABLE
+    assert rep["verdict"] == PASS
+    assert rep["data"]["case_i"]["applicable"]  # 27 = 3^3 and 727 = 1 mod 3
+    assert rep["data"]["case_ii"][0]["survives"]
+    assert solvable_cases(4)["verdict"] == INAPPLICABLE
 
 
 def test_solvable_gl_divisibility_against_exact_orders():
     # the modular shortcut in the filter agrees with the literal group order
     for p in (3, 11):
         s = (p + 2) ** 2 - 2
-        for branch in solvable_cases(p).data["case_ii"]:
+        for branch in solvable_cases(p)["data"]["case_ii"]:
             t, e = branch["t"], branch["e"]
             assert mult_order(t, s) == e
             assert (gl_order(e, t) % s == 0) == branch["s_divides_gl_order"]
@@ -397,21 +401,21 @@ def test_spectrum_bounds_values():
 
 def test_exclusion_arithmetic_p11():
     rep = exclusion_arithmetic(11)
-    assert rep.verdict == PASS
-    assert rep.data["s"] == 167 and rep.data["s_prime"]
-    assert rep.data["q"] == 13 and rep.data["q_prime"]
-    assert rep.data["psl2_s_order"] == 2328648
-    assert rep.data["gcd_s2_minus_1_q"] == 1
-    assert rep.data["gcd_divides_3"]
+    assert rep["verdict"] == PASS
+    assert rep["data"]["s"] == 167 and rep["data"]["s_prime"]
+    assert rep["data"]["q"] == 13 and rep["data"]["q_prime"]
+    assert rep["data"]["psl2_s_order"] == 2328648
+    assert rep["data"]["gcd_s2_minus_1_q"] == 1
+    assert rep["data"]["gcd_divides_3"]
 
 
 def test_exclusion_arithmetic_p17_and_composite():
-    assert exclusion_arithmetic(17).data["s"] == 359
-    assert exclusion_arithmetic(17).verdict == PASS
+    assert exclusion_arithmetic(17)["data"]["s"] == 359
+    assert exclusion_arithmetic(17)["verdict"] == PASS
     rep4 = exclusion_arithmetic(4)
-    assert rep4.verdict == FAIL and not rep4.data["s_prime"]
+    assert rep4["verdict"] == FAIL and not rep4["data"]["s_prime"]
 
 
 def test_gcd_with_q_always_divides_3():
     for p in range(2, 101):
-        assert exclusion_arithmetic(p).data["gcd_divides_3"]
+        assert exclusion_arithmetic(p)["data"]["gcd_divides_3"]

@@ -13,15 +13,15 @@ from hypothesis import given, settings, strategies as st
 
 from at4tools import cli
 from at4tools.at4 import IntersectionArray, feasible_closed_forms
-from at4tools.higman import CaseReport, Condition
-from at4tools.srg import Verdict
+from at4tools.graphcheck import audit_family_graph
+from at4tools.higman import centralizer_filter, exclusion_arithmetic
+from at4tools.srg import SrgParams, feasibility_basic
 from test_golden import CASES, write_inputs
 
 
 def ref_normalise(value):
-    """Records (named tuples) to the dict of their fields, other tuples and
-    ranges to lists."""
-    if isinstance(value, tuple) and hasattr(value, "_fields"):
+    """Scan arrays to their reports, other tuples and ranges to lists."""
+    if type(value) is cli._ScanArray:
         return ref_normalise(value._asdict())
     if isinstance(value, (list, tuple, range)):
         return [ref_normalise(v) for v in value]
@@ -78,16 +78,11 @@ leaves = (
 # report keys are str: any text, and keys that hold % and braces
 keys = texts | st.sampled_from(["1", "True", "%s", "%", "{0}", "}{", "%%d"])
 
-
-Pair = namedtuple("Pair", "first second")
-
-
 values = st.recursive(
     leaves,
     lambda children: st.lists(children, max_size=4)
     | st.lists(children, max_size=4).map(tuple)
-    | st.dictionaries(keys, children, max_size=4)
-    | st.builds(Pair, children, children),
+    | st.dictionaries(keys, children, max_size=4),
     max_leaves=20,
 )
 reports = st.dictionaries(texts, values, max_size=3)
@@ -177,20 +172,19 @@ def test_writers_on_ranges():
     assert emit(report, "text") == ref_text(ref_normalise(report))
 
 
-def test_writers_on_edge_values():
+def test_writers_on_edge_values(gewirtz):
     report = {
         "empty": {"d": {}, "l": [], "t": ()},
         "ints": [2**100, -(2**100), 0],
         "bools": [True, False, 1],
         "quote\"keyé": "tab\tnewline\n \U0001f600",
         "nested": [[1, 2], {"a": None}, (3,)],
-        "verdict": Verdict(False, ("x", "y")),
-        "case": CaseReport(
-            "label", (3, 4), "fail", (Condition("c", False, "d"),), {"inner": Verdict(True)}, ("n",)
-        ),
-        "bare_case": CaseReport("label", (), "inapplicable"),
-        # a record prints every field, a and layer_sizes too, though its repr omits them
-        "array": IntersectionArray((3, 2), (1, 1)),
+        # the reports of the screen, the filters and the audit as they are returned
+        "verdict": feasibility_basic(SrgParams(8, 3, 0, 1)),
+        "case": centralizer_filter(3),
+        "nested_cases": exclusion_arithmetic(6),
+        # the identity passes, the shift is not an automorphism
+        "audit": audit_family_graph(gewirtz, 2, [tuple(range(56)), (*range(1, 56), 0)]),
     }
     assert emit(report, "json") == json.dumps(ref_normalise(report), sort_keys=True, indent=2) + "\n"
     assert emit(report, "text") == ref_text(ref_normalise(report))
@@ -254,6 +248,10 @@ OUT_OF_DOMAIN = {
     "str and int keys": {"a": 1, 2: "b"},
     "list of a set": [1, {2}],
     "list of a dict and a set": [{"a": 1}, {2}],
+    "namedtuple": namedtuple("Pair", "first second")(1, 2),
+    "intersection array": IntersectionArray((3, 2), (1, 1)),
+    "srg params": SrgParams(10, 3, 0, 1),
+    "list of srg params": [1, SrgParams(10, 3, 0, 1)],
 }
 
 
@@ -275,14 +273,16 @@ def test_writers_after_printing_raises_behind_a_long_sequence():
 
 
 def test_main_exits_4_and_prints_no_report_that_holds_a_set(monkeypatch, capsys):
-    # _cmd_bounds looks _spectrum_fields up at each call
-    monkeypatch.setattr(cli, "_spectrum_fields", lambda p: {"edge_stabilizer_primes": {2, 3}})
-    for fmt in ("json", "text"):
-        out = io.StringIO()
-        assert cli.main(["--format", fmt, "bounds", "11"], out=out) == cli.EXIT_INTERNAL
-        assert out.getvalue() == ""
-        err = capsys.readouterr().err
-        assert err.startswith("error: internal: TypeError(") and err.count("\n") == 1, err
+    # a set, a key that is not str and a record
+    for bad in ({2, 3}, {2: 3}, SrgParams(10, 3, 0, 1)):
+        # _cmd_bounds looks _spectrum_fields up at each call
+        monkeypatch.setattr(cli, "_spectrum_fields", lambda p: {"edge_stabilizer_primes": bad})
+        for fmt in ("json", "text"):
+            out = io.StringIO()
+            assert cli.main(["--format", fmt, "bounds", "11"], out=out) == cli.EXIT_INTERNAL
+            assert out.getvalue() == ""
+            err = capsys.readouterr().err
+            assert err.startswith("error: internal: TypeError(") and err.count("\n") == 1, err
 
 
 class Writes:
@@ -316,10 +316,12 @@ def cli_report(*argv):
 
 def domain_faults(value, path: str) -> list:
     """The paths in ``value`` that leave the report domain: a key that is not
-    str, or a leaf that is not an exact int, str, bool or None (a set, a
-    frozenset, a float)."""
-    if isinstance(value, tuple) and hasattr(value, "_fields"):
+    str, a tuple subclass other than a scan array (a record), or a leaf that
+    is not an exact int, str, bool or None (a set, a frozenset, a float)."""
+    if type(value) is cli._ScanArray:
         value = value._asdict()
+    elif isinstance(value, tuple) and type(value) is not tuple:
+        return [f"{path}: {type(value).__name__}"]
     if isinstance(value, dict):
         faults = [f"{path}: key {key!r}" for key in value if type(key) is not str]
         for key, v in value.items():

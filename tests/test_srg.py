@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -129,7 +130,22 @@ def test_fixed_point_order_bound_family_closed_form():
 
 
 def test_feasibility_basic():
-    assert feasibility_basic(SrgParams(56, 10, 0, 2)).ok
-    assert feasibility_basic(SrgParams(10, 3, 0, 1)).ok
+    assert feasibility_basic(SrgParams(56, 10, 0, 2))["ok"]
+    assert feasibility_basic(SrgParams(10, 3, 0, 1))["ok"]
     bad = feasibility_basic(SrgParams(8, 3, 0, 1))
-    assert not bad.ok and "counting-identity" in bad.reasons
+    assert not bad["ok"] and "counting-identity" in bad["reasons"]
+
+
+def test_negative_discriminant_is_a_spectrum_error():
+    # (lam - mu)^2 + 4(k - mu) < 0 with the counting identity holding, also
+    # with no negative entry: the screen fails them, it does not raise
+    with pytest.raises(SpectrumError, match="negative discriminant"):
+        srg_spectrum(SrgParams(1, 0, 0, 1))
+    negative = 0
+    for v, (k, lam, mu) in itertools.product(range(12), itertools.product(range(-4, 12), repeat=3)):
+        params = SrgParams(v, k, lam, mu)
+        verdict = feasibility_basic(params)
+        if params.identity_holds() and (lam - mu) ** 2 + 4 * (k - mu) < 0:
+            negative += 1
+            assert not verdict["ok"] and "non-integral-multiplicities" in verdict["reasons"]
+    assert negative == 253
