@@ -1,37 +1,66 @@
 """Exact integer arithmetic: factorization, primality, multiplicative orders.
 
 Everything in this package runs on plain Python integers; no floating
-point is used anywhere.  Factorization
-is trial division that stops as soon as the remaining cofactor is 1 or a
-proven prime (deterministic Miller-Rabin), so its cost is set by the
-second-largest prime factor, not by the square root of n.  Past 2^12 a
-composite cofactor below 3.3e24 is split by Pollard-Brent rho instead, in
-time about the fourth root of the cofactor.  Divisors of a product are
-built from the factorizations of its factors, taken apart.
+point is used anywhere.  Primality is deterministic Miller-Rabin on the
+shortest prefix of the prime bases 2, 3, ..., 41 that is proven for n:
+n below 43^2 costs only trial division by those bases, and n below 2.5e7
+at most three rounds.  Factorization is trial division by the primes
+below 2^12 that stops as soon as the remaining cofactor is 1 or a proven
+prime, so its cost is set by the second-largest prime factor, not by the
+square root of n.  Past 2^12 a composite cofactor below 3.3e24 is split by
+Pollard-Brent rho instead, in time about the fourth root of the cofactor.
+Divisors of a product are built from the factorizations of its factors,
+taken apart, with the powers of each prime computed once.
 """
 
 import functools
 import math
+from bisect import bisect_right
 from itertools import compress
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # The strong-pseudoprime test to the thirteen bases above has no false
-# positive below this bound (Sorenson and Webster, 2015).
+# positive below this bound (Sorenson and Webster, 2017).
 _MR_PROVEN_BELOW = 3317044064679887385961981
+# psi_t, the least strong pseudoprime to the first t bases (OEIS A014233),
+# at each t where it rises: the first _MR_ROUNDS[i] bases prove every n
+# below _MR_PREFIX_BOUNDS[i] (Jaeschke 1993 up to psi_8, Jiang and Deng 2014
+# to psi_11, Sorenson and Webster 2017 for psi_12), and n past the last
+# bound takes all 13.
+_MR_PREFIX_BOUNDS = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    3825123056546413051,
+    318665857834031151167461,
+)
+_MR_ROUNDS = (1, 2, 3, 4, 5, 6, 7, 9, 12, 13)
 
 
 def is_prime(n: int) -> bool:
-    """Return True if n is prime (deterministic for n < 3.3e24)."""
+    """Return True if n is prime (deterministic for n < 3.3e24).
+
+    After trial division by the thirteen bases, n < 43^2 is prime.  Past
+    that, n is tested to the first t bases, t the least with n below psi_t,
+    the least strong pseudoprime to the first t bases, and to all thirteen
+    from psi_12 on."""
     if n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    if n < 1849:
+        # 43^2: n has no prime factor below 43
+        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[: _MR_ROUNDS[bisect_right(_MR_PREFIX_BOUNDS, n)]]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -49,10 +78,25 @@ def _settled(n: int) -> bool:
     return n == 1 or (n < _MR_PROVEN_BELOW and is_prime(n))
 
 
+def primes_upto(n: int) -> list[int]:
+    """All primes <= n, via a byte sieve."""
+    if n < 2:
+        return []
+    sieve = bytearray(b"\x01") * (n + 1)
+    sieve[0:2] = b"\x00\x00"
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            start = p * p
+            sieve[start : n + 1 : p] = b"\x00" * ((n - start) // p + 1)
+    return [*compress(range(n + 1), sieve)]
+
+
 # Trial division past this bound hands a composite cofactor below
 # _MR_PROVEN_BELOW to rho, whose cost grows as the square root of the least
 # prime factor where trial division's grows as the factor itself.
 _TRIAL_LIMIT = 1 << 12
+# The odd primes below _TRIAL_LIMIT, the divisors trial division tries.
+_TRIAL_PRIMES = tuple(primes_upto(_TRIAL_LIMIT)[1:])
 
 
 def _rho_divisor(n: int) -> int:
@@ -105,11 +149,12 @@ def _rho_primes(n: int) -> list[int]:
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 as (prime, exponent) pairs, ascending.
 
-    Trial division stops once the cofactor is 1 or a proven prime; that
-    test runs at the start and after each prime factor is removed.  Past
-    2^12 a composite cofactor below 3.3e24 is split by rho into proven
-    primes.  A larger cofactor is never taken as proven, so it is divided
-    on until it drops below that bound: exact, but slow."""
+    Trial division by the primes below 2^12 stops once the cofactor is 1 or
+    a proven prime; that test runs at the start and after each prime factor
+    is removed.  Past 2^12 a composite cofactor below 3.3e24 is split by rho
+    into proven primes.  A larger cofactor is never taken as proven, so it
+    is divided on by the odd numbers past 2^12 until it drops below that
+    bound: exact, but slow."""
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     out = []
@@ -120,12 +165,9 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if e:
         out.append((2, e))
     settled = _settled(n)
-    p = 3
-    while not settled and p * p <= n:
-        if p > _TRIAL_LIMIT and n < _MR_PROVEN_BELOW:
-            primes = _rho_primes(n)
-            out += ((q, primes.count(q)) for q in sorted(set(primes)))
-            return out
+    for p in _TRIAL_PRIMES:
+        if settled or p * p > n:
+            break
         if n % p == 0:
             e = 0
             while n % p == 0:
@@ -133,7 +175,22 @@ def factorize(n: int) -> list[tuple[int, int]]:
                 e += 1
             out.append((p, e))
             settled = _settled(n)
-        p += 2
+    else:
+        # past the table: rho below _MR_PROVEN_BELOW, odd numbers above it
+        p = _TRIAL_LIMIT + 1
+        while not settled and p * p <= n:
+            if n < _MR_PROVEN_BELOW:
+                primes = _rho_primes(n)
+                out += ((q, primes.count(q)) for q in sorted(set(primes)))
+                return out
+            if n % p == 0:
+                e = 0
+                while n % p == 0:
+                    n //= p
+                    e += 1
+                out.append((p, e))
+                settled = _settled(n)
+            p += 2
     if n > 1:
         out.append((n, 1))
     return out
@@ -142,19 +199,6 @@ def factorize(n: int) -> list[tuple[int, int]]:
 def prime_set(n: int) -> frozenset[int]:
     """The set of prime divisors of n >= 1."""
     return frozenset(p for p, _ in factorize(n))
-
-
-def primes_upto(n: int) -> list[int]:
-    """All primes <= n, via a byte sieve."""
-    if n < 2:
-        return []
-    sieve = bytearray(b"\x01") * (n + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            start = p * p
-            sieve[start : n + 1 : p] = b"\x00" * ((n - start) // p + 1)
-    return [*compress(range(n + 1), sieve)]
 
 
 def divisors(*factors: int) -> list[int]:
@@ -169,7 +213,8 @@ def divisors(*factors: int) -> list[int]:
             exponents[prime] = exponents.get(prime, 0) + e
     out = [1]
     for prime, e in exponents.items():
-        out = [d * prime**k for d in out for k in range(e + 1)]
+        powers = [prime**k for k in range(e + 1)]
+        out = [d * q for d in out for q in powers]
     return sorted(out)
 
 

@@ -26,6 +26,7 @@ a constraint outside its range of validity.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 from .at4 import At4Params, IntersectionArray, closed_forms, quotient_params
 from .exactnum import (
@@ -285,7 +286,8 @@ def block_size_filter(p: int) -> tuple[int, ...]:
         raise ValueError(f"block_size_filter requires p >= 2, got {p}")
     s = (p + 2) ** 2 - 2
     # p+2 and s apart: their product passes the reach of rho once p > 1.5e8
-    return tuple(d for d in divisors(p + 2, s) if d <= s)
+    out = divisors(p + 2, s)
+    return tuple(out[: bisect_right(out, s)])
 
 
 def centralizer_filter(p: int) -> dict:

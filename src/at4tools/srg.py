@@ -20,7 +20,12 @@ from .exactnum import exact_sqrt
 
 
 class SpectrumError(ValueError):
-    """Raised when SRG parameters admit no integral (or conference) spectrum."""
+    """Raised when SRG parameters admit no integral (or conference) spectrum.
+    ``reason`` names the failure as feasibility_basic reports it."""
+
+    def __init__(self, reason: str, message: str):
+        super().__init__(message)
+        self.reason = reason
 
 
 class SrgParams(namedtuple("SrgParams", "v k lam mu")):
@@ -63,28 +68,30 @@ def srg_spectrum(params: SrgParams) -> Spectrum:
     """
     v, k, lam, mu = params
     if not params.identity_holds():
-        raise SpectrumError(f"violated counting identity: {tuple(params)}")
+        raise SpectrumError("counting-identity", f"violated counting identity: {tuple(params)}")
     disc = (lam - mu) ** 2 + 4 * (k - mu)
     if disc < 0:
-        raise SpectrumError(f"negative discriminant {disc}: {tuple(params)}")
+        raise SpectrumError("negative-discriminant", f"negative discriminant {disc}: {tuple(params)}")
     root = exact_sqrt(disc)
     if root is None:
         # conference type: 2k + (v-1)(lam-mu) = 0 forces equal multiplicities
         if 2 * k + (v - 1) * (lam - mu) == 0 and (v - 1) % 2 == 0:
             half = (v - 1) // 2
             return Spectrum(k, None, half, None, half, conference=True)
-        raise SpectrumError(f"irrational spectrum with unequal multiplicities: {tuple(params)}")
+        raise SpectrumError(
+            "irrational-spectrum", f"irrational spectrum with unequal multiplicities: {tuple(params)}"
+        )
     if root == 0:
-        raise SpectrumError(f"repeated non-principal eigenvalue: {tuple(params)}")
+        raise SpectrumError("repeated-eigenvalue", f"repeated non-principal eigenvalue: {tuple(params)}")
     theta_pos = (lam - mu + root) // 2
     theta_neg = (lam - mu - root) // 2
     num = 2 * k + (v - 1) * (lam - mu)
     if num % root != 0 or (v - 1 - num // root) % 2 != 0:
-        raise SpectrumError(f"non-integral multiplicities: {tuple(params)}")
+        raise SpectrumError("non-integral-multiplicities", f"non-integral multiplicities: {tuple(params)}")
     m_pos = (v - 1 - num // root) // 2
     m_neg = (v - 1) - m_pos
     if m_pos < 0 or m_neg < 0:
-        raise SpectrumError(f"negative multiplicity: {tuple(params)}")
+        raise SpectrumError("negative-multiplicity", f"negative multiplicity: {tuple(params)}")
     return Spectrum(k, theta_pos, m_pos, theta_neg, m_neg)
 
 
@@ -110,7 +117,7 @@ def fixed_point_order_bound(params: SrgParams) -> int:
     """
     spec = srg_spectrum(params)
     if spec.conference:
-        raise SpectrumError(f"bound needs an integral spectrum: {tuple(params)}")
+        raise SpectrumError("irrational-spectrum", f"bound needs an integral spectrum: {tuple(params)}")
     return params.mu * params.v // (params.k - spec.theta_pos)
 
 
@@ -129,6 +136,6 @@ def feasibility_basic(params: SrgParams) -> dict:
     else:
         try:
             srg_spectrum(params)
-        except SpectrumError:
-            reasons.append("non-integral-multiplicities")
+        except SpectrumError as err:
+            reasons.append(err.reason)
     return {"ok": not reasons, "reasons": reasons}

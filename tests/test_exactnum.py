@@ -2,6 +2,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from at4tools.exactnum import (
+    _MR_BASES,
+    _MR_PREFIX_BOUNDS,
+    _MR_PROVEN_BELOW,
+    _MR_ROUNDS,
     divisors,
     exact_sqrt,
     factorize,
@@ -148,3 +152,74 @@ def test_divisors():
 def test_is_prime_spot_checks():
     assert is_prime(2) and is_prime(167) and is_prime(839)
     assert not is_prime(1) and not is_prime(119) and not is_prime(34)
+
+
+# psi_t, the least strong pseudoprime to the first t prime bases (OEIS A014233)
+PSI = {
+    1: 2047,
+    2: 1373653,
+    3: 25326001,
+    4: 3215031751,
+    5: 2152302898747,
+    6: 3474749660383,
+    7: 341550071728321,
+    8: 341550071728321,
+    9: 3825123056546413051,
+    10: 3825123056546413051,
+    11: 3825123056546413051,
+    12: 318665857834031151167461,
+}
+FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _strong_probable_prime(n, a):
+    """The strong test of the odd n > 2 to base a, by pow alone."""
+    s = 0
+    while (n - 1) % 2 ** (s + 1) == 0:
+        s += 1
+    d = (n - 1) // 2**s
+    return pow(a, d, n) == 1 or any(pow(a, d * 2**r, n) == n - 1 for r in range(s))
+
+
+def test_psi_t_is_a_strong_pseudoprime_to_its_first_t_bases():
+    sympy = pytest.importorskip("sympy")
+    assert FIRST_PRIMES == _MR_BASES
+    for t, psi in PSI.items():
+        assert not sympy.isprime(psi)
+        assert all(_strong_probable_prime(psi, a) for a in FIRST_PRIMES[:t]), t
+        # psi_t < psi_{t+1} exactly when psi_t fails base t + 1
+        assert _strong_probable_prime(psi, FIRST_PRIMES[t]) == (PSI.get(t + 1) == psi), t
+        assert not is_prime(psi)
+
+
+def test_base_prefix_table():
+    bounds, rounds = _MR_PREFIX_BOUNDS, _MR_ROUNDS
+    assert all(a < b for a, b in zip(bounds, bounds[1:]))
+    assert all(a < b for a, b in zip(rounds, rounds[1:]))
+    assert len(rounds) == len(bounds) + 1 and rounds[-1] == len(_MR_BASES)
+    assert bounds[-1] < _MR_PROVEN_BELOW
+    # bound i is psi_t at the least t that reaches it
+    for bound, t in zip(bounds, rounds):
+        assert PSI[t] == bound and PSI.get(t - 1) != bound
+    assert sorted(set(PSI.values())) == list(bounds)
+
+
+def test_is_prime_around_each_psi_t():
+    sympy = pytest.importorskip("sympy")
+    for psi in PSI.values():
+        for n in (psi - 2, psi, psi + 2):
+            assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_is_prime_matches_the_sieve_below_two_million():
+    # crosses 43^2 = 1849, where the Miller-Rabin rounds start, psi_1 and psi_2
+    limit = 2 * 10**6
+    assert [n for n in range(limit) if is_prime(n)] == primes_upto(limit - 1)
+
+
+def test_factorize_at_the_end_of_the_prime_table():
+    # 4093 is the last prime below 2^12, 4099 the first above it; 10007 * 10009
+    # is left for rho
+    sympy = pytest.importorskip("sympy")
+    for n in (4093**2, 4093 * 4099, 4099**2, 10007 * 10009):
+        assert factorize(n) == sorted(sympy.factorint(n).items()), n

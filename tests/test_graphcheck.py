@@ -248,6 +248,17 @@ def test_verify_drg():
     assert verify_drg(Graph.from_edges(3, [(0, 1), (0, 2)])) is None
 
 
+def test_verify_drg_of_long_cycles_matches_the_closed_form():
+    # C_n has diameter d = n // 2, b = (2, 1, ..., 1) and c = (1, ..., 1),
+    # with c_d = 2 for even n, the antipode; networkx's distance-regularity
+    # search stops short of it at n >= 30
+    for n in [*range(3, 301), 1024]:
+        d = n // 2
+        arr = verify_drg(cycle(n))
+        assert arr.b == (2, *(1,) * (d - 1)), n
+        assert arr.c == (*(1,) * (d - 1), 2 if n % 2 == 0 else 1), n
+
+
 def test_verify_drg_diameter_4_antipodal():
     # the 4-dimensional hypercube: distance-regular of diameter 4 and an
     # antipodal 2-cover, so the measured array feeds antipodal_check

@@ -147,5 +147,26 @@ def test_negative_discriminant_is_a_spectrum_error():
         verdict = feasibility_basic(params)
         if params.identity_holds() and (lam - mu) ** 2 + 4 * (k - mu) < 0:
             negative += 1
-            assert not verdict["ok"] and "non-integral-multiplicities" in verdict["reasons"]
+            assert not verdict["ok"] and "negative-discriminant" in verdict["reasons"]
     assert negative == 253
+
+
+@pytest.mark.parametrize(
+    "params, reasons",
+    [
+        # one tuple per spectrum failure that a search over v < 30 and
+        # k, lam, mu in -4..29 reaches with the counting identity holding
+        ((1, 0, 0, 1), ["negative-discriminant"]),
+        ((7, 3, 0, 2), ["irrational-spectrum"]),
+        ((1, 0, 0, 0), ["repeated-eigenvalue"]),
+        ((5, 1, 0, 0), ["non-integral-multiplicities"]),
+        ((0, -4, -2, 4), ["negative-parameter", "negative-multiplicity"]),
+    ],
+)
+def test_feasibility_basic_names_the_spectrum_failure(params, reasons):
+    params = SrgParams(*params)
+    assert params.identity_holds()
+    assert feasibility_basic(params) == {"ok": False, "reasons": reasons}
+    with pytest.raises(SpectrumError) as err:
+        srg_spectrum(params)
+    assert err.value.reason == reasons[-1]
