@@ -12,11 +12,16 @@ report, ``_walk``: JSON as ``json.dumps(report, sort_keys=True, indent=2)``
 prints it, text as one ``path = value`` line per leaf.  A scan array is
 kept as the tuple of r and its closed forms, not as a dict: in JSON it
 prints as one ``template % values``, filled straight from the closed
-forms.  The template is the one template of the writer: the walk builds
-it once per indent from the report of the Soicher array, with each int
-and str made a slot, and checks that its fill prints that report's bytes.
-In text a scan array prints as its report; every other value, in both
-formats, prints value by value.
+forms: the walk builds that template once per indent from the report of
+the Soicher array, with each int and str made a slot, and checks that its
+fill prints that report's bytes.  In text a scan array prints as its
+report.  A run of exact ints (a list or tuple of exact ints, or a range)
+prints, in both formats, through one kernel, ``_ints``: it keeps one
+bytes slot, ``%d`` and the separator, per separator, repeats it once per
+int into a template, cuts the last separator, fills the template and
+decodes it.  A run of more than _SLICE ints stays in the parts as a
+(separator, run) pair, which ``_emit`` prints _SLICE items at a time with
+the same kernel.  Every other value prints value by value.
 
 Only ``verify`` and ``audit`` need the graph module: they import
 ``at4tools.graphcheck`` at first use, so the other commands start without it.
@@ -97,8 +102,8 @@ class _Slot(str):
 
 # the printers of the exact scalar types
 _SCALARS = {int: repr, str: encode_basestring_ascii, bool: _NAMED, type(None): _NAMED, float: json.dumps, _Slot: str}
-# An exact-int list or tuple, or a range, longer than this is written to
-# ``out`` in slices of this many items, never joined whole.
+# The most ints ``_ints`` prints at once: an exact-int list or tuple, or a
+# range, longer than this is written to ``out`` in slices of this many items.
 _SLICE = 4096
 
 
@@ -127,9 +132,9 @@ def _walk(value, at: str, parts: list, text: bool, lead: str = "") -> None:
     tuples and ranges lists.  Values are told apart by their exact type:
     any type out of the report domain, a record or a set among them,
     raises TypeError, and so does a key that is not str, in
-    ``encode_basestring_ascii``.  A part is a str, or a (sep, sequence)
-    pair for an exact-int sequence of more than _SLICE items, printed with
-    ``sep`` between items."""
+    ``encode_basestring_ascii``.  A run of exact ints prints with ``_ints``:
+    a run of at most _SLICE items in its str part, a longer one as a
+    (sep, run) part that ``_emit`` prints.  Every other part is a str."""
     kind = type(value)
     printer = _SCALARS.get(kind)
     if printer is not None:
@@ -154,7 +159,7 @@ def _walk(value, at: str, parts: list, text: bool, lead: str = "") -> None:
             if len(value) > _SLICE:
                 parts += (head, (sep, value), tail)
             else:
-                parts.append(head + sep.join(map(repr, value)) + tail)
+                parts.append(head + _ints(sep, value) + tail)
         elif not any(isinstance(v, _CONTAINERS) for v in value):
             parts.append(head + sep.join(map(_scalar, value)) + tail)
         elif text:
@@ -189,6 +194,20 @@ def _walk(value, at: str, parts: list, text: bool, lead: str = "") -> None:
     parts.append("\n" + at + "}")
 
 
+@functools.lru_cache(maxsize=64)
+def _int_slot(sep: str) -> bytes:
+    """A ``%d`` slot followed by ``sep``: the unit of the bytes templates
+    of ``_ints``."""
+    return b"%d" + sep.encode("ascii")
+
+
+def _ints(sep: str, run) -> str:
+    """The exact ints of ``run``, at most _SLICE of them, printed with
+    ``sep`` between them: one slot of ``sep`` per int, the last ``sep`` cut,
+    filled and decoded.  The one printer of runs of ints, in both formats."""
+    return ((_int_slot(sep) * len(run))[: -len(sep)] % tuple(run)).decode("ascii")
+
+
 def _scalar(value) -> str:
     """A leaf printed as JSON."""
     printer = _SCALARS.get(type(value))
@@ -200,7 +219,8 @@ def _scalar(value) -> str:
 def _emit(report: dict, fmt: str, out) -> None:
     """Write ``report`` to ``out`` as JSON or as text lines.  All parts are
     made before the first write; str parts are written joined, _SLICE at a
-    time, and each long integer sequence in slices of _SLICE items."""
+    time, and each (sep, run) part as one ``_ints`` string per slice of
+    _SLICE items, with ``sep`` between slices."""
     parts: list = []
     _walk(report, "", parts, fmt == "text")
     # a text report with no leaf is one empty line
@@ -215,7 +235,7 @@ def _emit(report: dict, fmt: str, out) -> None:
                 for i in range(0, len(seq), _SLICE):
                     if i:
                         out.write(sep)
-                    out.write(sep.join(map(repr, seq[i : i + _SLICE])))
+                    out.write(_ints(sep, seq[i : i + _SLICE]))
 
 
 def _array_payload(r: int, f: at4.ClosedForms) -> dict:

@@ -4,8 +4,8 @@ The files under ``tests/golden/`` are the contract that makes refactoring
 safe: every report listed in CASES must keep its exact bytes in both the
 JSON and the text format, and its exit code.  Regenerate them only when a
 report is meant to change, with ``PYTHONPATH=src python tests/test_golden.py``.
-``scan 2 2000``, too large to store, is pinned by the sha256 of its bytes,
-which that script leaves as it is.
+``scan 2 2000`` and ``profile 1409 705 7``, too large to store, are pinned
+by the sha256 of their bytes, which that script leaves as they are.
 """
 
 import hashlib
@@ -54,6 +54,12 @@ FORMATS = {"json": "json", "text": "txt"}
 SCAN_2_2000_SHA256 = {
     "json": "356ffc4a1bea71ca04b882e6e55f221261087d304e262ee90fdb6619c7b2a3cb",
     "text": "02849cd34665865e11645525774c3826746d001ecaab2ea28d2055264822c2d1",
+}
+# The largest profile the single-p benchmark runs: its alpha_1 class has
+# 142,309 ints, printed in 35 slices of at most cli._SLICE.  (length, sha256)
+PROFILE_1409_705_7 = {
+    "json": (2224885, "7d34ff7b1809dc8365ab55479bc3c82ba8e5a26b60bbd4199f404fbb31cdcbd3"),
+    "text": (1653837, "796c54b13547ba49d0ef2d07713aacca0b95ac9e63a00f543402deb9c354d77c"),
 }
 
 
@@ -120,6 +126,12 @@ def test_golden_bytes(name, fmt, inputs):
 def test_scan_2_2000_digest(fmt):
     report = render(fmt, ["scan", "2", "2000"], 0)
     assert hashlib.sha256(report.encode("utf-8")).hexdigest() == SCAN_2_2000_SHA256[fmt]
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_profile_1409_705_7_digest(fmt):
+    report = render(fmt, ["profile", "1409", "705", "7"], 0)
+    assert (len(report), hashlib.sha256(report.encode("utf-8")).hexdigest()) == PROFILE_1409_705_7[fmt]
 
 
 if __name__ == "__main__":

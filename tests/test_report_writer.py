@@ -196,7 +196,8 @@ def assert_writers_match(report):
 
 
 SLICE = cli._SLICE
-LENGTHS = (SLICE - 1, SLICE, SLICE + 1, 3 * SLICE + 7)
+# k * SLICE + 1 items leave one item for the last slice
+LENGTHS = (SLICE - 1, SLICE, SLICE + 1, 2 * SLICE, 2 * SLICE + 1, 3 * SLICE, 3 * SLICE + 1, 3 * SLICE + 7)
 
 
 def test_writers_on_sequences_around_the_slice_length():
@@ -229,6 +230,46 @@ def test_writers_on_holes_and_template_characters_beside_long_sequences():
     }
     assert_writers_match(report)
     assert_writers_match({"nested": [report, report]})
+
+
+def test_writers_on_short_runs_beside_long_ones():
+    # runs of 0, 1 and 2 ints, each printed whole, between runs written in slices
+    long = list(range(-SLICE, 2 * SLICE))
+    for short in ([], [7], [-7, 2**70], (), (0,), range(0), range(5, 6), range(5, 3, -1)):
+        assert_writers_match({"a": long, "b": short, "c": range(3 * SLICE), "d": [short, long, short]})
+
+
+def test_writers_on_negative_steps_negative_and_large_ints():
+    big = 2**70
+    assert_writers_match({
+        "down": range(10, -SLICE - 10, -1),
+        "down_short": range(3, -9, -4),
+        "down_big": range(big + 3 * SLICE, big, -3),
+        "negative": [-(2**200), -big, -1, -big - 1],
+        "large": [big, 2**100, 10**40, 2**256],
+        "long_negative": [-(big + i) for i in range(SLICE + 2)],
+    })
+
+
+def test_writers_on_a_short_list_that_holds_a_bool():
+    # the exact-type test sends these past the int printer: true and false,
+    # never 1 and 0
+    for value in ([True], [1, False], [0, 1, True], (2**70, False), [False] * 3):
+        assert_writers_match({"v": value, "nested": [{"w": value}]})
+
+
+def test_one_run_at_two_indents_uses_two_cached_slots():
+    # the same runs at two depths: each JSON separator has its own cached
+    # slot, and text has one separator at every depth
+    for run in ([4, -5, 2**70], list(range(SLICE + 3)), range(2 * SLICE, 0, -1)):
+        report = {"a": run, "b": [run], "c": {"d": run}}
+        cli._int_slot.cache_clear()
+        assert_writers_match(report)
+        # three slots made, and these three separators hit them
+        for sep in (",\n    ", ",\n      ", ", "):
+            assert cli._int_slot(sep) == b"%d" + sep.encode("ascii")
+        info = cli._int_slot.cache_info()
+        assert info.misses == info.currsize == 3, info
 
 
 def test_writers_on_a_long_list_that_holds_a_bool():
