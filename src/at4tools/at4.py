@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .exactnum import divisors
+from .exactnum import divisors, factorize, is_prime
 from .srg import SrgParams, srg_spectrum
 
 
@@ -116,14 +116,42 @@ class IntersectionArray(namedtuple("IntersectionArray", "b c a layer_sizes")):
         return _array_text(self.b, self.c)
 
 
-def feasible_r(p: int) -> tuple[int, ...]:
-    """All antipodality indices r admissible at p: 2 < r < p+2, r | 2(p+1),
-    and 2p(p+1)(p+2)/r even."""
-    if p < 2:
-        raise ValueError(f"feasible_r requires p >= 2, got {p}")
+class PerP(dict):
+    """The arithmetic of one p >= 2 that every per-p report reads: ``p``,
+    ``q`` = p + 2, ``s`` = p^2 + 4p + 2, ``base``, the pair (t, e) with t
+    prime and t**e = p, or None when p is not a prime power, and the
+    primality of q and s as ``q_prime`` and ``s_prime``.
+
+    As a dict it maps each number n that a report factorises (p, p+1, p+2,
+    p+4, s and s-1) to ``factorize(n)``, made at first use.  A record
+    lives for one report of one p, so each number is factorised at most
+    once, and one that the report never reads is never factorised: a scan
+    at a p that is not a prime power factorises only p and p+1, never s.
+    """
+
+    __slots__ = ("p", "q", "s", "base", "q_prime", "s_prime")
+
+    def __init__(self, p: int):
+        if p < 2:
+            raise ValueError(f"p must be >= 2, got {p}")
+        self.p, self.q, self.s = p, p + 2, p * p + 4 * p + 2
+        fac = self[p]
+        self.base = fac[0] if len(fac) == 1 else None
+        self.q_prime = is_prime(self.q)
+        self.s_prime = is_prime(self.s)
+
+    def __missing__(self, n: int) -> list[tuple[int, int]]:
+        fac = self[n] = factorize(n)
+        return fac
+
+
+def feasible_r(rec: PerP) -> tuple[int, ...]:
+    """All antipodality indices r admissible at the record's p: 2 < r < p+2,
+    r | 2(p+1), and 2p(p+1)(p+2)/r even."""
+    p = rec.p
     # from a list, so the tuple is made at its length: one grown from a
     # generator is resized, and then kept by the free list of its final length
-    return tuple([r for r in divisors(2 * (p + 1)) if _params_violation(p, r) is None])
+    return tuple([r for r in divisors(2 * (p + 1), [(2, 1)], rec[p + 1]) if _params_violation(p, r) is None])
 
 
 class ClosedForms(
@@ -185,10 +213,10 @@ def closed_forms(params: At4Params) -> ClosedForms:
     return _checked_forms(params.p, params.r)
 
 
-def feasible_closed_forms(p: int) -> tuple[tuple[int, ClosedForms], ...]:
-    """(r, closed forms of (p, r)) for every r of feasible_r(p), checked as
-    closed_forms checks them: each pair is admitted once, by feasible_r."""
-    return tuple([(r, _checked_forms(p, r)) for r in feasible_r(p)])  # from a list: see feasible_r
+def feasible_closed_forms(rec: PerP) -> tuple[tuple[int, ClosedForms], ...]:
+    """(r, closed forms of (p, r)) for every r of feasible_r(rec), checked
+    as closed_forms checks them: each pair is admitted once, by feasible_r."""
+    return tuple([(r, _checked_forms(rec.p, r)) for r in feasible_r(rec)])  # from a list: see feasible_r
 
 
 def intersection_array(params: At4Params) -> IntersectionArray:

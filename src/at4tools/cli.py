@@ -46,7 +46,7 @@ from itertools import groupby, islice
 from json.encoder import encode_basestring_ascii
 
 from . import at4, higman
-from .exactnum import is_prime, prime_power_base
+from .exactnum import is_prime
 from .srg import (
     clique_bound,
     feasibility_basic,
@@ -73,20 +73,21 @@ class _Refusal(Exception):
     ``error: message`` and exits with ``code`` (EXIT_USAGE or EXIT_INPUT)."""
 
 
-def _refuse_too_large(ps) -> None:
-    """Refuse ps if the report of some p in it would list too many primes."""
-    big = next((p for p in ps if p > MAX_LISTED_P and prime_power_base(p)), None)
-    if big is not None:
-        message = f"p = {big} is a prime power above {MAX_LISTED_P}: its report would list every prime up to p"
-        raise _Refusal(EXIT_USAGE, message)
-
-
-def _params(p: int, r: int) -> at4.At4Params:
-    """The parameters (p, r), or a usage refusal saying why they are invalid."""
+def _usage(make, *args):
+    """``make(*args)``, or a usage refusal with the ValueError it raises."""
     try:
-        return at4.At4Params(p, r)
+        return make(*args)
     except ValueError as exc:
         raise _Refusal(EXIT_USAGE, str(exc)) from None
+
+
+def _record(p: int) -> at4.PerP:
+    """The record of p, or a usage refusal if p < 2 or its report would list too many primes."""
+    rec = _usage(at4.PerP, p)
+    if p > MAX_LISTED_P and rec.base:
+        message = f"p = {p} is a prime power above {MAX_LISTED_P}: its report would list every prime up to p"
+        raise _Refusal(EXIT_USAGE, message)
+    return rec
 
 
 _SEQUENCES = (list, tuple, range)
@@ -328,36 +329,35 @@ def _array_template(at: str) -> str:
     return template
 
 
-def _spectrum_fields(p: int) -> dict:
-    """The edge-stabiliser primes and the spectrum sandwich at p, each
-    "inapplicable" when p is not a prime power above 2."""
-    bounds = higman.spectrum_bounds(p)
+def _spectrum_fields(rec: at4.PerP) -> dict:
+    """The edge-stabiliser primes and the spectrum sandwich at the record's
+    p, each "inapplicable" when p is not a prime power above 2."""
+    bounds = higman.spectrum_bounds(rec)
     if bounds is None:
         return dict.fromkeys(("edge_stabilizer_primes", "spectrum_lower", "spectrum_upper"), "inapplicable")
     lower, edge, above = bounds
     return {"edge_stabilizer_primes": edge, "spectrum_lower": lower, "spectrum_upper": edge + above}
 
 
-def _scan_entry(p: int) -> dict:
-    q = p + 2
-    s = (p + 2) ** 2 - 2
-    forms = at4.feasible_closed_forms(p)
+def _scan_entry(rec: at4.PerP) -> dict:
+    p = rec.p
+    forms = at4.feasible_closed_forms(rec)
     local = local_family_params(p)
     entry: dict = {
         "p": p,
-        "prime_power": prime_power_base(p),
-        "q": q,
-        "q_prime": is_prime(q),
-        "s": s,
-        "s_prime": is_prime(s),
+        "prime_power": rec.base,
+        "q": rec.q,
+        "q_prime": rec.q_prime,
+        "s": rec.s,
+        "s_prime": rec.s_prime,
         "feasible_r": [r for r, _ in forms],
         "local_srg": list(local),
         "local_fix_bound": fixed_point_order_bound(local),
         "clique_bound": clique_bound(p),
         "arrays": [*map(_ScanArray, forms)],
-        **_spectrum_fields(p),
+        **_spectrum_fields(rec),
     }
-    cf = higman.centralizer_filter(p)
+    cf = higman.centralizer_filter(rec)
     entry["centralizer_filter"] = cf if cf["verdict"] != higman.INAPPLICABLE else "inapplicable"
     return entry
 
@@ -366,13 +366,14 @@ def _cmd_scan(args) -> tuple[int, dict]:
     if args.p_min < 2 or args.p_min > args.p_max:
         raise _Refusal(EXIT_USAGE, f"bad range {args.p_min}..{args.p_max} (need 2 <= p_min <= p_max)")
     ps = range(args.p_min, args.p_max + 1)
-    _refuse_too_large(ps)
-    entries = [_scan_entry(p) for p in ps]
+    # the records past MAX_LISTED_P first: a refusal comes before any entry
+    ahead = {p: _record(p) for p in ps if p > MAX_LISTED_P}
+    entries = [_scan_entry(ahead.pop(p) if p in ahead else at4.PerP(p)) for p in ps]
     return EXIT_OK, {"inputs": {"p_min": args.p_min, "p_max": args.p_max}, "entries": entries}
 
 
 def _cmd_array(args) -> tuple[int, dict]:
-    report = _array_payload(args.r, at4.closed_forms(_params(args.p, args.r)))
+    report = _array_payload(args.r, at4.closed_forms(_usage(at4.At4Params, args.p, args.r)))
     report["inputs"] = {"p": args.p, "r": args.r}
     report["quotient_srg"] = list(at4.quotient_params(args.p))
     report["second_subconstituent_quotient_srg"] = list(at4.second_subconstituent_quotient(args.p))
@@ -380,11 +381,12 @@ def _cmd_array(args) -> tuple[int, dict]:
 
 
 def _cmd_profile(args) -> tuple[int, dict]:
-    _params(args.p, args.r)
+    _usage(at4.At4Params, args.p, args.r)
     if not is_prime(args.ell):
         raise _Refusal(EXIT_USAGE, f"order {args.ell} is not prime")
     p, r, ell = args.p, args.r, args.ell
-    classification = higman.cover_order_classification(p, r)
+    rec = at4.PerP(p)
+    classification = higman.cover_order_classification(rec, r)
     report = {
         "inputs": {"p": p, "r": r, "ell": ell},
         "cover_congruences": list(higman.cover_congruences(p, r, ell)),
@@ -407,15 +409,13 @@ def _cmd_profile(args) -> tuple[int, dict]:
         report["order_admissible_fixed_point_free"] = (
             ell in classification["data"]["fixed_point_free_orders"]
         )
-        report["local_fixed_structure"] = higman.local_fixed_structure(p, ell)
+        report["local_fixed_structure"] = higman.local_fixed_structure(rec, ell)
     return EXIT_OK, report
 
 
 def _cmd_bounds(args) -> tuple[int, dict]:
     p = args.p
-    if p < 2:
-        raise _Refusal(EXIT_USAGE, f"p must be >= 2, got {p}")
-    _refuse_too_large([p])
+    rec = _record(p)
     params = local_family_params(p)
     spec = srg_spectrum(params)
     report = {
@@ -431,9 +431,9 @@ def _cmd_bounds(args) -> tuple[int, dict]:
         "feasibility": feasibility_basic(params),
         "clique_bound": clique_bound(p),
         "fix_bound": fixed_point_order_bound(params),
-        "block_sizes": list(higman.block_size_filter(p)),
-        **_spectrum_fields(p),
-        "exclusion": higman.exclusion_arithmetic(p) if p > 2 else "inapplicable",
+        "block_sizes": list(higman.block_size_filter(rec)),
+        **_spectrum_fields(rec),
+        "exclusion": higman.exclusion_arithmetic(rec) if p > 2 else "inapplicable",
     }
     return EXIT_OK, report
 

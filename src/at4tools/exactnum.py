@@ -9,11 +9,11 @@ below 2^12 that stops as soon as the remaining cofactor is 1 or a proven
 prime, so its cost is set by the second-largest prime factor, not by the
 square root of n.  Past 2^12 a composite cofactor below 3.3e24 is split by
 Pollard-Brent rho instead, in time about the fourth root of the cofactor.
-Divisors of a product are built from the factorizations of its factors,
-taken apart, with the powers of each prime computed once.
+Divisors of n take the factorizations of its factors when the caller holds
+them, and a multiplicative order takes the factorization of a multiple of
+it, so that no number need be factorised twice.
 """
 
-import functools
 import math
 from bisect import bisect_right
 from itertools import compress
@@ -196,39 +196,24 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def prime_set(n: int) -> frozenset[int]:
-    """The set of prime divisors of n >= 1."""
-    return frozenset(p for p, _ in factorize(n))
-
-
-def divisors(*factors: int) -> list[int]:
-    """Sorted positive divisors of the product of factors >= 1.  Each factor
-    is factorised apart and the exponents are added, so a product past the
-    reach of rho costs no more than its factors."""
+def divisors(n: int, *factorizations: list[tuple[int, int]]) -> list[int]:
+    """Sorted positive divisors of n >= 1.  n is factorised unless
+    factorizations are given: then their exponents are added, and they must
+    multiply to n, so a product past the reach of rho costs no more than the
+    factorizations of its factors."""
+    if n < 1:
+        raise ValueError(f"divisors requires n >= 1, got {n}")
     exponents: dict[int, int] = {}
-    for n in factors:
-        if n < 1:
-            raise ValueError(f"divisors requires n >= 1, got {n}")
-        for prime, e in factorize(n):
+    for fac in factorizations or (factorize(n),):
+        for prime, e in fac:
             exponents[prime] = exponents.get(prime, 0) + e
     out = [1]
     for prime, e in exponents.items():
         powers = [prime**k for k in range(e + 1)]
         out = [d * q for d in out for q in powers]
+    if out[-1] != n:
+        raise ValueError(f"the factorizations multiply to {out[-1]}, not {n}")
     return sorted(out)
-
-
-# A report tests the same p in several filters in turn; the few latest
-# answers are kept so that p is factorised once per report.
-@functools.lru_cache(maxsize=16)
-def prime_power_base(n: int) -> tuple[int, int] | None:
-    """Return (t, e) with t prime and t**e == n, or None if n is not a prime power."""
-    if n < 2:
-        raise ValueError(f"prime_power_base requires n >= 2, got {n}")
-    fac = factorize(n)
-    if len(fac) == 1:
-        return fac[0]
-    return None
 
 
 def exact_sqrt(n: int) -> int | None:
@@ -239,26 +224,18 @@ def exact_sqrt(n: int) -> int | None:
     return d if d * d == n else None
 
 
-def _carmichael(n: int) -> int:
-    # Exponent of the unit group mod n; mult_order uses it as a starting bound.
-    lam = 1
-    for p, e in factorize(n):
-        if p == 2 and e >= 3:
-            block = 2 ** (e - 2)
-        else:
-            block = (p - 1) * p ** (e - 1)
-        lam = math.lcm(lam, block)
-    return lam
-
-
-def mult_order(t: int, s: int) -> int:
-    """Least e >= 1 with t**e congruent to 1 mod s; requires gcd(t, s) == 1."""
+def mult_order(t: int, s: int, multiple: list[tuple[int, int]]) -> int:
+    """Least e >= 1 with t**e congruent to 1 mod s, given the factorization
+    ``multiple`` of a multiple of it, such as the group order s - 1 for a
+    prime s; requires gcd(t, s) == 1."""
     if s < 2:
         raise ValueError(f"mult_order requires s >= 2, got {s}")
     if math.gcd(t, s) != 1:
         raise ValueError(f"mult_order requires gcd(t, s) = 1, got t={t}, s={s}")
-    k = _carmichael(s)
-    for q in sorted(prime_set(k)):
+    k = math.prod(q**e for q, e in multiple)
+    if pow(t, k, s) != 1:
+        raise ValueError(f"{k} is not a multiple of the order of {t} mod {s}")
+    for q, _ in multiple:
         while k % q == 0 and pow(t, k // q, s) == 1:
             k //= q
     return k

@@ -17,10 +17,14 @@ Conventions used throughout:
   subconstituent" the distance-2 graph of one of its vertices;
 * alpha_j counts vertices displaced to distance j by an automorphism.
 
-Operations whose derivation needs p to be a prime power larger than 2
-return an ``inapplicable`` report (or None for plain-set results) when that
-hypothesis fails, so parameter scans can proceed without silently applying
-a constraint outside its range of validity.
+The filters that read primes of p and of the numbers near it take the
+record ``at4.PerP(p)`` in place of p: it holds s, the prime-power base of
+p and the factorizations of p+1, p+2, p+4, s and s-1, each made once per
+record.  Those whose derivation needs p to be a prime power larger than 2
+return an ``inapplicable`` report when that hypothesis fails
+(``spectrum_bounds``, whose result is a tuple of lists, returns None), so
+parameter scans can proceed without silently applying a constraint
+outside its range of validity.
 """
 
 from __future__ import annotations
@@ -28,15 +32,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 
-from .at4 import At4Params, IntersectionArray, closed_forms, quotient_params
-from .exactnum import (
-    divisors,
-    is_prime,
-    mult_order,
-    prime_power_base,
-    prime_set,
-    primes_upto,
-)
+from .at4 import At4Params, IntersectionArray, PerP, closed_forms, quotient_params
+from .exactnum import divisors, is_prime, mult_order, primes_upto
 from .srg import family_multiplicities, fixed_point_order_bound, local_family_params
 
 PASS = "pass"
@@ -62,10 +59,6 @@ def _case(label: str, params: tuple, verdict: str, conditions=(), data=None, not
 
 def _inapplicable(label: str, params: tuple, why: str) -> dict:
     return _case(label, params, INAPPLICABLE, notes=(why,))
-
-
-def _is_prime_power_gt2(p: int) -> bool:
-    return p > 2 and prime_power_base(p) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +128,7 @@ def alpha1_candidates(p: int, ell: int, fix: int) -> range:
 # ---------------------------------------------------------------------------
 
 
-def local_fixed_structure(p: int, ell: int) -> dict:
+def local_fixed_structure(rec: PerP, ell: int) -> dict:
     """Structural constraints on the fixed subgraph of an order-ell
     automorphism of the local graph, classified by how ell compares to p.
 
@@ -150,9 +143,9 @@ def local_fixed_structure(p: int, ell: int) -> dict:
     if not is_prime(ell):
         raise ValueError(f"order must be prime, got {ell}")
     label = "local-fixed-structure"
-    if not _is_prime_power_gt2(p):
+    p, s = rec.p, rec.s
+    if rec.base is None or p == 2:
         return _inapplicable(label, (p, ell), "requires p a prime power with p > 2")
-    s = (p + 2) ** 2 - 2
     fpf_ok = (ell % 2 == 1 and (s % ell == 0 or (p + 2) % ell == 0)) or (
         ell == 2 and p % 2 == 0
     )
@@ -232,7 +225,7 @@ def subconstituent_congruences(p: int, r: int, ell: int) -> tuple[int, int, int,
     return _residues(IntersectionArray(f.sub_b, f.sub_c).layer_sizes[1:], ell)
 
 
-def cover_order_classification(p: int, r: int) -> dict:
+def cover_order_classification(rec: PerP, r: int) -> dict:
     """Admissible prime orders of a cover automorphism, split by whether it
     can have fixed points, for prime-power p > 2.
 
@@ -241,15 +234,15 @@ def cover_order_classification(p: int, r: int) -> dict:
     including proper divisors of s in that range).  Without fixed points:
     prime divisors of (p+1)(p+4).
     """
+    p, s = rec.p, rec.s
     At4Params(p, r)
     label = "cover-order-classification"
-    if not _is_prime_power_gt2(p):
+    if rec.base is None or p == 2:
         return _inapplicable(label, (p, r), "requires p a prime power with p > 2")
-    s = (p + 2) ** 2 - 2
-    above = {q for q in prime_set(s) if q > p}
-    if is_prime(p + 2):
+    above = {t for t, _ in rec[s] if t > p}
+    if rec.q_prime:
         above.add(p + 2)
-    free = prime_set((p + 1) * (p + 4))
+    free = {t for n in (p + 1, p + 4) for t, _ in rec[n]}
     return _case(
         label,
         (p, r),
@@ -278,19 +271,18 @@ def cover_fix_bound(p: int, r: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def block_size_filter(p: int) -> tuple[int, ...]:
+def block_size_filter(rec: PerP) -> tuple[int, ...]:
     """Admissible sizes of the common fixed set of a point stabilizer under
     a vertex-transitive group: divisors of (p+2)((p+2)^2-2) not exceeding
     (p+2)^2 - 2."""
-    if p < 2:
-        raise ValueError(f"block_size_filter requires p >= 2, got {p}")
-    s = (p + 2) ** 2 - 2
-    # p+2 and s apart: their product passes the reach of rho once p > 1.5e8
-    out = divisors(p + 2, s)
+    q, s = rec.q, rec.s
+    # from the factorizations of p+2 and s: their product passes the reach
+    # of rho once p > 1.5e8
+    out = divisors(q * s, rec[q], rec[s])
     return tuple(out[: bisect_right(out, s)])
 
 
-def centralizer_filter(p: int) -> dict:
+def centralizer_filter(rec: PerP) -> dict:
     """Constraints on prime orders commuting with an element of the maximal
     order s = (p+2)^2 - 2, applicable when s is prime and p is a prime
     power above 2.
@@ -304,12 +296,12 @@ def centralizer_filter(p: int) -> dict:
     ``alpha1_admissible_orders``.
     """
     label = "long-element-centralizer"
-    if not _is_prime_power_gt2(p):
+    p, s = rec.p, rec.s
+    if rec.base is None or p == 2:
         return _inapplicable(label, (p,), "requires p a prime power with p > 2")
-    s = (p + 2) ** 2 - 2
-    if not is_prime(s):
+    if not rec.s_prime:
         return _inapplicable(label, (p,), f"requires (p+2)^2 - 2 = {s} prime")
-    admissible = sorted(t for t in prime_set(p + 1) if t < p)
+    admissible = [t for t, _ in rec[p + 1] if t < p]
     alpha1 = (p + 1) * s
     refined = [t for t in admissible if alpha1 in alpha1_candidates(p, t, s)]
     notes = [
@@ -337,7 +329,7 @@ def centralizer_filter(p: int) -> dict:
     )
 
 
-def solvable_cases(p: int) -> dict:
+def solvable_cases(rec: PerP) -> dict:
     """The two arithmetic branches available to a solvable vertex-transitive
     group containing an element of prime order s = (p+2)^2 - 2.
 
@@ -349,25 +341,26 @@ def solvable_cases(p: int) -> dict:
     solvable group of this kind exists.
     """
     label = "solvable-transitive-cases"
-    if not _is_prime_power_gt2(p):
+    p, s = rec.p, rec.s
+    if rec.base is None or p == 2:
         return _inapplicable(label, (p,), "requires p a prime power with p > 2")
-    s = (p + 2) ** 2 - 2
-    if not is_prime(s):
+    if not rec.s_prime:
         return _inapplicable(label, (p,), f"requires (p+2)^2 - 2 = {s} prime")
-    base = prime_power_base(p + 2)
-    power_of_3 = base is not None and base[0] == 3
+    q_primes = [t for t, _ in rec[rec.q]]
+    power_of_3 = q_primes == [3]
     case_i_ok = power_of_3 and s % 3 == 1
     case_i = {
         "q_power_of_3": power_of_3,
         "s_mod_3": s % 3,
         "applicable": case_i_ok,
-        "stabilizer_prime_bound": sorted(prime_set((p + 1) * (s - 1))) if case_i_ok else None,
+        "stabilizer_prime_bound": sorted({t for n in (p + 1, s - 1) for t, _ in rec[n]}) if case_i_ok else None,
     }
     case_ii = []
     any_ii = False
-    q_composite = not is_prime(p + 2)
-    for t in sorted(prime_set(p + 2)):
-        e = mult_order(t, s)
+    q_composite = not rec.q_prime
+    for t in q_primes:
+        # s is prime: the order of t divides s - 1
+        e = mult_order(t, s, rec[s - 1])
         # s divides the invertible-matrix group order iff s divides some
         # t^e - t^i; the i = 0 factor is t^e - 1, zero mod s by choice of e.
         entry = {
@@ -402,7 +395,7 @@ def solvable_cases(p: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def spectrum_bounds(p: int) -> tuple[list[int], list[int], list[int]] | None:
+def spectrum_bounds(rec: PerP) -> tuple[list[int], list[int], list[int]] | None:
     """Sandwich on the prime spectrum of an arc-transitive automorphism
     group of a cover, as ascending lists (lower, edge, above).  lower is the
     prime divisors of (p+2)(p^2+4p+2)(p+1)(p+4).  The upper bound, the
@@ -410,19 +403,16 @@ def spectrum_bounds(p: int) -> tuple[list[int], list[int], list[int]] | None:
     edge + above: edge is every prime up to p, which bounds the prime
     spectrum of an edge stabilizer, and above the few members above p.
     None when p is not a prime power above 2."""
-    if not _is_prime_power_gt2(p):
+    p = rec.p
+    if rec.base is None or p == 2:
         return None
-    s = p * p + 4 * p + 2
-    outer = prime_set(s) | prime_set(p + 4)
-    lower = prime_set(p + 2) | prime_set(p + 1) | outer
-    # the primes up to p+2 are those up to p and whichever of p+1, p+2 is prime
-    above = {q for q in outer if q > p} | {q for q in (p + 1, p + 2) if is_prime(q)}
-    # every member of lower up to p is a prime up to p
-    assert {q for q in lower if q > p} <= above
-    return (sorted(lower), primes_upto(p), sorted(above))
+    lower = sorted({t for n in (p + 1, p + 2, p + 4, rec.s) for t, _ in rec[n]})
+    # Past p the two bounds agree: a prime up to p+2 above p is p+1 or p+2,
+    # which then divides itself, so above is the tail of lower past p.
+    return (lower, primes_upto(p), lower[bisect_right(lower, p) :])
 
 
-def exclusion_arithmetic(p: int) -> dict:
+def exclusion_arithmetic(rec: PerP) -> dict:
     """Arithmetic skeleton of the arc-transitivity exclusion at p.
 
     Reports primality of q = p+2 and s = p^2+4p+2, the order s(s^2-1)/2 of
@@ -431,12 +421,8 @@ def exclusion_arithmetic(p: int) -> dict:
     automorphism order), and the centralizer and solvable-case filters.
     The verdict is PASS exactly when both primality gates hold.
     """
-    if p < 2:
-        raise ValueError(f"exclusion_arithmetic requires p >= 2, got {p}")
-    q = p + 2
-    s = p * p + 4 * p + 2
-    q_prime = is_prime(q)
-    s_prime = is_prime(s)
+    p, q, s = rec.p, rec.q, rec.s
+    q_prime, s_prime = rec.q_prime, rec.s_prime
     g = math.gcd(s * s - 1, q)
     conds = (
         {"code": "q-prime", "ok": q_prime, "detail": f"q = {q}"},
@@ -455,8 +441,8 @@ def exclusion_arithmetic(p: int) -> dict:
             "psl2_s_order": s * (s * s - 1) // 2 if s_prime else None,
             "gcd_s2_minus_1_q": g,
             "gcd_divides_3": 3 % g == 0,
-            "prime_power_p": prime_power_base(p) is not None,
-            "centralizer": centralizer_filter(p) if p > 2 else None,
-            "solvable": solvable_cases(p) if p > 2 else None,
+            "prime_power_p": rec.base is not None,
+            "centralizer": centralizer_filter(rec) if p > 2 else None,
+            "solvable": solvable_cases(rec) if p > 2 else None,
         },
     )

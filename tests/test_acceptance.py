@@ -9,11 +9,12 @@ from fractions import Fraction
 from at4tools.at4 import (
     At4Params,
     EQUALITY,
+    PerP,
     feasible_r,
     fundamental_bound_check,
     intersection_array,
 )
-from at4tools.exactnum import prime_power_base, primes_upto
+from at4tools.exactnum import primes_upto
 from at4tools.graphcheck import audit_family_graph, verify_srg
 from at4tools.higman import (
     alpha1_candidates,
@@ -35,7 +36,7 @@ def test_criterion_1_soicher_array():
 def test_criterion_2_fundamental_bound_equality():
     checked = 0
     for p in range(2, 101):
-        for r in feasible_r(p):
+        for r in feasible_r(PerP(p)):
             arr = intersection_array(At4Params(p, r))
             theta1 = -1 + arr.b[1] // (p + 1)
             theta4 = -1 - arr.b[1] // (p + 1)
@@ -78,7 +79,7 @@ def test_criterion_5_alpha1_closed_case_and_agreement():
     assert set(alpha1_candidates(3, 23, 0)) == frozenset({23})
     pairs = 0
     for p in range(3, 51):
-        if not prime_power_base(p):
+        if not PerP(p).base:
             continue
         for ell in primes_upto((p + 2) ** 2 - 2):
             assert alpha1_expressions_consistent(p, ell)
@@ -92,11 +93,11 @@ def test_criterion_5_alpha1_closed_case_and_agreement():
 def test_criterion_6_exclusion_arithmetic():
     expected_s = {3: 23, 5: 47, 11: 167, 17: 359, 27: 839}
     for p, s in expected_s.items():
-        rep = exclusion_arithmetic(p)
+        rep = exclusion_arithmetic(PerP(p))
         assert rep["verdict"] == "pass"
         assert rep["data"]["s"] == s and rep["data"]["s_prime"] and rep["data"]["q_prime"]
     for p in (4, 8, 9, 16, 25):
-        rep = exclusion_arithmetic(p)
+        rep = exclusion_arithmetic(PerP(p))
         assert rep["verdict"] == "fail"
         assert not (rep["data"]["q_prime"] and rep["data"]["s_prime"])
     print("criterion 6 (primality gates at p in {3,5,11,17,27} and their prime-power foils): PASS")
@@ -105,9 +106,10 @@ def test_criterion_6_exclusion_arithmetic():
 def test_criterion_7_spectrum_bound_consistency():
     checked = 0
     for p in range(3, 201):
-        if not prime_power_base(p):
+        rec = PerP(p)
+        if not rec.base:
             continue
-        bounds = spectrum_bounds(p)
+        bounds = spectrum_bounds(rec)
         assert bounds is not None
         lower, edge, above = bounds
         upper = edge + above

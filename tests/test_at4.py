@@ -9,6 +9,7 @@ from at4tools.at4 import (
     _params_violation,
     EQUALITY,
     IntersectionArray,
+    PerP,
     STRICT,
     VIOLATED,
     closed_forms,
@@ -18,7 +19,7 @@ from at4tools.at4 import (
     quotient_params,
     second_subconstituent_quotient,
 )
-from at4tools.exactnum import exact_sqrt
+from at4tools.exactnum import exact_sqrt, factorize
 from at4tools.srg import srg_spectrum
 
 from oracles import antipodal_check
@@ -153,10 +154,28 @@ def test_records_are_immutable_tuples_with_their_repr():
 
 
 def test_feasible_r():
-    assert feasible_r(2) == (3,)
-    assert feasible_r(3) == (4,)
-    assert feasible_r(5) == (3, 6)
-    assert feasible_r(11) == (3, 4, 6, 12)
+    assert feasible_r(PerP(2)) == (3,)
+    assert feasible_r(PerP(3)) == (4,)
+    assert feasible_r(PerP(5)) == (3, 6)
+    assert feasible_r(PerP(11)) == (3, 4, 6, 12)
+
+
+def test_perp_base():
+    assert PerP(27).base == (3, 3)
+    assert PerP(12).base is None
+    assert PerP(11).base == (11, 1)
+    with pytest.raises(ValueError):
+        PerP(1)
+
+
+def test_perp_fields_and_lazy_factorizations():
+    rec = PerP(11)
+    assert (rec.p, rec.q, rec.s, rec.q_prime, rec.s_prime) == (11, 13, 167, True, True)
+    assert (PerP(4).q_prime, PerP(4).s_prime) == (False, False)
+    # only p is factorised on construction; any other number at first use
+    assert dict(rec) == {11: [(11, 1)]}
+    assert rec[12] == factorize(12) and rec[166] == factorize(166)
+    assert [*rec] == [11, 12, 166]
 
 
 def test_intersection_array_values():
@@ -272,7 +291,7 @@ def test_eigenvalues_match_closed_form():
     # the closed forms the reports use
     for p in range(2, 101):
         expected = ((p + 2) * (p * p + 4 * p + 2), p * p + 4 * p + 2, p, -(p + 2), -((p + 2) ** 2))
-        for r in feasible_r(p):
+        for r in feasible_r(PerP(p)):
             params = At4Params(p, r)
             f = closed_forms(params)
             arr = intersection_array(params)
@@ -292,7 +311,7 @@ def test_char_poly_petersen_style():
 
 def test_generated_arrays_invariants():
     for p in range(2, 201):
-        params_list = [At4Params(p, r) for r in feasible_r(p)]
+        params_list = [At4Params(p, r) for r in feasible_r(PerP(p))]
         for params in params_list:
             arr = intersection_array(params)
             ok, r_back = antipodal_check(arr)
@@ -318,7 +337,7 @@ def test_generated_arrays_invariants():
 
 def test_generated_arrays_are_tight():
     for p in range(2, 101):
-        for r in feasible_r(p):
+        for r in feasible_r(PerP(p)):
             arr = intersection_array(At4Params(p, r))
             theta1 = -1 + arr.b[1] // (p + 1)
             theta4 = -1 - arr.b[1] // (p + 1)

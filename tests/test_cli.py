@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import at4tools
-from at4tools import cli, exactnum, graphcheck, higman
+from at4tools import at4, cli, exactnum, graphcheck, higman, srg
 from test_graphcheck import ODD_TOKENS
 
 try:
@@ -90,11 +90,9 @@ def test_scan_byte_identical_in_one_process(monkeypatch):
     assert run(["--format", "json", "--deterministic", "scan", "2", "6"]) == (0, out1)
 
 
-@pytest.mark.parametrize(
-    "argv", [["bounds", "11"], ["bounds", "27"], ["scan", "11", "11"], ["profile", "11", "3", "7"]]
-)
-def test_each_report_factorises_p_once(monkeypatch, argv):
-    p = int(argv[1])
+def factorize_calls(monkeypatch, argv) -> list[int]:
+    """The argument of each factorize call that ``argv`` makes, counted by
+    rebinding factorize in every module of the package that imported it."""
     calls = []
     factorize = exactnum.factorize
 
@@ -102,10 +100,29 @@ def test_each_report_factorises_p_once(monkeypatch, argv):
         calls.append(n)
         return factorize(n)
 
-    exactnum.prime_power_base.cache_clear()
-    monkeypatch.setattr(exactnum, "factorize", counting)
+    for module in (at4, cli, exactnum, graphcheck, higman, srg):
+        if getattr(module, "factorize", None) is factorize:
+            monkeypatch.setattr(module, "factorize", counting)
     rc, _ = run(["--deterministic", *argv])
-    assert rc == 0 and calls.count(p) == 1
+    assert rc == 0
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["bounds", "11"], ["bounds", "27"], ["scan", "11", "11"], ["profile", "11", "3", "7"], ["bounds", "25"]],
+)
+def test_each_report_factorises_p_once(monkeypatch, argv):
+    # and every other number it reads once too: one record per report
+    calls = factorize_calls(monkeypatch, argv)
+    p = int(argv[1])
+    assert p in calls and len(calls) == len(set(calls)), calls
+
+
+def test_scan_never_factorises_s_at_a_p_that_is_no_prime_power(monkeypatch):
+    # s is past 3.3e24 with no small factor: factorising it takes seconds
+    p = 2000000000011
+    assert factorize_calls(monkeypatch, ["scan", str(p), str(p)]) == [p, p + 1]
 
 
 def test_array_report():

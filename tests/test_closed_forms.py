@@ -163,7 +163,7 @@ def test_every_division_is_exact_for_a_candidate():
 def test_proof_covers_the_integers():
     # the symbolic forms evaluated at integers give what the program computes
     for p in (2, 3, 5, 11, 27, 1000):
-        for r in at4.feasible_r(p):
+        for r in at4.feasible_r(at4.PerP(p)):
             ints = at4.closed_forms(at4.At4Params(p, r))
             for got, want in zip(F, ints):
                 got = got if isinstance(got, tuple) else (got,)

@@ -11,8 +11,6 @@ from at4tools.exactnum import (
     factorize,
     is_prime,
     mult_order,
-    prime_power_base,
-    prime_set,
     primes_upto,
 )
 
@@ -41,6 +39,8 @@ def test_factorize_examples():
     assert factorize(3432) == [(2, 3), (3, 1), (11, 1), (13, 1)]
     assert factorize(3432) == _trial_division(3432)
     assert factorize(167) == [(167, 1)]
+    assert factorize(180) == [(2, 2), (3, 2), (5, 1)]
+    assert factorize(1008) == [(2, 4), (3, 2), (7, 1)]
 
 
 def test_factorize_rejects_nonpositive():
@@ -59,20 +59,6 @@ def test_factorize_reconstructs(n):
         prev = p
         prod *= p**e
     assert prod == n
-
-
-def test_prime_set():
-    assert prime_set(1) == frozenset()
-    assert prime_set(180) == frozenset({2, 3, 5})
-    assert prime_set(1008) == frozenset({2, 3, 7})
-
-
-def test_prime_power_base():
-    assert prime_power_base(27) == (3, 3)
-    assert prime_power_base(12) is None
-    assert prime_power_base(11) == (11, 1)
-    with pytest.raises(ValueError):
-        prime_power_base(1)
 
 
 def test_exact_sqrt_examples():
@@ -106,16 +92,21 @@ def test_gl_order_subgroup_divisibility():
 
 
 def test_mult_order_examples():
-    assert mult_order(1, 7) == 1
-    assert mult_order(3, 23) == 11
+    assert mult_order(1, 7, factorize(6)) == 1
+    assert mult_order(3, 23, factorize(22)) == 11
+    # any multiple of the order will do, and so will its factorization
+    assert mult_order(3, 23, factorize(44)) == 11
     with pytest.raises(ValueError):
-        mult_order(6, 9)
+        mult_order(6, 9, factorize(6))
+    # 5 is no multiple of the order 11 of 3 mod 23
+    with pytest.raises(ValueError):
+        mult_order(3, 23, factorize(5))
 
 
 def test_mult_order_against_divisor_oracle():
     # smallest divisor d of 166 with 13^d = 1 mod 167
     oracle = min(d for d in divisors(166) if pow(13, d, 167) == 1)
-    assert mult_order(13, 167) == oracle
+    assert mult_order(13, 167, factorize(166)) == oracle
 
 
 @given(
@@ -125,7 +116,7 @@ def test_mult_order_against_divisor_oracle():
 def test_mult_order_divides_group_order(s, t):
     if t % s == 0:
         t += 1
-    e = mult_order(t, s)
+    e = mult_order(t, s, factorize(s - 1))
     assert (s - 1) % e == 0
     assert pow(t, e, s) == 1
     # minimality against every proper divisor
@@ -142,11 +133,16 @@ def test_divisors():
     assert divisors(1) == [1]
     assert divisors(56) == [1, 2, 4, 7, 8, 14, 28, 56]
     assert divisors(115) == [1, 5, 23, 115]
-    # several arguments: the divisors of their product
-    assert divisors(8, 7) == divisors(4, 14) == divisors(56)
-    assert divisors(5, 23, 1) == divisors(115)
+    # given the factorizations of its factors, n is not factorised again
+    assert divisors(56, factorize(8), factorize(7)) == divisors(56, factorize(4), factorize(14)) == divisors(56)
+    assert divisors(115, factorize(5), factorize(23), factorize(1)) == divisors(115)
     with pytest.raises(ValueError):
-        divisors(3, 0)
+        divisors(0)
+    with pytest.raises(ValueError):
+        divisors(0, factorize(3))
+    # factorizations that do not multiply to n
+    with pytest.raises(ValueError):
+        divisors(57, factorize(8), factorize(7))
 
 
 def test_is_prime_spot_checks():

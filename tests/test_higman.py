@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from at4tools.exactnum import is_prime, mult_order, prime_power_base, primes_upto
+from at4tools.exactnum import factorize, is_prime, mult_order, primes_upto
 from at4tools.higman import (
     FAIL,
     INAPPLICABLE,
@@ -22,7 +22,7 @@ from at4tools.higman import (
     spectrum_bounds,
     subconstituent_congruences,
 )
-from at4tools.at4 import At4Params, IntersectionArray, closed_forms, feasible_r, intersection_array
+from at4tools.at4 import At4Params, IntersectionArray, PerP, closed_forms, feasible_r, intersection_array
 from at4tools.srg import local_family_params
 
 from oracles import (
@@ -127,7 +127,7 @@ def test_alpha1_candidates_equal_chi_passing_set():
             assert set(alpha1_candidates(3, ell, a0)) == passing
 
 
-PRIME_POWERS = [p for p in range(3, 1001) if prime_power_base(p)]
+PRIME_POWERS = [p for p in range(3, 1001) if PerP(p).base]
 PRIMES_TO_2000 = primes_upto(2000)
 
 
@@ -200,12 +200,12 @@ def test_centralizer_alpha1_refinement():
     # feeding the claimed displacement count back through the character
     # congruences keeps only the orders dividing (p+1)/2: at p = 5 the
     # order 2 drops out even though it divides p+1
-    assert centralizer_filter(3)["data"]["alpha1_admissible_orders"] == [2]
-    assert centralizer_filter(5)["data"]["alpha1_admissible_orders"] == [3]
-    assert centralizer_filter(11)["data"]["alpha1_admissible_orders"] == [2, 3]
-    assert centralizer_filter(17)["data"]["alpha1_admissible_orders"] == [3]
+    assert centralizer_filter(PerP(3))["data"]["alpha1_admissible_orders"] == [2]
+    assert centralizer_filter(PerP(5))["data"]["alpha1_admissible_orders"] == [3]
+    assert centralizer_filter(PerP(11))["data"]["alpha1_admissible_orders"] == [2, 3]
+    assert centralizer_filter(PerP(17))["data"]["alpha1_admissible_orders"] == [3]
     for p in (3, 5, 11, 17, 27):
-        rep = centralizer_filter(p)
+        rep = centralizer_filter(PerP(p))
         fix = rep["data"]["fixed_set_size"]
         alpha1 = rep["data"]["alpha1"]
         for t in rep["data"]["alpha1_admissible_orders"]:
@@ -216,7 +216,7 @@ def test_centralizer_alpha1_refinement():
 
 
 def test_local_fixed_structure_order_p():
-    rep = local_fixed_structure(3, 3)
+    rep = local_fixed_structure(PerP(3), 3)
     assert rep["verdict"] == PASS
     assert rep["data"]["case"] == "order-p"
     assert rep["data"]["fix_residue_mod_p"] == 1
@@ -226,20 +226,20 @@ def test_local_fixed_structure_order_p():
 
 
 def test_local_fixed_structure_excluded_order():
-    rep = local_fixed_structure(3, 7)
+    rep = local_fixed_structure(PerP(3), 7)
     assert rep["verdict"] == FAIL
     assert rep["data"]["fixed_points_possible"] is False
     assert rep["data"]["fixed_point_free_possible"] is False
 
 
 def test_local_fixed_structure_small_and_gates():
-    rep = local_fixed_structure(4, 2)
+    rep = local_fixed_structure(PerP(4), 2)
     assert rep["verdict"] == PASS and rep["data"]["case"] == "small-order"
     assert rep["data"]["fixed_point_free_possible"]  # order 2 with p even
-    assert local_fixed_structure(6, 5)["verdict"] == INAPPLICABLE
-    assert local_fixed_structure(2, 5)["verdict"] == INAPPLICABLE
+    assert local_fixed_structure(PerP(6), 5)["verdict"] == INAPPLICABLE
+    assert local_fixed_structure(PerP(2), 5)["verdict"] == INAPPLICABLE
     with pytest.raises(ValueError):
-        local_fixed_structure(3, 4)
+        local_fixed_structure(PerP(3), 4)
 
 
 def test_cover_congruences_examples():
@@ -255,7 +255,7 @@ def test_subconstituent_congruences_examples():
 def test_congruences_match_layer_sizes():
     # independent route: the residues are the distance-layer sizes mod ell
     for p in range(2, 31):
-        for r in feasible_r(p):
+        for r in feasible_r(PerP(p)):
             cover = intersection_array(At4Params(p, r)).layer_sizes
             f = closed_forms(At4Params(p, r))
             sub = IntersectionArray(f.sub_b, f.sub_c).layer_sizes
@@ -265,30 +265,31 @@ def test_congruences_match_layer_sizes():
 
 
 def test_cover_order_classification():
-    rep = cover_order_classification(11, 4)
+    rep = cover_order_classification(PerP(11), 4)
     assert rep["data"]["fixed_point_orders"] == [2, 3, 5, 7, 11, 13, 167]
     assert rep["data"]["fixed_point_free_orders"] == [2, 3, 5]
-    rep17 = cover_order_classification(17, 3)
+    rep17 = cover_order_classification(PerP(17), 3)
     assert 19 in rep17["data"]["fixed_point_orders"]
     assert 359 in rep17["data"]["fixed_point_orders"]
     assert rep17["data"]["fixed_point_free_orders"] == [2, 3, 7]
-    rep27 = cover_order_classification(27, 4)
+    rep27 = cover_order_classification(PerP(27), 4)
     assert 29 in rep27["data"]["fixed_point_orders"]
     assert 839 in rep27["data"]["fixed_point_orders"]
     assert rep27["data"]["fixed_point_free_orders"] == [2, 7, 31]
-    assert cover_order_classification(2, 3)["verdict"] == INAPPLICABLE
+    assert cover_order_classification(PerP(2), 3)["verdict"] == INAPPLICABLE
 
 
 def test_cover_order_case_split_is_exclusive():
     # the fixed-point-free orders never collide with order p+2 or with the
     # large divisors of (p+2)^2 - 2
     for p in range(3, 201):
-        if not prime_power_base(p):
+        rec = PerP(p)
+        if not rec.base:
             continue
-        rs = feasible_r(p)
+        rs = feasible_r(rec)
         if not rs:
             continue
-        rep = cover_order_classification(p, rs[0])
+        rep = cover_order_classification(rec, rs[0])
         free = set(rep["data"]["fixed_point_free_orders"])
         s = (p + 2) ** 2 - 2
         big_divisors = {q for q in free if q > p and s % q == 0}
@@ -297,7 +298,7 @@ def test_cover_order_case_split_is_exclusive():
 
 
 def test_case_report_without_data_gets_a_dict_of_its_own():
-    inapplicable = centralizer_filter(4)
+    inapplicable = centralizer_filter(PerP(4))
     assert inapplicable == {
         "label": "long-element-centralizer",
         "params": (4,),
@@ -306,7 +307,7 @@ def test_case_report_without_data_gets_a_dict_of_its_own():
         "data": {},
         "notes": ("requires (p+2)^2 - 2 = 34 prime",),
     }
-    assert inapplicable["data"] is not centralizer_filter(4)["data"]
+    assert inapplicable["data"] is not centralizer_filter(PerP(4))["data"]
 
 
 def test_cover_fix_bound():
@@ -320,62 +321,62 @@ def test_cover_fix_bound_is_r_times_quotient_bound():
     from at4tools.srg import fixed_point_order_bound
 
     for p in (2, 3, 5, 11, 17):
-        for r in feasible_r(p):
+        for r in feasible_r(PerP(p)):
             assert cover_fix_bound(p, r) == r * fixed_point_order_bound(quotient_params(p))
 
 
 def test_block_size_filter():
-    assert block_size_filter(3) == (1, 5, 23)
-    assert block_size_filter(2) == (1, 2, 4, 7, 8, 14)
-    assert block_size_filter(11) == (1, 13, 167)
+    assert block_size_filter(PerP(3)) == (1, 5, 23)
+    assert block_size_filter(PerP(2)) == (1, 2, 4, 7, 8, 14)
+    assert block_size_filter(PerP(11)) == (1, 13, 167)
 
 
 def test_centralizer_filter():
-    rep = centralizer_filter(3)
+    rep = centralizer_filter(PerP(3))
     assert rep["verdict"] == PASS
     assert rep["data"]["admissible_orders"] == [2]
     assert rep["data"]["alpha1"] == 92
-    assert centralizer_filter(11)["data"]["admissible_orders"] == [2, 3]
-    assert centralizer_filter(11)["data"]["alpha1"] == 2004
-    assert centralizer_filter(5)["data"]["admissible_orders"] == [2, 3]
-    assert centralizer_filter(5)["data"]["alpha1"] == 282
-    assert centralizer_filter(4)["verdict"] == INAPPLICABLE  # 34 composite
+    assert centralizer_filter(PerP(11))["data"]["admissible_orders"] == [2, 3]
+    assert centralizer_filter(PerP(11))["data"]["alpha1"] == 2004
+    assert centralizer_filter(PerP(5))["data"]["admissible_orders"] == [2, 3]
+    assert centralizer_filter(PerP(5))["data"]["alpha1"] == 282
+    assert centralizer_filter(PerP(4))["verdict"] == INAPPLICABLE  # 34 composite
 
 
 def test_solvable_cases_exclusions():
-    rep11 = solvable_cases(11)
+    rep11 = solvable_cases(PerP(11))
     assert rep11["verdict"] == FAIL
     assert not rep11["data"]["case_i"]["applicable"]  # 13 is not a power of 3
     branch = rep11["data"]["case_ii"][0]
     assert branch["t"] == 13 and branch["e"] >= 2 and not branch["q_composite"]
-    rep3 = solvable_cases(3)
+    rep3 = solvable_cases(PerP(3))
     assert rep3["verdict"] == FAIL
     assert not rep3["data"]["case_i"]["applicable"]  # 5 is not a power of 3
     assert not rep3["data"]["case_ii"][0]["q_composite"]
 
 
 def test_solvable_cases_p25_both_branches_live():
-    rep = solvable_cases(25)
+    rep = solvable_cases(PerP(25))
     assert rep["verdict"] == PASS
     assert rep["data"]["case_i"]["applicable"]  # 27 = 3^3 and 727 = 1 mod 3
     assert rep["data"]["case_ii"][0]["survives"]
-    assert solvable_cases(4)["verdict"] == INAPPLICABLE
+    assert solvable_cases(PerP(4))["verdict"] == INAPPLICABLE
 
 
 def test_solvable_gl_divisibility_against_exact_orders():
     # the modular shortcut in the filter agrees with the literal group order
     for p in (3, 11):
         s = (p + 2) ** 2 - 2
-        for branch in solvable_cases(p)["data"]["case_ii"]:
+        for branch in solvable_cases(PerP(p))["data"]["case_ii"]:
             t, e = branch["t"], branch["e"]
-            assert mult_order(t, s) == e
+            assert mult_order(t, s, factorize(s - 1)) == e
             assert (gl_order(e, t) % s == 0) == branch["s_divides_gl_order"]
 
 
 def test_edge_stabilizer_primes():
     # the edge-stabiliser bound is the part of the spectrum upper bound up to p
     def edge(p):
-        bounds = spectrum_bounds(p)
+        bounds = spectrum_bounds(PerP(p))
         return None if bounds is None else bounds[1]
 
     assert edge(3) == [2, 3]
@@ -387,20 +388,20 @@ def test_edge_stabilizer_primes():
 
 def test_spectrum_bounds_values():
     # (lower, edge, above): the upper bound is edge + above
-    lower, edge, above = spectrum_bounds(11)
+    lower, edge, above = spectrum_bounds(PerP(11))
     assert lower == [2, 3, 5, 13, 167]
     assert edge + above == [2, 3, 5, 7, 11, 13, 167]
-    lower3, edge3, above3 = spectrum_bounds(3)
+    lower3, edge3, above3 = spectrum_bounds(PerP(3))
     assert lower3 == [2, 5, 7, 23]
     assert edge3 + above3 == [2, 3, 5, 7, 23]
-    lower5, edge5, above5 = spectrum_bounds(5)
+    lower5, edge5, above5 = spectrum_bounds(PerP(5))
     assert lower5 == [2, 3, 7, 47]
     assert edge5 + above5 == [2, 3, 5, 7, 47]
-    assert spectrum_bounds(12) is None
+    assert spectrum_bounds(PerP(12)) is None
 
 
 def test_exclusion_arithmetic_p11():
-    rep = exclusion_arithmetic(11)
+    rep = exclusion_arithmetic(PerP(11))
     assert rep["verdict"] == PASS
     assert rep["data"]["s"] == 167 and rep["data"]["s_prime"]
     assert rep["data"]["q"] == 13 and rep["data"]["q_prime"]
@@ -410,12 +411,12 @@ def test_exclusion_arithmetic_p11():
 
 
 def test_exclusion_arithmetic_p17_and_composite():
-    assert exclusion_arithmetic(17)["data"]["s"] == 359
-    assert exclusion_arithmetic(17)["verdict"] == PASS
-    rep4 = exclusion_arithmetic(4)
+    assert exclusion_arithmetic(PerP(17))["data"]["s"] == 359
+    assert exclusion_arithmetic(PerP(17))["verdict"] == PASS
+    rep4 = exclusion_arithmetic(PerP(4))
     assert rep4["verdict"] == FAIL and not rep4["data"]["s_prime"]
 
 
 def test_gcd_with_q_always_divides_3():
     for p in range(2, 101):
-        assert exclusion_arithmetic(p)["data"]["gcd_divides_3"]
+        assert exclusion_arithmetic(PerP(p))["data"]["gcd_divides_3"]

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from at4tools import cli
-from at4tools.at4 import feasible_r
-from at4tools.exactnum import divisors, factorize, is_prime, mult_order, prime_set, primes_upto
+from at4tools.at4 import PerP, feasible_r
+from at4tools.exactnum import divisors, factorize, is_prime, mult_order, primes_upto
 from at4tools.higman import alpha1_candidates, block_size_filter, spectrum_bounds
 from at4tools.srg import local_family_params
 
@@ -53,13 +53,13 @@ def test_is_prime_matches_sympy(sympy, n):
 @example(2**31 - 1, 7)
 def test_mult_order_matches_sympy(sympy, s, t):
     assume(math.gcd(t, s) == 1)
-    assert mult_order(t, s) == sympy.n_order(t, s)
+    # the exponent of the unit group mod s is a multiple of every order
+    assert mult_order(t, s, factorize(int(sympy.reduced_totient(s)))) == sympy.n_order(t, s)
 
 
 def check_against_sympy(sympy, n: int) -> None:
     assert factorize(n) == sorted(sympy.factorint(n).items())
     assert divisors(n) == sympy.divisors(n)
-    assert prime_set(n) == frozenset(sympy.primefactors(n))
 
 
 @settings(max_examples=150, deadline=None)
@@ -84,7 +84,7 @@ def test_exactnum_matches_sympy_on_products_of_large_primes(sympy):
 @given(st.lists(st.integers(min_value=1, max_value=10**8), min_size=1, max_size=4))
 @example([1000000006, 1000000012000000034])  # p + 2 and s at p = 1000000004
 def test_divisors_of_several_factors_match_sympy(sympy, factors):
-    assert divisors(*factors) == sympy.divisors(math.prod(factors))
+    assert divisors(math.prod(factors), *map(factorize, factors)) == sympy.divisors(math.prod(factors))
 
 
 @settings(max_examples=25, deadline=None)
@@ -138,13 +138,13 @@ def test_bounds_at_a_large_composite_p_finish(sympy):
 def test_spectrum_bounds_match_sympy(sympy):
     for p in [*range(3, 10**4 + 1), 1000003]:
         if len(sympy.factorint(p)) != 1:
-            assert spectrum_bounds(p) is None
+            assert spectrum_bounds(PerP(p)) is None
             continue
         s = p * p + 4 * p + 2
         lower = sympy.primefactors((p + 2) * s * (p + 1) * (p + 4))
         upper = sorted(set(sympy.primerange(p + 3)) | set(sympy.primefactors(s * (p + 4))))
         edge = [q for q in upper if q <= p]
-        assert spectrum_bounds(p) == (lower, edge, upper[len(edge) :]), p
+        assert spectrum_bounds(PerP(p)) == (lower, edge, upper[len(edge) :]), p
 
 
 def test_feasible_r_matches_literal_conditions():
@@ -154,14 +154,14 @@ def test_feasible_r_matches_literal_conditions():
             for r in range(3, p + 2)
             if 2 * (p + 1) % r == 0 and 2 * p * (p + 1) * (p + 2) // r % 2 == 0
         )
-        assert feasible_r(p) == literal, p
+        assert feasible_r(PerP(p)) == literal, p
 
 
 def test_block_size_filter_matches_sympy(sympy):
     for p in [*range(2, 301), 1000003]:
         s = p * p + 4 * p + 2
         expected = tuple(d for d in sympy.divisors(family_order(p)) if d <= s)
-        assert block_size_filter(p) == expected, p
+        assert block_size_filter(PerP(p)) == expected, p
 
 
 @settings(max_examples=40, deadline=None)

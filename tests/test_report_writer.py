@@ -12,7 +12,7 @@ from collections import namedtuple
 from hypothesis import given, settings, strategies as st
 
 from at4tools import cli
-from at4tools.at4 import IntersectionArray, feasible_closed_forms
+from at4tools.at4 import IntersectionArray, PerP, feasible_closed_forms
 from at4tools.graphcheck import audit_family_graph
 from at4tools.higman import centralizer_filter, exclusion_arithmetic
 from at4tools.srg import SrgParams, feasibility_basic
@@ -181,8 +181,8 @@ def test_writers_on_edge_values(gewirtz):
         "nested": [[1, 2], {"a": None}, (3,)],
         # the reports of the screen, the filters and the audit as they are returned
         "verdict": feasibility_basic(SrgParams(8, 3, 0, 1)),
-        "case": centralizer_filter(3),
-        "nested_cases": exclusion_arithmetic(6),
+        "case": centralizer_filter(PerP(3)),
+        "nested_cases": exclusion_arithmetic(PerP(6)),
         # the identity passes, the shift is not an automorphism
         "audit": audit_family_graph(gewirtz, 2, [tuple(range(56)), (*range(1, 56), 0)]),
     }
@@ -384,9 +384,9 @@ def benchmark_argvs() -> list:
     argvs = [["scan", "2", "601"], ["bounds", "1319"], ["profile", "1369", "274", "7"]]
     for p in (1069, 2143, 2107, 2173):
         argvs.append(["bounds", str(p)])
-        argvs += [["array", str(p), str(r)] for r, _ in feasible_closed_forms(p)]
+        argvs += [["array", str(p), str(r)] for r, _ in feasible_closed_forms(PerP(p))]
     for p in (1129, 1109, 1100, 1105):
-        r, _ = feasible_closed_forms(p)[0]
+        r, _ = feasible_closed_forms(PerP(p))[0]
         argvs.append(["profile", str(p), str(r), "7"])
     return argvs
 
@@ -419,7 +419,7 @@ def test_scan_arrays_print_as_the_dicts_of_their_reports():
     # the fill must follow that template's layout.  Six spaces is the indent
     # of an array in a scan report (entries, an entry, its arrays).
     for p in (*range(2, 301), 1000003, 9999991, 1000000004):
-        for r, f in feasible_closed_forms(p):
+        for r, f in feasible_closed_forms(PerP(p)):
             record = cli._ScanArray((r, f))
             report = {"r": r, **cli._array_payload(r, f)}
             expected = json.dumps(report, sort_keys=True, indent=2)
