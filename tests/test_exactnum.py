@@ -39,8 +39,6 @@ def test_factorize_examples():
     assert factorize(3432) == [(2, 3), (3, 1), (11, 1), (13, 1)]
     assert factorize(3432) == _trial_division(3432)
     assert factorize(167) == [(167, 1)]
-    assert factorize(180) == [(2, 2), (3, 2), (5, 1)]
-    assert factorize(1008) == [(2, 4), (3, 2), (7, 1)]
 
 
 def test_factorize_rejects_nonpositive():
@@ -59,6 +57,18 @@ def test_factorize_reconstructs(n):
         prev = p
         prod *= p**e
     assert prod == n
+
+
+def test_prime_set():
+    # the reports read the prime set of n as the primes of factorize(n)
+    def prime_set(n):
+        return {q for q, _ in factorize(n)}
+
+    assert prime_set(1) == set()
+    assert prime_set(180) == {2, 3, 5}
+    assert prime_set(1008) == {2, 3, 7}
+    assert factorize(180) == [(2, 2), (3, 2), (5, 1)]
+    assert factorize(1008) == [(2, 4), (3, 2), (7, 1)]
 
 
 def test_exact_sqrt_examples():
