@@ -2,25 +2,30 @@
 the audit of automorphisms of a family member.
 
 A graph is stored as the sorted neighbour tuple of each vertex, and every
-check is exact.  A graph file is parsed a line at a time: one bulk digit
-test and one ``map(int, ...)`` per vertex line, with the per-token loop
-run only on a line that fails, to name its first offending token; each row
-is then sorted as a list and made a tuple.  Distance-regularity, and strong
-regularity as its diameter-2 case, is checked by the three-term recurrence
-of the distance matrices on rows of packed counts: about n·d sums of k
-big-int rows for n vertices of valency k and diameter d, each sum one
-C-level call, in place of a Python step per vertex pair.  Connectivity is
-tested before those rows are built, by a walk from vertex 0 in layers of
-one set union each, so a disconnected graph costs memory linear in its
-size.  An audit reads each permutation of a graph on at most 256 vertices
-as a ``bytes.translate`` table: it translates the byte string of the edges
-and looks each image edge up in a frozenset of 16-bit edge codes, and
-counts alpha_1 as the pairs (u, sigma[u]) among those codes, all built
-once per graph (``_displacement_kernel``); a larger graph is tested on
-bitset adjacency rows.  The displacement profile needs no distance
-matrix, and the characters are integer numerators over fixed denominators
-(``higman.chi_numerators``), without a Fraction; tests/oracles.py keeps
-the distance-matrix, Fraction and per-token routes they are held to.
+check is exact.  A graph file is parsed a line at a time, each id read by
+one lookup in a table of the canonical decimals of 0..n-1 built once per
+file (``_id_table``); only a line with a token the table misses runs the
+per-token loop, which reads it (``007`` as 7) or names its first offending
+token.  Each row is then sorted as a list, and symmetry is tested by
+transposing the rows (``_symmetric``), with no set per vertex, before the
+rows are made tuples.  Distance-regularity, and strong regularity as its
+diameter-2 case, is checked by the three-term recurrence of the distance
+matrices on rows of packed counts: about n·d sums of k big-int rows for n
+vertices of valency k and diameter d, each sum one C-level call, in place
+of a Python step per vertex pair.  Connectivity is tested before those
+rows are built, by a walk from vertex 0 in layers of one set union each,
+so a disconnected graph costs memory linear in its size.  An audit reads
+each permutation of a graph on at most 256 vertices as a
+``bytes.translate`` table: it translates the byte string of the edges and
+looks each image edge up in a frozenset of 16-bit edge codes, and counts
+alpha_1 as the pairs (u, sigma[u]) among those codes, all built once per
+graph (``_displacement_kernel``); a larger graph is tested on int edge
+codes u·n + v, gathered from each permutation by two ``itemgetter``s built
+once per graph (``_edge_code_kernel``).  The displacement profile needs no
+distance matrix, and the characters are integer numerators over fixed
+denominators (``higman.chi_numerators``), without a Fraction;
+tests/oracles.py keeps the distance-matrix, Fraction and per-token routes
+they are held to.
 The star witness is the unique SRG(56, 10, 0, 2), the disjointness graph
 of a class of 56 hyperovals of the order-4 projective plane, accepted only
 after it verifies its own parameters.  The class is the orbit of the
@@ -35,8 +40,9 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from functools import lru_cache
-from itertools import combinations, permutations, repeat
+from itertools import combinations, groupby, permutations, repeat
 
 from .at4 import IntersectionArray
 from .exactnum import is_prime
@@ -60,7 +66,63 @@ def _bits(mask: int):
         mask ^= low
 
 
-_NO_NEIGHBOURS: frozenset[int] = frozenset()
+def _has(row, x) -> bool:
+    """True iff the sorted list ``row`` holds x."""
+    k = bisect_left(row, x)
+    return k < len(row) and row[k] == x
+
+
+def _symmetric(rows) -> bool:
+    """True iff the sorted rows list each neighbour once, none out of range
+    or equal to its vertex, and every edge at both ends.
+
+    The test is a transposition: the upper part of row i, its neighbours
+    above i, is walked in order of i and i appended to column j for each j
+    in it, so column i is complete and sorted when row i is reached, and
+    must equal the lower part of row i.  A repeat in an upper part, or its
+    vertex, shows as a neighbour equal to the one before it; a repeat in a
+    lower part then fails the column test.  A vertex with no neighbours
+    shares one empty column, which stays empty iff no edge reaches it."""
+    n = len(rows)
+    spill = []
+    cols = [[] if row else spill for row in rows]
+    for i, row in enumerate(rows):
+        if row:
+            k = bisect_left(row, i)
+            if row[-1] >= n or cols[i] != row[:k]:
+                return False
+            prev = i
+            for j in row[k:]:
+                if j == prev:
+                    return False
+                cols[j].append(i)
+                prev = j
+    return not spill
+
+
+def _symmetrized(rows, warnings: list[str] | None) -> list:
+    """The rows of ``Graph(rows, warnings)`` for sorted rows that fail
+    ``_symmetric``: each checked in order of its vertex, for range, then a
+    loop, then each edge listed at this end only, by binary search in the
+    row at its other end."""
+    n = len(rows)
+    added: dict[int, list[int]] = {}
+    for i, row in enumerate(rows):
+        if not row:
+            continue
+        if row[0] < 0 or row[-1] >= n:
+            raise GraphError(f"vertex {i} has a neighbor out of range")
+        if _has(row, i):
+            raise GraphError(f"loop at vertex {i}")
+        for j, _ in groupby(row):
+            if not _has(rows[j], i):
+                if warnings is None:
+                    raise GraphError(f"asymmetric edge {i}-{j}")
+                warnings.append(f"edge {i}-{j} listed only once; symmetrized")
+                added.setdefault(j, []).append(i)
+    for j, extra in added.items():
+        rows[j] = sorted(rows[j] + extra)
+    return [[j for j, _ in groupby(row)] for row in rows]
 
 
 class Graph:
@@ -76,39 +138,16 @@ class Graph:
         added at its other end and a warning appended, in order of (i, j).
         A neighbour listed twice counts once."""
         # rows are sorted as lists, in linear time on the sorted rows a file
-        # holds, and the sets serve the symmetry test.  A vertex with no
-        # neighbours listed shares one empty row and one empty frozenset, so
-        # sparse graphs pay no list or set per vertex; it gets a set of its
-        # own only when an edge listed at its other end is added to it.
-        rows = [sorted(nbrs) if nbrs else () for nbrs in neighbours]
-        sets = [set(row) if row else _NO_NEIGHBOURS for row in rows]
-        n = len(rows)
-        grown = set()
-        for i, row in enumerate(rows):
-            if not row:
-                continue
-            if row[0] < 0 or row[-1] >= n:
-                raise GraphError(f"vertex {i} has a neighbor out of range")
-            if i in sets[i]:
-                raise GraphError(f"loop at vertex {i}")
-            if not all(map(operator.contains, map(sets.__getitem__, row), repeat(i))):
-                for j in row:
-                    if i not in sets[j]:
-                        if warnings is None:
-                            raise GraphError(f"asymmetric edge {i}-{j}")
-                        warnings.append(f"edge {i}-{j} listed only once; symmetrized")
-                        if sets[j] is _NO_NEIGHBOURS:
-                            sets[j] = set()
-                        sets[j].add(i)
-                        grown.add(j)
-        for j in grown:
-            rows[j] = sorted(sets[j])
-        self.n = n
-        # a row longer than its set lists a neighbour twice
-        self.adj = tuple(
-            tuple(row) if len(row) == len(nbrs) else tuple(sorted(nbrs))
-            for row, nbrs in zip(rows, sets)
-        )
+        # holds.  A vertex with no neighbours listed shares one empty row, so
+        # sparse graphs pay no list per vertex, and no row needs a set: the
+        # symmetry test is a transposition of the rows, and only rows that
+        # fail it are checked one edge at a time.
+        empty = []
+        rows = [sorted(nbrs) if nbrs else empty for nbrs in neighbours]
+        if not _symmetric(rows):
+            rows = _symmetrized(rows, warnings)
+        self.n = len(rows)
+        self.adj = tuple(map(tuple, rows))
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -178,6 +217,16 @@ def _naturals(toks: list[str]) -> list[int] | None:
     return None
 
 
+def _id_table(text: str, n: int) -> dict[str, int]:
+    """The canonical decimals "0".."n-1" of a file on n vertices, each
+    mapped to its int, so that a listed id is read by one lookup; any other
+    token is a miss.  The table costs about 100 B per vertex, so it is
+    built only for a text that lists more ids than n, as its spaces count
+    them (one precedes each neighbour, and each image after a line's
+    first); other texts get an empty table and miss on every token."""
+    return dict(zip(map(str, range(n)), range(n))) if text.count(" ") > n else {}
+
+
 def _quoted(text: str) -> str:
     """The repr of a refused token or line for an error message: at most its
     first 32 characters, then ``...`` and its length."""
@@ -193,32 +242,42 @@ def parse_graph(text: str) -> tuple[Graph, tuple[str, ...]]:
     comments are ignored.  Loops, malformed lines and a count above
     MAX_VERTICES raise GraphError with the offending line number.
     """
-    lines = list(_content_lines(text))
-    if not lines:
+    lines = _content_lines(text)
+    lineno, header = next(lines, (0, ""))
+    if not header:
         raise GraphError("empty input: expected header line 'n <count>'")
-    lineno, header = lines[0]
     parts = header.split()
     n = _natural(parts[1]) if len(parts) == 2 and parts[0] == "n" else None
     if n is None:
         raise GraphError(f"line {lineno}: expected header 'n <count>', got {_quoted(header)}")
     if n > MAX_VERTICES:
         raise GraphError(f"line {lineno}: vertex count {n} exceeds the limit {MAX_VERTICES}")
-    listed: dict[int, list[int]] = {}
-    for lineno, line in lines[1:]:
+    ids = _id_table(text, n)
+    listed: list = [()] * n
+    for lineno, line in lines:
         head, sep, tail = line.partition(":")
+        toks = tail.split()
+        i = ids.get(head.strip()) if sep else None
+        if i is not None:
+            # a miss reads as i, so the loop test also finds every token
+            # that is no canonical id
+            js = list(map(ids.get, toks, repeat(i)))
+            if i not in js:
+                if listed[i]:
+                    listed[i] += js
+                else:
+                    listed[i] = js
+                continue
+        # a line with a miss, which this loop reads or names the first
+        # offending token of, in order
         i = _natural(head.strip()) if sep else None
         if i is None:
             raise GraphError(f"line {lineno}: expected 'i: neighbors', got {_quoted(line)}")
         if i >= n:
             raise GraphError(f"line {lineno}: vertex {i} out of range for n = {n}")
-        toks = tail.split()
-        js = _naturals(toks)
-        if js and max(js) < n and i not in js:
-            listed.setdefault(i, []).extend(js)
-            continue
-        # an empty line, or one with an offending token, which this loop
-        # names: the first in order
-        add = listed.setdefault(i, []).append
+        if not listed[i]:
+            listed[i] = []
+        add = listed[i].append
         for tok in toks:
             j = _natural(tok)
             if j is None:
@@ -228,8 +287,10 @@ def parse_graph(text: str) -> tuple[Graph, tuple[str, ...]]:
             if j == i:
                 raise GraphError(f"line {lineno}: loop at vertex {i}")
             add(j)
+    # the table is dropped before the graph is built
+    del ids
     warnings: list[str] = []
-    g = Graph([listed.get(i, ()) for i in range(n)], warnings)
+    g = Graph(listed, warnings)
     return g, tuple(warnings)
 
 
@@ -251,15 +312,19 @@ def parse_permutations(text: str, n: int) -> tuple[tuple[int, ...], ...]:
     rather than rejected at parse time.  Any other token (a sign, an
     underscore, a non-ASCII digit) raises GraphError naming its line.
     """
+    ids = _id_table(text, n)
     perms = []
     for lineno, line in _content_lines(text):
         toks = line.split()
         if len(toks) != n:
             raise GraphError(f"line {lineno}: expected {n} images, got {len(toks)}")
-        images = _naturals(toks)
-        if images is None:
-            bad = next(tok for tok in toks if _natural(tok) is None)
-            raise GraphError(f"line {lineno}: bad image {_quoted(bad)}")
+        # a miss reads as -1, and sends the line to the whole-line route
+        images = list(map(ids.get, toks, repeat(-1)))
+        if -1 in images:
+            images = _naturals(toks)
+            if images is None:
+                bad = next(tok for tok in toks if _natural(tok) is None)
+                raise GraphError(f"line {lineno}: bad image {_quoted(bad)}")
         perms.append(tuple(images))
     return tuple(perms)
 
@@ -537,14 +602,30 @@ def is_permutation(seq, n: int) -> bool:
     return len(seq) == n and (n == 0 or (min(seq) >= 0 and max(seq) < n and len(set(seq)) == n))
 
 
-def _maps_rows(rows, adj, sigma) -> bool:
-    """For a permutation sigma of the vertices of the graph with neighbour
-    tuples adj and bitset rows: True iff it maps the row of every vertex u
-    onto the row of sigma[u].  The images of u's neighbours are distinct,
-    so their bits sum to their union."""
-    bit = list(map((1).__lshift__, sigma))
-    images = map(sum, map(map, repeat(bit.__getitem__), adj))
-    return list(map(rows.__getitem__, sigma)) == list(images)
+def _edge_code_kernel(g: Graph):
+    """``_displacement_kernel`` of a graph on any number of vertices.  An
+    edge {u, v} is the code u·n + v, and ``edges`` holds both orientations;
+    ``gu`` and ``gv`` gather the ends u < v of every edge from a sequence
+    indexed by vertex, each one C-level call.  A bijection sigma is an
+    automorphism iff the code sigma[u]·n + sigma[v] of every edge lies in
+    ``edges``, and alpha_1 counts the codes u·n + sigma[u] among them."""
+    n = g.n
+    ends = [(u, v) for u, nbrs in enumerate(g.adj) for v in nbrs if u < v]
+    if not ends:
+        return lambda sigma: 0
+    edges = frozenset([u * n + v for u, v in ends] + [v * n + u for u, v in ends])
+    # the first edge once more, reversed: an itemgetter of one index
+    # returns the item, not a 1-tuple
+    us, vs = zip(*ends, ends[0][::-1])
+    gu, gv = operator.itemgetter(*us), operator.itemgetter(*vs)
+    heads = range(0, n * n, n)
+
+    def displacement(sigma):
+        if not edges.issuperset(map(operator.add, gu(list(map(n.__mul__, sigma))), gv(sigma))):
+            return None
+        return len(edges.intersection(map(operator.add, heads, sigma)))
+
+    return displacement
 
 
 def _displacement_kernel(g: Graph):
@@ -559,19 +640,12 @@ def _displacement_kernel(g: Graph):
     a bijection is an automorphism iff it maps every edge to an edge, that
     is iff every code of ``ends.translate(table)`` lies in ``edges``.  The
     pairs (u, sigma[u]) are read as codes from one bytearray whose even
-    bytes are 0..n-1 and whose odd bytes take sigma.  On more vertices each
-    permutation is tested on bitset rows built once (``_maps_rows``)."""
+    bytes are 0..n-1 and whose odd bytes take sigma.  On more vertices an
+    edge is an int code (``_edge_code_kernel``)."""
     n = g.n
     adj = g.adj
     if n > 256:
-        rows = [sum(map((1).__lshift__, nbrs)) for nbrs in adj]
-
-        def displacement(sigma):
-            if not _maps_rows(rows, adj, sigma):
-                return None
-            return sum(map(tuple.__contains__, adj, sigma))
-
-        return displacement
+        return _edge_code_kernel(g)
     ends = bytes([x for u, nbrs in enumerate(adj) for v in nbrs if u < v for x in (u, v)])
     arcs = bytes([x for u, nbrs in enumerate(adj) for v in nbrs for x in (u, v)])
     edges = frozenset(memoryview(arcs).cast("H"))

@@ -20,11 +20,15 @@ program derives another way, so that the two can be compared.
   the loop shares no kernel with the audit: it tests a bijection by
   sorting, an automorphism edge by edge (``is_automorphism``) and counts
   alpha_1 from ``g.neighbors``, where the audit translates byte tables or
-  compares bitset rows;
+  looks int edge codes up;
 * ``reference_parse_graph`` parses a graph file one token at a time, each
   token by a full match of ASCII digits, and symmetrizes its rows through
-  one set per vertex, where ``graphcheck.parse_graph`` converts a whole
-  line at once and sorts lists.
+  one set per vertex, where ``graphcheck.parse_graph`` reads each id by one
+  lookup in a per-file table, sends only a line with a miss to its
+  per-token loop, and tests symmetry by transposing the sorted rows;
+* ``reference_parse_permutations`` reads each image of a permutation file
+  as its own token, where ``graphcheck.parse_permutations`` looks every
+  image up in that table and reads only a line with a miss whole.
 """
 
 from __future__ import annotations
@@ -398,3 +402,21 @@ def reference_parse_graph(text: str) -> tuple[tuple[tuple[int, ...], ...], tuple
     warnings: list[str] = []
     adj = _reference_rows([listed.get(i, ()) for i in range(n)], warnings)
     return adj, tuple(warnings)
+
+
+def reference_parse_permutations(text: str, n: int) -> tuple[tuple[int, ...], ...]:
+    """``graphcheck.parse_permutations(text, n)``, each image read as its own
+    token."""
+    perms = []
+    for lineno, line in _content_lines(text):
+        toks = line.split()
+        if len(toks) != n:
+            raise GraphError(f"line {lineno}: expected {n} images, got {len(toks)}")
+        images = []
+        for tok in toks:
+            image = _natural(tok)
+            if image is None:
+                raise GraphError(f"line {lineno}: bad image {_quoted(tok)}")
+            images.append(image)
+        perms.append(tuple(images))
+    return tuple(perms)

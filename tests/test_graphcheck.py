@@ -36,6 +36,7 @@ from oracles import (
     is_automorphism,
     reference_audit,
     reference_parse_graph,
+    reference_parse_permutations,
 )
 
 
@@ -157,19 +158,57 @@ def test_parse_symmetrizes_each_one_sided_edge_once(case):
 # reads, the Arabic-Indic digit three, which both pass and int() reads as 3,
 # and a number beyond int()'s 4300 digits
 ODD_TOKENS = ("\u00b2", "-3", "+3", "1_0", "\u0663", "9" * 5000)
+# one digit past that limit, the shortest number int() refuses
+LONG_TOKEN = "1" + "0" * 4300
+# separators between the tokens of a line, and line ends: splitlines also
+# ends a line at \x0c and \x1c, which str.split takes as whitespace, so
+# between two tokens they cut the line in two
+TOKEN_SEPS = (" ", "  ", "\t", "\x0c", "\x1c")
+LINE_ENDS = ("\n", "\r\n", "\x0c", "\x1c")
+
+
+def _spelled(j: int):
+    """An id as a file may write it: canonical, or with leading zeros."""
+    return st.sampled_from((str(j), f"0{j}", f"00{j}"))
 
 
 @settings(max_examples=400, deadline=None)
 @given(st.integers(1, 8), st.booleans(), st.data())
 def test_parse_matches_the_per_token_reference(n, clean, data):
     # a clean file lists in-range neighbours other than the vertex itself,
-    # so it parses, with duplicates, one-sided edges and empty rows; the
-    # others mix in loops, ends out of range and odd tokens
-    good = st.integers(0, n - 1).map(str)
-    token = good if clean else st.one_of(good, good, st.integers(n, n + 2).map(str), st.sampled_from(ODD_TOKENS))
-    rows = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.lists(token, max_size=6)), max_size=n + 2))
-    text = f"n {n}\n" + "".join(
-        f"{i}: {' '.join(tok for tok in toks if not clean or tok != str(i))}\n" for i, toks in rows
+    # so it parses, with duplicates, one-sided edges, empty rows, leading
+    # zeros, comments, and repeated and out-of-order vertex lines; the
+    # others mix in loops, ends out of range, odd tokens, heads that are
+    # empty or hold whitespace, a second colon and separators that end a
+    # line.  Spaced tokens past n per vertex make the parser build its id
+    # table, so both of its routes are drawn.
+    good = st.integers(0, n - 1)
+    spelled = good.flatmap(lambda j: _spelled(j).map(lambda tok: (j, tok)))
+    token = spelled
+    if not clean:
+        token = st.one_of(
+            spelled,
+            spelled,
+            st.integers(n, n + 2).map(lambda j: (j, str(j))),
+            st.sampled_from((*ODD_TOKENS, LONG_TOKEN)).map(lambda tok: (None, tok)),
+            good.map(lambda j: (None, f"{j}:")),
+        )
+
+    def head(i):
+        return _spelled(i) if clean else st.one_of(_spelled(i), st.sampled_from(("", f"{i} {i}", "-0", "x")))
+    sep = data.draw(st.sampled_from(TOKEN_SEPS[:3] if clean else TOKEN_SEPS))
+    end = data.draw(st.sampled_from(LINE_ENDS))
+    rows = data.draw(
+        st.lists(
+            st.integers(0, n - 1).flatmap(
+                lambda i: st.tuples(st.just(i), head(i), st.lists(token, max_size=6), st.sampled_from(("", "  # note")))
+            ),
+            max_size=n + 2,
+        )
+    )
+    text = f"n {n}{end}" + "".join(
+        f"{spelling}: {sep.join(tok for j, tok in toks if not clean or j != i)}{comment}{end}"
+        for i, spelling, toks, comment in rows
     )
     try:
         expected = reference_parse_graph(text)
@@ -217,6 +256,34 @@ def test_parse_permutations_refuses_what_parse_graph_refuses(token):
 def test_parse_permutations_leaves_non_bijections_to_the_audit():
     # naturals of n or more and repeated images are audit findings
     assert parse_permutations("0 1 3\n0 0 1\n", 3) == ((0, 1, 3), (0, 0, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8), st.data())
+def test_parse_permutations_matches_the_per_token_reference(n, data):
+    # lines of images in and past range, with leading zeros, odd tokens and
+    # wrong counts among them, and comments; two lines or more of n > 2
+    # images make the parser build its id table, so both routes are drawn
+    image = st.one_of(
+        st.integers(0, n - 1).map(str),
+        st.integers(0, n - 1).map(str),
+        st.integers(0, n - 1).map(lambda j: f"0{j}"),
+        st.integers(n, n + 2).map(str),
+        st.sampled_from((*ODD_TOKENS, LONG_TOKEN)),
+    )
+    count = st.one_of(st.just(n), st.just(n), st.integers(0, n + 1))
+    lines = data.draw(
+        st.lists(st.tuples(count.flatmap(lambda k: st.lists(image, min_size=k, max_size=k)), st.booleans()), max_size=5)
+    )
+    text = "".join(" ".join(images) + ("  # note" if comment else "") + "\n" for images, comment in lines)
+    try:
+        expected = reference_parse_permutations(text, n)
+    except GraphError as exc:
+        with pytest.raises(GraphError) as got:
+            parse_permutations(text, n)
+        assert str(got.value) == str(exc)
+    else:
+        assert parse_permutations(text, n) == expected
 
 
 def test_generate_petersen():
@@ -506,14 +573,19 @@ def _conjugate(sigma, relabel):
 )
 def test_displacement_kernel_on_both_sides_of_256_vertices(monkeypatch, n, edges, symmetries):
     # the byte-table route holds graphs on at most 256 vertices and the
-    # bitset rows the rest; no family graph that large is known, so the
+    # edge codes the rest; no family graph that large is known, so the
     # audit never reaches the second route and only this test covers it
     calls = []
-    maps_rows = graphcheck._maps_rows
+    edge_code_kernel = graphcheck._edge_code_kernel
 
-    def counted(*args):
-        calls.append(1)
-        return maps_rows(*args)
+    def counted(g):
+        displacement = edge_code_kernel(g)
+
+        def each(sigma):
+            calls.append(1)
+            return displacement(sigma)
+
+        return each
 
     rng = random.Random(n)
     relabel = rng.sample(range(n), n)
@@ -532,7 +604,7 @@ def test_displacement_kernel_on_both_sides_of_256_vertices(monkeypatch, n, edges
             sigmas.append(tuple(swapped))
         sigmas += [tuple(rng.sample(range(n), n)) for _ in range(4)]
         cases.append((g, sigmas))
-    monkeypatch.setattr(graphcheck, "_maps_rows", counted)
+    monkeypatch.setattr(graphcheck, "_edge_code_kernel", counted)
     verdicts = []
     for g, sigmas in cases:
         displacement = graphcheck._displacement_kernel(g)
@@ -543,6 +615,21 @@ def test_displacement_kernel_on_both_sides_of_256_vertices(monkeypatch, n, edges
             assert displacement(sigma) == expected
     assert verdicts.count(True) == 2 * len(symmetries)
     assert len(calls) == (len(verdicts) if n > 256 else 0)
+
+
+@pytest.mark.parametrize("edges", [[], [(3, 290)]], ids=["no edge", "one edge"])
+def test_edge_code_kernel_on_fewer_than_two_edges(edges):
+    # the kernel gathers edge ends with itemgetters, which return a tuple
+    # only for two indices or more
+    n = 300
+    g = Graph.from_edges(n, edges)
+    displacement = graphcheck._displacement_kernel(g)
+    rng = random.Random(300)
+    swap = list(range(n))
+    swap[3], swap[290] = 290, 3
+    for sigma in (tuple(range(n)), tuple(swap), tuple(rng.sample(range(n), n))):
+        expected = sum(sigma[u] in g.neighbors(u) for u in range(n)) if is_automorphism(g, sigma) else None
+        assert displacement(sigma) == expected
 
 
 def test_gewirtz_group_closes_whole(gewirtz, gewirtz_witnesses):
