@@ -5,10 +5,13 @@ eigenvalue parameter (the negative one is -q = -(p+2)) and r is the
 antipodality index.  Everything here is closed-form integer arithmetic:
 intersection arrays, layer sizes, eigenvalues, antipodal quotient
 parameters, second subconstituent parameters and the tightness
-(fundamental bound) check.  tests/test_closed_forms.py proves the closed
-forms as polynomial identities over Q[p, r]; tests/test_at4.py checks them
-against the characteristic polynomial of the tridiagonal intersection
-matrix.
+(fundamental bound) check.  The closed forms come in two parts: the
+values that depend on p alone (``p_forms``) and those that depend on r
+(``r_forms``), which ``compose`` places in one ``ClosedForms``, so that a
+scan computes the first once per p.  tests/test_closed_forms.py proves
+the closed forms as polynomial identities over Q[p, r]; tests/test_at4.py
+checks them against the characteristic polynomial of the tridiagonal
+intersection matrix.
 """
 
 from __future__ import annotations
@@ -155,68 +158,118 @@ def feasible_r(rec: PerP) -> tuple[int, ...]:
 
 
 class ClosedForms(
-    namedtuple("ClosedForms", "b c a layer_sizes vertices triple_constant eigenvalues sub_b sub_c")
+    namedtuple(
+        "ClosedForms", "b c a layer_sizes vertices antipodal_classes triple_constant eigenvalues sub_b sub_c"
+    )
 ):
     """Every array quantity of a candidate (p, r).
 
     ``b`` and ``c`` are the intersection array, ``a`` is a_0..a_4 and
-    ``layer_sizes`` is k_0..k_4; ``vertices`` is v and ``triple_constant``
-    is 2(p+1)/r; ``eigenvalues`` are theta_0 > ... > theta_4; ``sub_b`` and
-    ``sub_c`` are the array induced on the distance-2 graph of a vertex.
+    ``layer_sizes`` is k_0..k_4; ``vertices`` is v, ``antipodal_classes``
+    is v/r and ``triple_constant`` is 2(p+1)/r; ``eigenvalues`` are
+    theta_0 > ... > theta_4; ``sub_b`` and ``sub_c`` are the array induced
+    on the distance-2 graph of a vertex.
     """
 
     __slots__ = ()
 
 
-def _closed_forms(p, r) -> ClosedForms:
-    """The closed forms alone, with no check.  They run on ints here and on
-    sympy symbols in the proof test, which reads each floor division as an
-    exact one: for a pair that passes _params_violation every division below
-    leaves no remainder."""
+class PForms(namedtuple("PForms", "p s b0 b1 a1 a2 antipodal_classes theta3 theta4 sub_b0 sub_b1")):
+    """The closed forms of a candidate (p, r) that depend on p alone: p,
+    s = theta_1, b_0 = theta_0, b_1, a_1, a_2, v/r, theta_3 = -(p+2),
+    theta_4 = -(p+2)^2, and b_0 and b_1 of the second subconstituent.
+    ``compose`` places them, with those of ``RForms``, in ``ClosedForms``."""
+
+    __slots__ = ()
+
+
+class RForms(namedtuple("RForms", "r c2 b2 k2 k3 k4 vertices triple_constant sub_c2 sub_b2")):
+    """The closed forms of a candidate (p, r) that depend on r: r, c_2,
+    b_2, k_2, k_3, k_4, v, 2(p+1)/r, and c_2 and b_2 of the second
+    subconstituent."""
+
+    __slots__ = ()
+
+
+def p_forms(p) -> PForms:
+    """The per-p part of the closed forms.  Like ``_r_forms`` it runs on
+    ints here and on sympy symbols in the proof test, which reads each floor
+    division as an exact one: for a pair that passes _params_violation
+    every division leaves no remainder."""
     s = p * p + 4 * p + 2
     b0 = (p + 2) * s
     b1 = (p + 3) * (p + 1) ** 2
-    c2 = 2 * (p + 1) * (p + 2) // r
-    b2 = (r - 1) * c2
-    k2 = b0 * b1 // c2
-    a1 = b0 - b1 - 1
-    sub_b0 = p * (p + 2) ** 2
-    sub_b1 = (p + 1) ** 3
-    sub_c2 = 2 * p * (p + 1) // r
-    return ClosedForms(
-        (b0, b1, b2, 1),
-        (1, c2, b1, b0),
-        # a_i = b_0 - b_i - c_i, with b_4 = c_0 = 0
-        (0, a1, b0 - b2 - c2, a1, 0),
-        (1, b0, k2, (r - 1) * b0, r - 1),
-        r * (b0 + 1) + k2,
-        2 * (p + 1) // r,
-        (b0, s, p, -(p + 2), -((p + 2) ** 2)),
-        (sub_b0, sub_b1, (r - 1) * sub_c2, 1),
-        (1, sub_c2, sub_b1, sub_b0),
+    return PForms(
+        p,
+        s,
+        b0,
+        b1,
+        b0 - b1 - 1,
+        # a_2 = b_0 - b_2 - c_2 with b_2 + c_2 = r c_2 = 2(p+1)(p+2)
+        b0 - 2 * (p + 1) * (p + 2),
+        # v/r = b_0 + 1 + k_2/r, and k_2/r = s(p+1)(p+3)/2 = s(s+1)/2
+        b0 + 1 + s * (s + 1) // 2,
+        -(p + 2),
+        -((p + 2) ** 2),
+        p * (p + 2) ** 2,
+        (p + 1) ** 3,
     )
 
 
-def _checked_forms(p: int, r: int) -> ClosedForms:
-    # the cheap integer identities: v is the sum of the layer sizes, r
-    # divides v, and the triple constant 2(p+1)/r equals c2(a1-p)/a2
-    f = _closed_forms(p, r)
-    assert f.vertices == sum(f.layer_sizes) and f.vertices % r == 0
-    assert f.c[1] * (f.a[1] - p) == f.triple_constant * f.a[2]
+def _r_forms(pf: PForms, r) -> RForms:
+    """The per-r part of the closed forms of (p, r), from the per-p part
+    ``pf`` of p, with no check."""
+    p, b0 = pf.p, pf.b0
+    c2 = 2 * (p + 1) * (p + 2) // r
+    k2 = b0 * pf.b1 // c2
+    sub_c2 = 2 * p * (p + 1) // r
+    return RForms(
+        r, c2, (r - 1) * c2, k2, (r - 1) * b0, r - 1, r * (b0 + 1) + k2, 2 * (p + 1) // r, sub_c2, (r - 1) * sub_c2
+    )
+
+
+def r_forms(pf: PForms, r: int) -> RForms:
+    """The per-r part of the closed forms of (p, r), with the cheap integer
+    identities of the array checked: v is the sum of the layer sizes and r
+    times v/r, and the triple constant 2(p+1)/r equals c2(a1-p)/a2."""
+    f = _r_forms(pf, r)
+    assert f.vertices == 1 + pf.b0 + f.k2 + f.k3 + f.k4 == r * pf.antipodal_classes
+    assert f.c2 * (pf.a1 - pf.p) == f.triple_constant * pf.a2
     return f
+
+
+def compose(pf: PForms, rf: RForms) -> ClosedForms:
+    """The closed forms of (p, r) from their per-p part ``pf`` and their
+    per-r part ``rf``: each value is placed, none is computed, so that the
+    places of the per-r values can be read off a composition of marks."""
+    p, s, b0, b1, a1, a2, classes, theta3, theta4, sub_b0, sub_b1 = pf
+    return ClosedForms(
+        (b0, b1, rf.b2, 1),
+        (1, rf.c2, b1, b0),
+        # a_i = b_0 - b_i - c_i, with b_4 = c_0 = 0
+        (0, a1, a2, a1, 0),
+        (1, b0, rf.k2, rf.k3, rf.k4),
+        rf.vertices,
+        classes,
+        rf.triple_constant,
+        (b0, s, p, theta3, theta4),
+        (sub_b0, sub_b1, rf.sub_b2, 1),
+        (1, rf.sub_c2, sub_b1, sub_b0),
+    )
+
+
+def _closed_forms(p, r) -> ClosedForms:
+    """The closed forms alone, with no check: the composition of the per-p
+    and the per-r part."""
+    pf = p_forms(p)
+    return compose(pf, _r_forms(pf, r))
 
 
 def closed_forms(params: At4Params) -> ClosedForms:
     """Closed forms of the candidate, with the cheap integer identities
-    checked again: v is the sum of the layer sizes, r divides v, and the
-    triple constant 2(p+1)/r equals c2(a1-p)/a2."""
-    return _checked_forms(params.p, params.r)
-
-
-def feasible_closed_forms(rec: PerP) -> tuple[tuple[int, ClosedForms], ...]:
-    """(r, closed forms of (p, r)) for every r of feasible_r(rec), checked
-    as closed_forms checks them: each pair is admitted once, by feasible_r."""
-    return tuple([(r, _checked_forms(rec.p, r)) for r in feasible_r(rec)])  # from a list: see feasible_r
+    checked again, as ``r_forms`` checks them."""
+    pf = p_forms(params.p)
+    return compose(pf, r_forms(pf, params.r))
 
 
 def intersection_array(params: At4Params) -> IntersectionArray:
@@ -234,7 +287,7 @@ def quotient_params(p: int) -> SrgParams:
         raise ValueError(f"quotient_params requires p >= 2, got {p}")
     r = p + 1
     f = closed_forms(At4Params(p, r))
-    params = SrgParams(f.vertices // r, f.b[0], f.a[1], r * f.c[1])
+    params = SrgParams(f.antipodal_classes, f.b[0], f.a[1], r * f.c[1])
     spec = srg_spectrum(params)
     assert (spec.theta_pos, spec.theta_neg) == (p, -((p + 2) ** 2))
     return params

@@ -4,21 +4,23 @@ Subcommands: scan, array, profile, bounds, verify, audit.  Reports are
 byte-identical for identical inputs; wall-clock timing is attached in a
 separate optional field and suppressed entirely under --deterministic.
 
-A report holds dicts with str keys, lists, tuples, ranges, scan arrays,
-and int, str, bool, None or float leaves, each of exactly that type; any
-other value (a set, a record, a key that is not str) raises TypeError
-before the first write.  Both formats are printed by one traversal of the
-report, ``_walk``: JSON as ``json.dumps(report, sort_keys=True, indent=2)``
-prints it, text as one ``path = value`` line per leaf.  A scan array is
-kept as the tuple of r and its closed forms, not as a dict: in JSON it
-prints as one ``template % values``, filled straight from the closed
-forms: the walk builds that template once per indent from the report of
-the Soicher array, with each int and str made a slot, and checks that its
-fill prints that report's bytes.  In text a scan array prints as its
-report.  A run of exact ints (a list or tuple of exact ints, or a range)
-prints, in both formats, through one kernel, ``_ints``: it keeps one
-bytes slot, ``%d`` and the separator, per separator, repeats it once per
-int into a template, cuts the last separator, fills the template and
+A report holds dicts with str keys, lists, tuples, ranges, the arrays of
+scan entries, and int, str, bool, None or float leaves, each of exactly
+that type; any other value (a set, a record, a key that is not str)
+raises TypeError before the first write.  Both formats are printed by one
+traversal of the report, ``_walk``: JSON as ``json.dumps(report,
+sort_keys=True, indent=2)`` prints it, text as one ``path = value`` line
+per leaf.  A scan entry keeps its arrays as one record, the per-p part of
+their closed forms and the feasible r, not as dicts.  In JSON the record
+prints from one bytes template per indent: its per-p slots are filled
+once per entry, and its per-r slots once per r, from the per-r part of
+the closed forms.  The walk reads that template, and which slots are per
+r, off the report of the Soicher array composed of marks, and checks that
+the two-stage fill prints that report's bytes.  In text each array prints
+as its report.  A run of exact ints (a list or tuple of exact ints, or
+a range) prints, in both formats, through one kernel, ``_ints``: it keeps
+one bytes slot, ``%d`` and the separator, per separator, repeats it once
+per int into a template, cuts the last separator, fills the template and
 decodes it.  A run of more than _SLICE ints stays in the parts as a
 (separator, run) pair, which ``_emit`` prints _SLICE items at a time with
 the same kernel.  Every other value prints value by value.
@@ -40,10 +42,12 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 import time
 from itertools import groupby, islice
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from . import at4, higman
 from .exactnum import is_prime
@@ -97,8 +101,8 @@ _NAMED = {True: "true", False: "false", None: "null"}.__getitem__
 
 
 class _Slot(str):
-    """A leaf that prints as itself: the %d or %s slot that stands for an
-    int or a str in ``_array_template``."""
+    """A leaf that prints as itself: the mark that stands for an int of
+    the closed forms while ``_array_template`` reads off its slots."""
 
 
 # the printers of the exact scalar types
@@ -129,8 +133,8 @@ def _walk(value, at: str, parts: list, text: bool, lead: str = "") -> None:
     the path of ``value`` and each leaf is one ``path = json`` line; in
     JSON, ``at`` is the indent, ``lead`` the text that goes before
     ``value``, and ``value`` prints as ``json.dumps(value, sort_keys=True,
-    indent=2)`` does after scan arrays become their reports and other
-    tuples and ranges lists.  Values are told apart by their exact type:
+    indent=2)`` does after the arrays of scan entries become the lists of
+    their reports and other tuples and ranges lists.  Values are told apart by their exact type:
     any type out of the report domain, a record or a set among them,
     raises TypeError, and so does a key that is not str, in
     ``encode_basestring_ascii``.  A run of exact ints prints with ``_ints``:
@@ -141,11 +145,11 @@ def _walk(value, at: str, parts: list, text: bool, lead: str = "") -> None:
     if printer is not None:
         parts.append(f"{at} = {printer(value)}\n" if text else lead + printer(value))
         return
-    if kind is _ScanArray:
+    if kind is _ScanArrays:
         if not text:
-            parts.append(lead + _array_template(at) % value._fill())
+            parts.append(lead + value._json(at))
             return
-        value, kind = value._asdict(), dict
+        value, kind = value._reports(), list
     if kind in _SEQUENCES:
         if text:
             head, sep, tail = at + " = [", ", ", "]\n"
@@ -239,15 +243,16 @@ def _emit(report: dict, fmt: str, out) -> None:
                     out.write(_ints(sep, seq[i : i + _SLICE]))
 
 
-def _array_payload(r: int, f: at4.ClosedForms) -> dict:
-    """The report of the array of (p, r) from its closed forms ``f``."""
+def _array_payload(r: int, f: at4.ClosedForms, bound: str) -> dict:
+    """The report of the array of (p, r) from its closed forms ``f`` and
+    the fundamental bound check ``bound`` of p."""
     return {
         "b": f.b,
         "c": f.c,
         "a": f.a,
         "layer_sizes": f.layer_sizes,
         "vertices": f.vertices,
-        "antipodal_classes": f.vertices // r,
+        "antipodal_classes": f.antipodal_classes,
         # b_i = c_{4-i} and 1 + b_2/c_2 = r hold by the closed forms; the
         # report/1 schema gives the recovered r as a string
         "antipodal": True,
@@ -255,78 +260,91 @@ def _array_payload(r: int, f: at4.ClosedForms) -> dict:
         "kernel_order_divides": r,
         "triple_constant": f.triple_constant,
         "eigenvalues": f.eigenvalues,
-        "fundamental_bound": _fundamental_bound(f),
+        "fundamental_bound": bound,
         "second_subconstituent": {"b": f.sub_b, "c": f.sub_c},
     }
 
 
-def _fundamental_bound(f: at4.ClosedForms) -> str:
-    """The fundamental bound check of the array of closed forms ``f``."""
-    # theta_1 and theta_d: the second largest and the least eigenvalue
-    return at4.fundamental_bound_check(f.b[0], f.a[1], f.b[1], f.eigenvalues[1], f.eigenvalues[-1])
+def _fundamental_bound(pf: at4.PForms) -> str:
+    """The fundamental bound check of every array at p, from the per-p part
+    ``pf`` of its closed forms: b_0, a_1, b_1, theta_1 = s and theta_4."""
+    return at4.fundamental_bound_check(pf.b0, pf.a1, pf.b1, pf.s, pf.theta4)
 
 
-class _ScanArray(tuple):
-    """The array of (p, r) in a scan report: the tuple (r, f) of r and the
-    closed forms ``f`` of (p, r).  Its report is ``{"r": r,
-    **_array_payload(r, f)}``, which ``_asdict`` gives and the text format
-    prints; the JSON writer prints it as one fill of ``_array_template``."""
+def _scan_array(pf: at4.PForms, rf: at4.RForms, bound: str) -> dict:
+    """The report of one array of a scan: ``r`` and the array's report."""
+    return {"r": rf.r, **_array_payload(rf.r, at4.compose(pf, rf), bound)}
 
-    # Held until the report is written, these tuples take less memory than
-    # the dicts of lists they replace: `scan 2 4000` as JSON peaks at 127-138
-    # MB against 156 MB, and a 30-s scan-sweep run at 22.8-23.2 MB, as with
-    # dicts (2-vCPU x86-64 host, Python 3.11).
+
+class _ScanArrays(tuple):
+    """The arrays of one p in a scan report: the tuple (pf, rs) of the
+    per-p part ``pf`` of the closed forms at p and the feasible r, never
+    empty (r = p + 1 is feasible at every p).  Its report is the list of
+    ``_scan_array`` of each r, which ``_reports`` gives and the text format
+    prints; the JSON writer prints it with ``_json``."""
+
+    # Held until the report is written, a record per p takes less memory
+    # than a tuple of closed forms per array: `scan 2 4000` as JSON peaks
+    # at 86 MB against 128 MB, and a 10-s scan-sweep run at 22.2 MB, as
+    # with the tuples (2-vCPU x86-64 host, Python 3.11).
     __slots__ = ()
 
-    def _asdict(self) -> dict:
-        r, f = self
-        return {"r": r, **_array_payload(r, f)}
+    def _reports(self) -> list:
+        pf, rs = self
+        bound = _fundamental_bound(pf)
+        return [_scan_array(pf, at4.r_forms(pf, r), bound) for r in rs]
 
-    def _fill(self) -> tuple:
-        """The values of the slots of ``_array_template``, in the order of
-        its sorted keys: a, antipodal_classes, b, c, eigenvalues,
-        fundamental_bound, kernel_order_divides, layer_sizes, r,
-        recovered_r, second_subconstituent (b, c), triple_constant and
-        vertices; antipodal is true in the template itself."""
-        r, f = self
-        return (
-            *f.a, f.vertices // r, *f.b, *f.c, *f.eigenvalues,
-            encode_basestring_ascii(_fundamental_bound(f)), r, *f.layer_sizes, r,
-            encode_basestring_ascii(str(r)), *f.sub_b, *f.sub_c, f.triple_constant, f.vertices,
-        )
-
-
-# the array of the Soicher graph, (p, r) = (2, 3): the one whose report gives
-# every scan array its template
-_SOICHER = _ScanArray((3, at4.closed_forms(at4.At4Params(2, 3))))
-
-
-def _marked(value):
-    """``value`` with each exact int marked as a %d slot and each str as a %s
-    slot."""
-    kind = type(value)
-    if kind is int or kind is str:
-        return _Slot("%d" if kind is int else "%s")
-    if kind is dict:
-        return {key: _marked(v) for key, v in value.items()}
-    if kind is list or kind is tuple:
-        return [*map(_marked, value)]
-    return value
+    def _json(self, at: str) -> str:
+        """The JSON list of the arrays at indent ``at``: the per-p slots of
+        ``_array_template`` filled once, then its per-r slots once per r."""
+        pf, rs = self
+        inner, head, sep, tail = _brackets(at)
+        template, p_slots, r_slots = _array_template(inner)
+        per_r = template % p_slots((*pf, _fundamental_bound(pf).encode("ascii")))
+        arrays = sep.encode("ascii").join([per_r % r_slots(at4.r_forms(pf, r)) for r in rs])
+        return head + arrays.decode("ascii") + tail
 
 
 @functools.lru_cache(maxsize=64)
-def _array_template(at: str) -> str:
-    """The JSON template of a scan array at indent ``at``: the walk's JSON
-    of the report of _SOICHER with its ints and str made slots, which must
-    print that report when ``_ScanArray._fill`` fills it."""
-    report = _SOICHER._asdict()
+def _array_template(at: str) -> tuple:
+    """The bytes JSON template of a scan array at indent ``at`` and the
+    getters of its slot values, both read off the walk's JSON of the report
+    of the Soicher array, (p, r) = (2, 3).
+
+    The report is built from the closed forms composed of marks: each value
+    of the per-p part and the bound check is a p slot, ``%d`` for an int
+    and ``%s`` for the bound's bytes; each value of the per-r part an r
+    slot, ``%%d``, which the p fill leaves as ``%d``.  ``p_slots`` takes
+    the per-p part followed by the bound's bytes, ``r_slots`` the per-r
+    part, each to the tuple of its slots' values in the template's order.
+    Filled in these two stages, the template must print the Soicher
+    array's report as the walk prints it."""
+    pf = at4.p_forms(2)
+    rf = at4.r_forms(pf, 3)
+    p_values = (*pf, _fundamental_bound(pf).encode("ascii"))
+    marks = at4.PForms(*(_Slot(f"<p{i}>") for i in range(len(pf))))
+    # a str value: it prints quoted, as the bound does
+    bound = f"<p{len(pf)}>"
+    r_marks = at4.RForms(*(_Slot(f"<r{i}>") for i in range(len(rf))))
     marked: list = []
-    _walk(_marked(report), at, marked, False)
+    _walk(_scan_array(marks, r_marks, bound), at, marked, False)
+    p_order, r_order = [], []
+
+    def slot(mark) -> str:
+        i = int(mark[2])
+        if mark[1] == "r":
+            r_order.append(i)
+            return "%%d"
+        p_order.append(i)
+        return "%d" if type(p_values[i]) is int else "%s"
+
+    template = re.sub(r"<([pr])(\d+)>", slot, "".join(marked)).encode("ascii")
+    p_slots, r_slots = itemgetter(*p_order), itemgetter(*r_order)
     expected: list = []
-    _walk(report, at, expected, False)
-    template = "".join(marked)
-    assert template % _SOICHER._fill() == "".join(expected), "a scan array's fill does not print its report"
-    return template
+    _walk(_scan_array(pf, rf, _fundamental_bound(pf)), at, expected, False)
+    filled = (template % p_slots(p_values) % r_slots(rf)).decode("ascii")
+    assert filled == "".join(expected), "a scan array's two-stage fill does not print its report"
+    return template, p_slots, r_slots
 
 
 def _spectrum_fields(rec: at4.PerP) -> dict:
@@ -341,7 +359,7 @@ def _spectrum_fields(rec: at4.PerP) -> dict:
 
 def _scan_entry(rec: at4.PerP) -> dict:
     p = rec.p
-    forms = at4.feasible_closed_forms(rec)
+    rs = at4.feasible_r(rec)
     local = local_family_params(p)
     entry: dict = {
         "p": p,
@@ -350,11 +368,11 @@ def _scan_entry(rec: at4.PerP) -> dict:
         "q_prime": rec.q_prime,
         "s": rec.s,
         "s_prime": rec.s_prime,
-        "feasible_r": [r for r, _ in forms],
+        "feasible_r": [*rs],
         "local_srg": list(local),
         "local_fix_bound": fixed_point_order_bound(local),
         "clique_bound": clique_bound(p),
-        "arrays": [*map(_ScanArray, forms)],
+        "arrays": _ScanArrays((at4.p_forms(p), rs)),
         **_spectrum_fields(rec),
     }
     cf = higman.centralizer_filter(rec)
@@ -373,7 +391,9 @@ def _cmd_scan(args) -> tuple[int, dict]:
 
 
 def _cmd_array(args) -> tuple[int, dict]:
-    report = _array_payload(args.r, at4.closed_forms(_usage(at4.At4Params, args.p, args.r)))
+    params = _usage(at4.At4Params, args.p, args.r)
+    pf = at4.p_forms(params.p)
+    report = _array_payload(params.r, at4.compose(pf, at4.r_forms(pf, params.r)), _fundamental_bound(pf))
     report["inputs"] = {"p": args.p, "r": args.r}
     report["quotient_srg"] = list(at4.quotient_params(args.p))
     report["second_subconstituent_quotient_srg"] = list(at4.second_subconstituent_quotient(args.p))

@@ -221,10 +221,11 @@ def _id_table(text: str, n: int) -> dict[str, int]:
     """The canonical decimals "0".."n-1" of a file on n vertices, each
     mapped to its int, so that a listed id is read by one lookup; any other
     token is a miss.  The table costs about 100 B per vertex, so it is
-    built only for a text that lists more ids than n, as its spaces count
-    them (one precedes each neighbour, and each image after a line's
-    first); other texts get an empty table and miss on every token."""
-    return dict(zip(map(str, range(n)), range(n))) if text.count(" ") > n else {}
+    built only for a text that lists more ids than n, as its spaces and
+    tabs count them (one precedes each neighbour, and each image after a
+    line's first); other texts get an empty table and miss on every token."""
+    listed = text.count(" ") + text.count("\t")
+    return dict(zip(map(str, range(n)), range(n))) if listed > n else {}
 
 
 def _quoted(text: str) -> str:

@@ -1,10 +1,13 @@
 """Proof of the closed forms the reports use, as identities over Q[p, r, x].
 
 ``at4._closed_forms`` runs here on sympy symbols, so the formulas proven are
-the ones the program evaluates.  sympy turns each floor division ``//``
-into ``floor(...)``; the proof reads it as the exact quotient, and
-``test_every_division_is_exact_for_a_candidate`` shows that each quotient is
-an integer for every pair (p, r) that passes ``at4._params_violation``.
+the ones the program evaluates: it is the composition of the per-p part of
+the forms, ``at4.p_forms``, and their per-r part, ``at4._r_forms``, which
+``at4.r_forms`` checks and the scan writer prints.  sympy turns each floor
+division ``//`` into ``floor(...)``; the proof reads it as the exact
+quotient, and ``test_every_division_is_exact_for_a_candidate`` shows that
+each quotient is an integer for every pair (p, r) that passes
+``at4._params_violation``.
 """
 
 import pytest
@@ -81,6 +84,16 @@ def test_layer_sizes_and_vertex_count():
     assert same(F.vertices, R * (b[0] + 1) + b[0] * b[1] / c[1])
 
 
+def test_per_p_part_is_free_of_r_and_per_r_part_is_not():
+    # the scan writer fills the per-p values once per p and the per-r values
+    # once per array: a per-p value must not vary with r, and a per-r value
+    # that did not would be filled once per array for nothing
+    per_p = at4.p_forms(P)
+    per_r = at4._r_forms(per_p, R)
+    assert all(R not in sympy.sympify(v).free_symbols for v in per_p)
+    assert all(R in sympy.sympify(v).free_symbols for v in per_r)
+
+
 def test_triple_constant_cross_check():
     a, c = F.a, F.c
     assert same(F.triple_constant, 2 * (P + 1) / R)
@@ -146,7 +159,7 @@ def integer_valued_multiple(q, unit) -> bool:
 def test_every_division_is_exact_for_a_candidate():
     # _params_violation admits (p, r) only when r | 2(p+1), so both
     # t = 2(p+1)/r and r are integers: every quotient the closed forms take
-    # is an integer-valued polynomial times one of them
+    # is an integer-valued polynomial, times one of them or alone
     t = 2 * (P + 1) / R
     floors = set()
     for value in RAW:
@@ -155,9 +168,9 @@ def test_every_division_is_exact_for_a_candidate():
     assert floors
     for floor in floors:
         q = exact(floor.args[0])
-        assert integer_valued_multiple(q, t) or integer_valued_multiple(q, R), q
-    # cli divides v by r for the antipodal class count
-    assert integer_valued_multiple(F.vertices, R)
+        assert any(integer_valued_multiple(q, unit) for unit in (t, R, 1)), q
+    # the antipodal class count is v/r
+    assert same(F.vertices, R * F.antipodal_classes)
 
 
 def test_proof_covers_the_integers():

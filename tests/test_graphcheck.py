@@ -231,6 +231,16 @@ def test_graph_text_round_trip():
     assert text.endswith("\n")
 
 
+def test_tab_separated_file_gets_the_id_table(gewirtz):
+    # tabs count as separators when the parser decides to build its table
+    spaced = graph_to_text(gewirtz)
+    tabbed = spaced.replace(": ", ":\t").replace(" ", "\t").replace("n\t", "n ", 1)
+    assert " " not in tabbed.split("\n", 1)[1]
+    assert graphcheck._id_table(tabbed, gewirtz.n)
+    g, warnings = parse_graph(tabbed)
+    assert warnings == () and g.adj == gewirtz.adj
+
+
 def test_permutation_text_round_trip():
     perms = ((0, 1, 2), (2, 0, 1))
     text = permutations_to_text(perms)

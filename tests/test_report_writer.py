@@ -9,10 +9,19 @@ import io
 import json
 from collections import namedtuple
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from at4tools import cli
-from at4tools.at4 import IntersectionArray, PerP, feasible_closed_forms
+from at4tools import at4, cli
+from at4tools.at4 import (
+    At4Params,
+    IntersectionArray,
+    PerP,
+    closed_forms,
+    feasible_r,
+    fundamental_bound_check,
+    p_forms,
+)
 from at4tools.graphcheck import audit_family_graph
 from at4tools.higman import centralizer_filter, exclusion_arithmetic
 from at4tools.srg import SrgParams, feasibility_basic
@@ -20,9 +29,10 @@ from test_golden import CASES, write_inputs
 
 
 def ref_normalise(value):
-    """Scan arrays to their reports, other tuples and ranges to lists."""
-    if type(value) is cli._ScanArray:
-        return ref_normalise(value._asdict())
+    """The arrays of a scan entry to their reports, other tuples and ranges
+    to lists."""
+    if type(value) is cli._ScanArrays:
+        return ref_normalise(value._reports())
     if isinstance(value, (list, tuple, range)):
         return [ref_normalise(v) for v in value]
     if isinstance(value, dict):
@@ -357,10 +367,11 @@ def cli_report(*argv):
 
 def domain_faults(value, path: str) -> list:
     """The paths in ``value`` that leave the report domain: a key that is not
-    str, a tuple subclass other than a scan array (a record), or a leaf that
-    is not an exact int, str, bool or None (a set, a frozenset, a float)."""
-    if type(value) is cli._ScanArray:
-        value = value._asdict()
+    str, a tuple subclass other than the arrays of a scan entry (a record),
+    or a leaf that is not an exact int, str, bool or None (a set, a
+    frozenset, a float)."""
+    if type(value) is cli._ScanArrays:
+        value = value._reports()
     elif isinstance(value, tuple) and type(value) is not tuple:
         return [f"{path}: {type(value).__name__}"]
     if isinstance(value, dict):
@@ -384,9 +395,9 @@ def benchmark_argvs() -> list:
     argvs = [["scan", "2", "601"], ["bounds", "1319"], ["profile", "1369", "274", "7"]]
     for p in (1069, 2143, 2107, 2173):
         argvs.append(["bounds", str(p)])
-        argvs += [["array", str(p), str(r)] for r, _ in feasible_closed_forms(PerP(p))]
+        argvs += [["array", str(p), str(r)] for r in feasible_r(PerP(p))]
     for p in (1129, 1109, 1100, 1105):
-        r, _ = feasible_closed_forms(PerP(p))[0]
+        r = feasible_r(PerP(p))[0]
         argvs.append(["profile", str(p), str(r), "7"])
     return argvs
 
@@ -414,19 +425,37 @@ def test_json_writer_matches_stdlib_on_benchmark_reports():
 
 
 def test_scan_arrays_print_as_the_dicts_of_their_reports():
-    # A scan array prints in JSON as one fill of a template made from the
-    # report of another array, and in text as its own report: at each (p, r)
-    # the fill must follow that template's layout.  Six spaces is the indent
-    # of an array in a scan report (entries, an entry, its arrays).
+    # The arrays of a scan entry print in JSON from a template made from the
+    # report of another array, its per-p slots filled once and its per-r
+    # slots once per array, and in text as their own reports: at each p the
+    # fills must follow that template's layout.  Four spaces is the indent
+    # of an entry's arrays in a scan report (entries, an entry), six that of
+    # each array.
     for p in (*range(2, 301), 1000003, 9999991, 1000000004):
-        for r, f in feasible_closed_forms(PerP(p)):
-            record = cli._ScanArray((r, f))
-            report = {"r": r, **cli._array_payload(r, f)}
-            expected = json.dumps(report, sort_keys=True, indent=2)
-            for at in ("      ", "", "  "):
-                parts = []
-                cli._walk(record, at, parts, False)
-                assert "".join(parts) == expected.replace("\n", "\n" + at), (p, r, at)
+        rs = feasible_r(PerP(p))
+        # r = p + 1 is feasible at every p: an entry's arrays are never empty
+        assert rs[-1] == p + 1
+        record = cli._ScanArrays((p_forms(p), rs))
+        reports = []
+        for r in rs:
+            f = closed_forms(At4Params(p, r))
+            bound = fundamental_bound_check(f.b[0], f.a[1], f.b[1], f.eigenvalues[1], f.eigenvalues[-1])
+            reports.append({"r": r, **cli._array_payload(r, f, bound)})
+        expected = json.dumps(reports, sort_keys=True, indent=2)
+        for at in ("    ", "      ", "", "  "):
             parts = []
-            cli._walk(record, "array", parts, True)
-            assert "".join(parts) == ref_text(ref_normalise(report), "array"), (p, r)
+            cli._walk(record, at, parts, False)
+            assert "".join(parts) == expected.replace("\n", "\n" + at), (p, at)
+        parts = []
+        cli._walk(record, "arrays", parts, True)
+        assert "".join(parts) == ref_text(ref_normalise(reports), "arrays"), p
+
+
+def test_array_template_refuses_a_value_computed_from_both_parts(monkeypatch):
+    # compose must place each value of the per-p and the per-r part: one it
+    # computes from both (here v as v/r + r) prints its marks side by side,
+    # so the two-stage fill of the Soicher array misses its report
+    compose = at4.compose
+    monkeypatch.setattr(at4, "compose", lambda pf, rf: compose(pf, rf)._replace(vertices=pf.antipodal_classes + rf.r))
+    with pytest.raises(AssertionError, match="two-stage fill"):
+        cli._array_template.__wrapped__("  ")
