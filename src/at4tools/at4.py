@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .exactnum import divisors, factorize, is_prime
+from .exactnum import divisors, factorize, factorize_range, is_prime
 from .srg import SrgParams, srg_spectrum
 
 
@@ -126,21 +126,30 @@ class PerP(dict):
     primality of q and s as ``q_prime`` and ``s_prime``.
 
     As a dict it maps each number n that a report factorises (p, p+1, p+2,
-    p+4, s and s-1) to ``factorize(n)``, made at first use.  A record
-    lives for one report of one p, so each number is factorised at most
-    once, and one that the report never reads is never factorised: a scan
-    at a p that is not a prime power factorises only p and p+1, never s.
+    p+4, s and s-1) to ``factorize(n)``.  ``PerP(p)`` makes each at first
+    use: a record lives for one report of one p, so each number is
+    factorised at most once, and one that the report never reads is never
+    factorised.  ``PerP(p, *window)`` holds the factorizations ``window``
+    of p, p+1, p+2 and p+4 from its construction on, as ``records`` gives
+    them, and reads ``q_prime`` off that of p+2.  Either way s is
+    factorised only at first use: a scan at a p that is not a prime power
+    never factorises it.
     """
 
     __slots__ = ("p", "q", "s", "base", "q_prime", "s_prime")
 
-    def __init__(self, p: int):
+    def __init__(self, p: int, *window: list[tuple[int, int]]):
         if p < 2:
             raise ValueError(f"p must be >= 2, got {p}")
-        self.p, self.q, self.s = p, p + 2, p * p + 4 * p + 2
+        q = p + 2
+        self.p, self.q, self.s = p, q, p * p + 4 * p + 2
+        if window:
+            self[p], self[p + 1], self[q], self[p + 4] = window
+            self.q_prime = self[q] == [(q, 1)]
+        else:
+            self.q_prime = is_prime(q)
         fac = self[p]
         self.base = fac[0] if len(fac) == 1 else None
-        self.q_prime = is_prime(self.q)
         self.s_prime = is_prime(self.s)
 
     def __missing__(self, n: int) -> list[tuple[int, int]]:
@@ -148,13 +157,40 @@ class PerP(dict):
         return fac
 
 
+# The most p whose records one sieve of ``records`` fills: the sieve holds
+# this many numbers and four more, however long the range.
+_SEGMENT = 1024
+
+
+def records(lo: int, hi: int):
+    """The records ``PerP(p)`` of p = lo..hi, in order, made one segment of
+    at most _SEGMENT p at a time: one ``factorize_range`` over p..p+4 of
+    the segment gives each record the factorizations of p, p+1, p+2 and
+    p+4."""
+    for start in range(lo, hi + 1, _SEGMENT):
+        stop = min(start + _SEGMENT, hi + 1)
+        facs = factorize_range(start, stop + 3)
+        for i, p in enumerate(range(start, stop)):
+            yield PerP(p, facs[i], facs[i + 1], facs[i + 2], facs[i + 4])
+
+
 def feasible_r(rec: PerP) -> tuple[int, ...]:
     """All antipodality indices r admissible at the record's p: 2 < r < p+2,
-    r | 2(p+1), and 2p(p+1)(p+2)/r even."""
+    r | 2(p+1), and 2p(p+1)(p+2)/r even.
+
+    For odd p, p and p+2 are odd, so v2(2p(p+1)(p+2)) = 1 + v2(p+1), v2
+    the exponent of 2, and 2p(p+1)(p+2)/r is even iff v2(r) <= v2(p+1):
+    the divisors r of 2(p+1) that pass are those of p+1, all below p+2.
+    For even p, p+1 is odd and one of p, p+2 is divisible by 4, so
+    v2(2p(p+1)(p+2)) >= 4 > v2(r) for every divisor r of 2(p+1): each
+    passes, and those below p+2 are all but 2(p+1) itself.  Either way 1
+    and 2 are the divisors not above 2, so r is a slice of one sorted
+    divisor list, with no condition tested per r."""
     p = rec.p
-    # from a list, so the tuple is made at its length: one grown from a
-    # generator is resized, and then kept by the free list of its final length
-    return tuple([r for r in divisors(2 * (p + 1), [(2, 1)], rec[p + 1]) if _params_violation(p, r) is None])
+    fac = rec[p + 1]
+    if p % 2:
+        return tuple(divisors(p + 1, fac)[2:])
+    return tuple(divisors(2 * (p + 1), [(2, 1), *fac])[2:-1])
 
 
 class ClosedForms(

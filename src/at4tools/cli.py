@@ -85,11 +85,10 @@ def _usage(make, *args):
         raise _Refusal(EXIT_USAGE, str(exc)) from None
 
 
-def _record(p: int) -> at4.PerP:
-    """The record of p, or a usage refusal if p < 2 or its report would list too many primes."""
-    rec = _usage(at4.PerP, p)
-    if p > MAX_LISTED_P and rec.base:
-        message = f"p = {p} is a prime power above {MAX_LISTED_P}: its report would list every prime up to p"
+def _listable(rec: at4.PerP) -> at4.PerP:
+    """The record, or a usage refusal if its report would list too many primes."""
+    if rec.p > MAX_LISTED_P and rec.base:
+        message = f"p = {rec.p} is a prime power above {MAX_LISTED_P}: its report would list every prime up to p"
         raise _Refusal(EXIT_USAGE, message)
     return rec
 
@@ -383,10 +382,9 @@ def _scan_entry(rec: at4.PerP) -> dict:
 def _cmd_scan(args) -> tuple[int, dict]:
     if args.p_min < 2 or args.p_min > args.p_max:
         raise _Refusal(EXIT_USAGE, f"bad range {args.p_min}..{args.p_max} (need 2 <= p_min <= p_max)")
-    ps = range(args.p_min, args.p_max + 1)
     # the records past MAX_LISTED_P first: a refusal comes before any entry
-    ahead = {p: _record(p) for p in ps if p > MAX_LISTED_P}
-    entries = [_scan_entry(ahead.pop(p) if p in ahead else at4.PerP(p)) for p in ps]
+    ahead = [*map(_listable, at4.records(max(args.p_min, MAX_LISTED_P + 1), args.p_max))]
+    entries = [*map(_scan_entry, at4.records(args.p_min, min(args.p_max, MAX_LISTED_P))), *map(_scan_entry, ahead)]
     return EXIT_OK, {"inputs": {"p_min": args.p_min, "p_max": args.p_max}, "entries": entries}
 
 
@@ -435,7 +433,7 @@ def _cmd_profile(args) -> tuple[int, dict]:
 
 def _cmd_bounds(args) -> tuple[int, dict]:
     p = args.p
-    rec = _record(p)
+    rec = _listable(_usage(at4.PerP, p))
     params = local_family_params(p)
     spec = srg_spectrum(params)
     report = {

@@ -9,9 +9,11 @@ below 2^12 that stops as soon as the remaining cofactor is 1 or a proven
 prime, so its cost is set by the second-largest prime factor, not by the
 square root of n.  Past 2^12 a composite cofactor below 3.3e24 is split by
 Pollard-Brent rho instead, in time about the fourth root of the cofactor.
-Divisors of n take the factorizations of its factors when the caller holds
-them, and a multiplicative order takes the factorization of a multiple of
-it, so that no number need be factorised twice.
+A window of consecutive numbers is factorised at once by a sieve over the
+same primes, whose cofactors take the same route past 2^12.  Divisors of
+n take the factorizations of its factors when the caller holds them, and
+a multiplicative order takes the factorization of a multiple of it, so
+that no number need be factorised twice.
 """
 
 import math
@@ -97,6 +99,8 @@ def primes_upto(n: int) -> list[int]:
 _TRIAL_LIMIT = 1 << 12
 # The odd primes below _TRIAL_LIMIT, the divisors trial division tries.
 _TRIAL_PRIMES = tuple(primes_upto(_TRIAL_LIMIT)[1:])
+# The primes a window sieve divides out: 2 and the trial primes.
+_SIEVE_PRIMES = (2, *_TRIAL_PRIMES)
 
 
 def _rho_divisor(n: int) -> int:
@@ -146,15 +150,38 @@ def _rho_primes(n: int) -> list[int]:
     return out
 
 
+def _past_table(n: int, out: list) -> list:
+    """Append the prime factors of n >= 1, which has none below 2^12, to
+    ``out`` as (prime, exponent) pairs, ascending, and return ``out``.  n
+    that is 1 or a proven prime is appended as it is; a composite below
+    3.3e24 is split by rho into proven primes.  A larger n is never taken
+    as proven, so it is divided by the odd numbers past 2^12 until it drops
+    below that bound: exact, but slow.  The one route past the prime table,
+    for ``factorize`` and ``factorize_range`` alike."""
+    p = _TRIAL_LIMIT + 1
+    while not _settled(n) and p * p <= n:
+        if n < _MR_PROVEN_BELOW:
+            primes = _rho_primes(n)
+            out += ((q, primes.count(q)) for q in sorted(set(primes)))
+            return out
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        p += 2
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 as (prime, exponent) pairs, ascending.
 
     Trial division by the primes below 2^12 stops once the cofactor is 1 or
     a proven prime; that test runs at the start and after each prime factor
-    is removed.  Past 2^12 a composite cofactor below 3.3e24 is split by rho
-    into proven primes.  A larger cofactor is never taken as proven, so it
-    is divided on by the odd numbers past 2^12 until it drops below that
-    bound: exact, but slow."""
+    is removed.  A cofactor left past the table goes to ``_past_table``."""
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     out = []
@@ -176,44 +203,72 @@ def factorize(n: int) -> list[tuple[int, int]]:
             out.append((p, e))
             settled = _settled(n)
     else:
-        # past the table: rho below _MR_PROVEN_BELOW, odd numbers above it
-        p = _TRIAL_LIMIT + 1
-        while not settled and p * p <= n:
-            if n < _MR_PROVEN_BELOW:
-                primes = _rho_primes(n)
-                out += ((q, primes.count(q)) for q in sorted(set(primes)))
-                return out
-            if n % p == 0:
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                out.append((p, e))
-                settled = _settled(n)
-            p += 2
+        return _past_table(n, out)
     if n > 1:
         out.append((n, 1))
     return out
+
+
+def factorize_range(lo: int, hi: int) -> list[list[tuple[int, int]]]:
+    """``factorize(n)`` for each n in [lo, hi], in order, from one sieve.
+
+    Each prime t up to min(isqrt(hi), 2^12) is divided out of its multiples
+    in the window, found by stepping t from the first.  A cofactor left
+    below (that bound + 1)^2 is 1 or a prime; a larger one, which occurs
+    only once the bound is 2^12, goes to ``_past_table``, as it does in
+    ``factorize``.  The work is about (hi - lo) log log hi divisions plus
+    one step per sieving prime, and the cofactors past the table."""
+    if lo < 1:
+        raise ValueError(f"factorize_range requires lo >= 1, got {lo}")
+    if hi < lo:
+        return []
+    width = hi - lo + 1
+    rest = [*range(lo, hi + 1)]
+    facs: list[list[tuple[int, int]]] = [[] for _ in rest]
+    bound = min(math.isqrt(hi), _TRIAL_LIMIT)
+    for t in _SIEVE_PRIMES[: bisect_right(_SIEVE_PRIMES, bound)]:
+        for i in range(-lo % t, width, t):
+            m, e = rest[i] // t, 1
+            while m % t == 0:
+                m //= t
+                e += 1
+            rest[i] = m
+            facs[i].append((t, e))
+    least_composite = (bound + 1) ** 2
+    for m, fac in zip(rest, facs):
+        if m >= least_composite:
+            _past_table(m, fac)
+        elif m > 1:
+            fac.append((m, 1))
+    return facs
 
 
 def divisors(n: int, *factorizations: list[tuple[int, int]]) -> list[int]:
     """Sorted positive divisors of n >= 1.  n is factorised unless
     factorizations are given: then their exponents are added, and they must
     multiply to n, so a product past the reach of rho costs no more than the
-    factorizations of its factors."""
+    factorizations of its factors.  One factorization is read as it is."""
     if n < 1:
         raise ValueError(f"divisors requires n >= 1, got {n}")
-    exponents: dict[int, int] = {}
-    for fac in factorizations or (factorize(n),):
-        for prime, e in fac:
-            exponents[prime] = exponents.get(prime, 0) + e
+    if len(factorizations) > 1:
+        exponents: dict[int, int] = {}
+        for fac in factorizations:
+            for prime, e in fac:
+                exponents[prime] = exponents.get(prime, 0) + e
+        pairs = exponents.items()
+    else:
+        pairs = factorizations[0] if factorizations else factorize(n)
     out = [1]
-    for prime, e in exponents.items():
-        powers = [prime**k for k in range(e + 1)]
-        out = [d * q for d in out for q in powers]
+    for prime, e in pairs:
+        # each power of prime times the divisors so far, the last the largest
+        step = out
+        for _ in range(e):
+            step = [d * prime for d in step]
+            out += step
     if out[-1] != n:
         raise ValueError(f"the factorizations multiply to {out[-1]}, not {n}")
-    return sorted(out)
+    out.sort()
+    return out
 
 
 def exact_sqrt(n: int) -> int | None:

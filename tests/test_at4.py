@@ -17,6 +17,7 @@ from at4tools.at4 import (
     fundamental_bound_check,
     intersection_array,
     quotient_params,
+    records,
     second_subconstituent_quotient,
 )
 from at4tools.exactnum import exact_sqrt, factorize
@@ -176,6 +177,20 @@ def test_perp_fields_and_lazy_factorizations():
     assert dict(rec) == {11: [(11, 1)]}
     assert rec[12] == factorize(12) and rec[166] == factorize(166)
     assert [*rec] == [11, 12, 166]
+
+
+def test_records_of_a_range_equal_the_records_built_alone():
+    # 2..2100 spans three sieve segments; the others are windows of a scan
+    for lo, hi in ((2, 2100), (10**6 - 3, 10**6 + 10), (10**9, 10**9 + 13), (10**12 - 5, 10**12 + 5)):
+        recs = [*records(lo, hi)]
+        assert [rec.p for rec in recs] == [*range(lo, hi + 1)]
+        for rec in recs:
+            p, alone = rec.p, PerP(rec.p)
+            # p, p+1, p+2 and p+4 are held from the construction on
+            assert dict(rec) == {n: alone[n] for n in (p, p + 1, p + 2, p + 4)}, p
+            fields = ("p", "q", "s", "base", "q_prime", "s_prime")
+            assert [getattr(rec, f) for f in fields] == [getattr(alone, f) for f in fields], p
+    assert [*records(5, 4)] == []
 
 
 def test_intersection_array_values():

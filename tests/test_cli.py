@@ -91,18 +91,25 @@ def test_scan_byte_identical_in_one_process(monkeypatch):
 
 
 def factorize_calls(monkeypatch, argv) -> list[int]:
-    """The argument of each factorize call that ``argv`` makes, counted by
-    rebinding factorize in every module of the package that imported it."""
+    """Each number that ``argv`` factorises, in order: the argument of each
+    factorize call and each n of each factorize_range window, counted by
+    rebinding both in every module of the package that imported them."""
     calls = []
-    factorize = exactnum.factorize
+    factorize, factorize_range = exactnum.factorize, exactnum.factorize_range
 
     def counting(n):
         calls.append(n)
         return factorize(n)
 
+    def counting_range(lo, hi):
+        calls.extend(range(lo, hi + 1))
+        return factorize_range(lo, hi)
+
     for module in (at4, cli, exactnum, graphcheck, higman, srg):
         if getattr(module, "factorize", None) is factorize:
             monkeypatch.setattr(module, "factorize", counting)
+        if getattr(module, "factorize_range", None) is factorize_range:
+            monkeypatch.setattr(module, "factorize_range", counting_range)
     rc, _ = run(["--deterministic", *argv])
     assert rc == 0
     return calls
@@ -120,9 +127,10 @@ def test_each_report_factorises_p_once(monkeypatch, argv):
 
 
 def test_scan_never_factorises_s_at_a_p_that_is_no_prime_power(monkeypatch):
-    # s is past 3.3e24 with no small factor: factorising it takes seconds
+    # s is past 3.3e24 with no small factor: factorising it takes seconds;
+    # the scan factorises the window p..p+4 of its records and nothing else
     p = 2000000000011
-    assert factorize_calls(monkeypatch, ["scan", str(p), str(p)]) == [p, p + 1]
+    assert factorize_calls(monkeypatch, ["scan", str(p), str(p)]) == [*range(p, p + 5)]
 
 
 def test_array_report():
@@ -244,6 +252,12 @@ REFUSALS = [
     (["scan", "1", "3"], 2, "bad range 1..3 (need 2 <= p_min <= p_max)"),
     (
         ["scan", "10000018", "10000020"],
+        2,
+        "p = 10000019 is a prime power above 10000000: its report would list every prime up to p",
+    ),
+    # across several sieve segments: the records past 10^7 come first
+    (
+        ["scan", "9998000", "10000020"],
         2,
         "p = 10000019 is a prime power above 10000000: its report would list every prime up to p",
     ),

@@ -6,9 +6,11 @@ from at4tools.exactnum import (
     _MR_PREFIX_BOUNDS,
     _MR_PROVEN_BELOW,
     _MR_ROUNDS,
+    _TRIAL_LIMIT,
     divisors,
     exact_sqrt,
     factorize,
+    factorize_range,
     is_prime,
     mult_order,
     primes_upto,
@@ -155,6 +157,17 @@ def test_divisors():
         divisors(57, factorize(8), factorize(7))
 
 
+def test_divisors_of_one_factorization():
+    # one factorization is read as it is, with the same check on its product
+    assert divisors(56, [(2, 3), (7, 1)]) == divisors(56)
+    assert divisors(2**10 * 3, [(2, 10), (3, 1)]) == sorted(2**k * t for k in range(11) for t in (1, 3))
+    assert divisors(1, []) == [1]
+    with pytest.raises(ValueError):
+        divisors(57, factorize(56))
+    with pytest.raises(ValueError):
+        divisors(56, [(2, 3)])
+
+
 def test_is_prime_spot_checks():
     assert is_prime(2) and is_prime(167) and is_prime(839)
     assert not is_prime(1) and not is_prime(119) and not is_prime(34)
@@ -229,3 +242,56 @@ def test_factorize_at_the_end_of_the_prime_table():
     sympy = pytest.importorskip("sympy")
     for n in (4093**2, 4093 * 4099, 4099**2, 10007 * 10009):
         assert factorize(n) == sorted(sympy.factorint(n).items()), n
+
+
+def assert_windows(starts, widths=range(1, 15)):
+    for lo in starts:
+        for width in widths:
+            hi = lo + width - 1
+            assert factorize_range(lo, hi) == [factorize(n) for n in range(lo, hi + 1)], (lo, hi)
+
+
+def test_factorize_range_on_every_small_window():
+    expected = [factorize(n) for n in range(1, 20014)]
+    for lo in range(1, 20001):
+        for width in range(1, 15):
+            assert factorize_range(lo, lo + width - 1) == expected[lo - 1 : lo - 1 + width], (lo, width)
+    assert factorize_range(5, 4) == []
+    with pytest.raises(ValueError):
+        factorize_range(0, 3)
+
+
+def test_factorize_range_at_the_square_of_each_sieve_prime():
+    # t^2 is the least number whose cofactor would pass for a prime if the
+    # sieve skipped t
+    for t in primes_upto(_TRIAL_LIMIT):
+        assert_windows([t * t - 2], [5])
+
+
+def test_factorize_range_where_the_sieve_reaches_the_prime_table():
+    # below 2^24 the sieve stops at isqrt(hi); from 2^24 on it uses the
+    # whole table, and a cofactor from 4097^2 on goes past it, as 4099^2
+    # and 4099 * 4111 do
+    square = _TRIAL_LIMIT**2
+    assert_windows(range(square - 14, square + 2))
+    assert_windows(range(4099**2 - 14, 4099**2 + 2))
+    assert_windows([4099 * 4111 - 7], [14, 300])
+
+
+def test_factorize_range_near_powers_of_ten():
+    # near 10^9 and 10^12 most cofactors are left for rho or are primes
+    # past the table
+    for power in (10**6, 10**9, 10**12):
+        assert_windows([power - 7, power + 1000])
+        assert_windows([power - 150], [300])
+
+
+def test_factorize_range_past_the_proven_bound():
+    # every number here has a small factor and leaves a cofactor that is 1
+    # or a prime below 3.3e24: a cofactor past that bound would be divided
+    # by odd numbers for hours, in factorize as in the window
+    for n in (2**90, 3**60 * 5, 2**30 * 1000000000000000003, 7**40 * 4093):
+        assert n > _MR_PROVEN_BELOW
+        assert factorize_range(n, n) == [factorize(n)], n
+    lo = 3317044064679887385962532
+    assert_windows([lo], range(1, 5))

@@ -157,6 +157,30 @@ def test_feasible_r_matches_literal_conditions():
         assert feasible_r(PerP(p)) == literal, p
 
 
+# r = 3 alone at p = 2; p + 1 = 2^39, whose divisors above 2 are all
+# feasible; p + 1 = 999999999989 a prime, where r = p + 1 alone is
+FEASIBLE_R_AT = {2: (3,), 2**39 - 1: tuple(2**k for k in range(2, 40)), 999999999988: (999999999989,)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.integers(min_value=1, max_value=5 * 10**11).map(lambda k: 2 * k),
+        st.integers(min_value=1, max_value=5 * 10**11 - 1).map(lambda k: 2 * k + 1),
+    )
+)
+@example(2)
+@example(2**39 - 1)
+@example(999999999988)
+def test_feasible_r_closed_form_up_to_10_12(sympy, p):
+    # the literal conditions on each divisor of 2(p+1), from sympy
+    literal = tuple(
+        r for r in sympy.divisors(2 * (p + 1)) if 2 < r < p + 2 and 2 * p * (p + 1) * (p + 2) // r % 2 == 0
+    )
+    assert feasible_r(PerP(p)) == literal
+    assert literal == FEASIBLE_R_AT.get(p, literal)
+
+
 def test_block_size_filter_matches_sympy(sympy):
     for p in [*range(2, 301), 1000003]:
         s = p * p + 4 * p + 2
