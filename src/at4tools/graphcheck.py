@@ -14,18 +14,22 @@ matrices on rows of packed counts: about n·d sums of k big-int rows for n
 vertices of valency k and diameter d, each sum one C-level call, in place
 of a Python step per vertex pair.  Connectivity is tested before those
 rows are built, by a walk from vertex 0 in layers of one set union each,
-so a disconnected graph costs memory linear in its size.  An audit reads
-each permutation of a graph on at most 256 vertices as a
-``bytes.translate`` table: it translates the byte string of the edges and
-looks each image edge up in a frozenset of 16-bit edge codes, and counts
-alpha_1 as the pairs (u, sigma[u]) among those codes, all built once per
-graph (``_displacement_kernel``); a larger graph is tested on int edge
-codes u·n + v, gathered from each permutation by two ``itemgetter``s built
-once per graph (``_edge_code_kernel``).  The displacement profile needs no
-distance matrix, and the characters are integer numerators over fixed
-denominators (``higman.chi_numerators``), without a Fraction;
-tests/oracles.py keeps the distance-matrix, Fraction and per-token routes
-they are held to.
+so a disconnected graph costs memory linear in its size.  An audit maps
+each permutation to its profile (order, alpha_0, alpha_1) by one kernel
+(``_displacement_kernel``).  On at most 256 vertices the permutation is a
+byte string: it is a bijection if ``bytes`` takes it and it has n distinct
+bytes below n, and an automorphism iff translating it by the 0/1 row table
+of each image vertex, a table built once per graph, gives the adjacency
+bytes of the graph; its order is the number of ``bytes.translate`` powers
+that bring it back to the identity, and alpha_1 counts the pairs
+(u, sigma[u]) among the 16-bit edge codes.  A larger graph is tested on
+int edge codes u·n + v, gathered from each permutation by two
+``itemgetter``s built once per graph (``_edge_code_kernel``).  Every check
+past the automorphism test reads only the profile, so each distinct
+profile is judged once per audit.  The profile needs no distance matrix,
+and the characters are integer numerators over fixed denominators
+(``higman.chi_numerators``), without a Fraction; tests/oracles.py keeps
+the distance-matrix, Fraction and per-token routes they are held to.
 The star witness is the unique SRG(56, 10, 0, 2), the disjointness graph
 of a class of 56 hyperovals of the order-4 projective plane, accepted only
 after it verifies its own parameters.  The class is the orbit of the
@@ -607,62 +611,97 @@ def _edge_code_kernel(g: Graph):
     """``_displacement_kernel`` of a graph on any number of vertices.  An
     edge {u, v} is the code u·n + v, and ``edges`` holds both orientations;
     ``gu`` and ``gv`` gather the ends u < v of every edge from a sequence
-    indexed by vertex, each one C-level call.  A bijection sigma is an
-    automorphism iff the code sigma[u]·n + sigma[v] of every edge lies in
-    ``edges``, and alpha_1 counts the codes u·n + sigma[u] among them."""
+    indexed by vertex, each one C-level call.  A bijection sigma
+    (``is_permutation``) is an automorphism iff the code sigma[u]·n +
+    sigma[v] of every edge lies in ``edges``; its order is read from its
+    cycles (``perm_order``), and alpha_1 counts the codes u·n + sigma[u]
+    among ``edges``."""
     n = g.n
     ends = [(u, v) for u, nbrs in enumerate(g.adj) for v in nbrs if u < v]
-    if not ends:
-        return lambda sigma: 0
     edges = frozenset([u * n + v for u, v in ends] + [v * n + u for u, v in ends])
-    # the first edge once more, reversed: an itemgetter of one index
-    # returns the item, not a 1-tuple
-    us, vs = zip(*ends, ends[0][::-1])
-    gu, gv = operator.itemgetter(*us), operator.itemgetter(*vs)
+    if ends:
+        # the first edge once more, reversed: an itemgetter of one index
+        # returns the item, not a 1-tuple
+        us, vs = zip(*ends, ends[0][::-1])
+        gu, gv = operator.itemgetter(*us), operator.itemgetter(*vs)
+    else:
+        gu = gv = lambda seq: ()
+    ident = range(n)
     heads = range(0, n * n, n)
 
-    def displacement(sigma):
+    def profile(sigma):
+        if not is_permutation(sigma, n):
+            return "not-a-permutation"
         if not edges.issuperset(map(operator.add, gu(list(map(n.__mul__, sigma))), gv(sigma))):
-            return None
-        return len(edges.intersection(map(operator.add, heads, sigma)))
+            return "not-automorphism"
+        fix = sum(map(operator.eq, sigma, ident))
+        return perm_order(sigma), fix, len(edges.intersection(map(operator.add, heads, sigma)))
 
-    return displacement
+    return profile
 
 
 def _displacement_kernel(g: Graph):
-    """The function that takes a permutation sigma of g's vertices to None
-    if sigma is no automorphism of g, and otherwise to its alpha_1: the
-    number of vertices u with sigma[u] adjacent to u.
+    """The function that takes a sequence sigma of vertices of g to
+    ``"not-a-permutation"`` unless it lists each vertex once, to
+    ``"not-automorphism"`` unless it is an automorphism of g, and otherwise
+    to its profile (order, alpha_0, alpha_1): its order, its number of fixed
+    vertices and the number of vertices u with sigma[u] adjacent to u.
 
-    On at most 256 vertices a vertex is a byte.  ``ends`` holds the bytes
-    u0 v0 u1 v1 ... of the edges with u < v, and ``edges`` the 16-bit codes
-    of both orientations, so that the set does not depend on the host's
-    byte order.  sigma, padded to 256 bytes, is a ``bytes.translate`` table:
-    a bijection is an automorphism iff it maps every edge to an edge, that
-    is iff every code of ``ends.translate(table)`` lies in ``edges``.  The
-    pairs (u, sigma[u]) are read as codes from one bytearray whose even
-    bytes are 0..n-1 and whose odd bytes take sigma.  On more vertices an
-    edge is an int code (``_edge_code_kernel``)."""
+    On at most 256 vertices a vertex is a byte and sigma the byte string
+    ``image``.  ``bytes`` refuses an image outside 0..255, translating
+    ``image`` with ``ident`` = bytes 0..n-1 deleted leaves the images n or
+    more, and a frozenset of n bytes finds a repeat.  ``rows[x]`` is the
+    256-byte 0/1 table of x's neighbours and ``matrix`` the n·n adjacency
+    bytes, both built once per graph: ``image.translate(rows[sigma[u]])``
+    is the row (M[sigma u][sigma v])_v, so a bijection is an automorphism
+    iff the n rows joined equal ``matrix``.  The order is the number of
+    ``translate`` steps by sigma that bring ``image`` back to ``ident``, at
+    most n of them, past which ``perm_order`` reads the cycles (an order
+    can exceed n).  The pairs (u, sigma[u]) are read as 16-bit codes from
+    one bytearray whose even bytes are 0..n-1 and whose odd bytes take
+    sigma, and alpha_1 counts those among the codes of both orientations of
+    every edge, a set that does not depend on the host's byte order.  On
+    more vertices an edge is an int code (``_edge_code_kernel``)."""
     n = g.n
     adj = g.adj
     if n > 256:
         return _edge_code_kernel(g)
-    ends = bytes([x for u, nbrs in enumerate(adj) for v in nbrs if u < v for x in (u, v)])
+    ident = bytes(range(n))
+    rows = []
+    for nbrs in adj:
+        row = bytearray(256)
+        for v in nbrs:
+            row[v] = 1
+        rows.append(bytes(row))
+    matrix = b"".join(row[:n] for row in rows)
     arcs = bytes([x for u, nbrs in enumerate(adj) for v in nbrs for x in (u, v)])
     edges = frozenset(memoryview(arcs).cast("H"))
     pad = bytes(256 - n)
     pairs = bytearray(2 * n)
-    pairs[::2] = range(n)
+    pairs[::2] = ident
     codes = memoryview(pairs).cast("H")
 
-    def displacement(sigma):
-        image = bytes(sigma)
-        if not edges.issuperset(memoryview(ends.translate(image + pad)).cast("H")):
-            return None
+    def profile(sigma):
+        try:
+            image = bytes(sigma)
+        except ValueError:
+            return "not-a-permutation"
+        if len(image) != n or image.translate(None, ident) or len(frozenset(image)) != n:
+            return "not-a-permutation"
+        if b"".join(map(image.translate, map(rows.__getitem__, image))) != matrix:
+            return "not-automorphism"
+        table = image + pad
+        power = image
+        order = 1
+        while power != ident and order <= n:
+            power = power.translate(table)
+            order += 1
+        if power != ident:
+            order = perm_order(sigma)
         pairs[1::2] = image
-        return len(edges.intersection(codes))
+        return order, sum(map(operator.eq, image, ident)), len(edges.intersection(codes))
 
-    return displacement
+    return profile
 
 
 # ---------------------------------------------------------------------------
@@ -675,6 +714,11 @@ def audit_family_graph(g: Graph, p: int, sigmas) -> dict:
     check, fixed-set bound, character integrality for every element, and
     the congruence filter plus alpha_1 admissibility for prime orders
     (the latter only when p > 2).
+
+    Every check past the automorphism test reads only the element's profile
+    (order, alpha_0, alpha_1), since g is strongly regular, so of diameter
+    2, and alpha_2 is what is left of n.  Each distinct profile is judged
+    once per audit and its verdict reused for every element that shares it.
 
     The report ``{"p", "total", "passed", "failures", "orders"}``: of
     ``total`` elements at p, ``passed`` passed; ``failures`` holds (index,
@@ -689,25 +733,13 @@ def audit_family_graph(g: Graph, p: int, sigmas) -> dict:
     bound = fixed_point_order_bound(params)
     n1, n2 = family_multiplicities(p)
     n = g.n
-    displacement = _displacement_kernel(g)
-    failures = []
-    orders = []
-    for idx, sigma in enumerate(sigmas):
+
+    def judge(profile) -> tuple[int, tuple[str, ...]]:
+        """(order, failure codes) of a kernel result."""
+        if isinstance(profile, str):
+            return 0, (profile,)
+        order, fix, adjacent = profile
         codes = []
-        if not is_permutation(sigma, n):
-            failures.append((idx, ("not-a-permutation",)))
-            orders.append(0)
-            continue
-        # g is strongly regular, so of diameter 2: a moved vertex goes to a
-        # neighbour or to distance 2
-        adjacent = displacement(sigma)
-        if adjacent is None:
-            failures.append((idx, ("not-automorphism",)))
-            orders.append(0)
-            continue
-        order = perm_order(sigma)
-        orders.append(order)
-        fix = sum(map(operator.eq, sigma, range(n)))
         if order > 1 and fix > bound:
             codes.append("fix-bound-exceeded")
         (num1, den1), (num2, den2) = chi_numerators(p, fix, adjacent, n - fix - adjacent)
@@ -723,8 +755,19 @@ def audit_family_graph(g: Graph, p: int, sigmas) -> dict:
                 codes.append("chi2-congruence")
             if p > 2 and fix <= bound and adjacent not in alpha1_candidates(p, order, fix):
                 codes.append("alpha1-not-admissible")
+        return order, tuple(codes)
+
+    verdicts: dict = {}
+    failures = []
+    orders = []
+    for idx, profile in enumerate(map(_displacement_kernel(g), sigmas)):
+        verdict = verdicts.get(profile)
+        if verdict is None:
+            verdict = verdicts[profile] = judge(profile)
+        order, codes = verdict
+        orders.append(order)
         if codes:
-            failures.append((idx, tuple(codes)))
+            failures.append((idx, codes))
     return {
         "p": p,
         "total": len(sigmas),

@@ -14,9 +14,10 @@ program derives another way, so that the two can be compared.
 * ``chi_values`` and ``chi_filter`` read the characters of an
   ``AutProfile`` from the integer pairs of ``higman.chi_numerators``, as
   Fractions and as the prime-order filter that the audit applies inline;
-* ``rational_chi_values``, ``rational_chi_filter`` and ``reference_audit``
-  are the character sums in ``Fraction`` arithmetic and the audit loop
-  that reads them, which ``higman.chi_numerators`` replaces by integers;
+* ``rational_chi_values``, ``rational_chi_filter``, ``reference_codes``
+  and ``reference_audit`` are the character sums in ``Fraction``
+  arithmetic, the verdict on one profile and the audit loop that reads
+  them, which ``higman.chi_numerators`` replaces by integers;
   the loop shares no kernel with the audit: it tests a bijection by
   sorting, an automorphism edge by edge (``is_automorphism``) and counts
   alpha_1 from ``g.neighbors``, where the audit translates byte tables or
@@ -294,17 +295,34 @@ def rational_chi_filter(p: int, profile) -> Verdict:
     return Verdict(not reasons, tuple(reasons))
 
 
+def reference_codes(p: int, order: int, fix: int, adjacent: int) -> tuple[str, ...]:
+    """The failure codes ``graphcheck.audit_family_graph`` gives an
+    automorphism of order ``order`` with alpha_0 = fix and alpha_1 =
+    adjacent, with the characters in Fractions."""
+    params = local_family_params(p)
+    bound = fixed_point_order_bound(params)
+    codes = []
+    if order > 1 and fix > bound:
+        codes.append("fix-bound-exceeded")
+    aut = AutProfile(order, fix, adjacent, params.v - fix - adjacent)
+    chi1, chi2 = rational_chi_values(p, aut)
+    if chi1.denominator != 1 or chi2.denominator != 1:
+        codes.append("non-integral-character")
+    elif is_prime(order):
+        codes.extend(rational_chi_filter(p, aut).reasons)
+        if p > 2 and fix <= bound and adjacent not in alpha1_candidates(p, order, fix):
+            codes.append("alpha1-not-admissible")
+    return tuple(codes)
+
+
 def reference_audit(g, p: int, sigmas) -> tuple[tuple, tuple]:
     """(failures, orders) of ``graphcheck.audit_family_graph``, element by
     element with the characters in Fractions."""
-    params = local_family_params(p)
-    assert verify_srg(g) == params
-    bound = fixed_point_order_bound(params)
+    assert verify_srg(g) == local_family_params(p)
     n = g.n
     failures = []
     orders = []
     for idx, sigma in enumerate(sigmas):
-        codes = []
         if len(sigma) != n or sorted(sigma) != list(range(n)):
             failures.append((idx, ("not-a-permutation",)))
             orders.append(0)
@@ -317,18 +335,9 @@ def reference_audit(g, p: int, sigmas) -> tuple[tuple, tuple]:
         orders.append(order)
         fix = sum(map(operator.eq, sigma, range(n)))
         adjacent = sum(sigma[u] in g.neighbors(u) for u in range(n))
-        if order > 1 and fix > bound:
-            codes.append("fix-bound-exceeded")
-        aut = AutProfile(order, fix, adjacent, n - fix - adjacent)
-        chi1, chi2 = rational_chi_values(p, aut)
-        if chi1.denominator != 1 or chi2.denominator != 1:
-            codes.append("non-integral-character")
-        elif is_prime(order):
-            codes.extend(rational_chi_filter(p, aut).reasons)
-            if p > 2 and fix <= bound and adjacent not in alpha1_candidates(p, order, fix):
-                codes.append("alpha1-not-admissible")
+        codes = reference_codes(p, order, fix, adjacent)
         if codes:
-            failures.append((idx, tuple(codes)))
+            failures.append((idx, codes))
     return tuple(failures), tuple(orders)
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import tracemalloc
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from at4tools import graphcheck
 from at4tools.at4 import IntersectionArray
+from at4tools.exactnum import is_prime
 from at4tools.graphcheck import (
     MAX_VERTICES,
     Graph,
@@ -35,6 +37,7 @@ from oracles import (
     diameter,
     is_automorphism,
     reference_audit,
+    reference_codes,
     reference_parse_graph,
     reference_parse_permutations,
 )
@@ -467,7 +470,6 @@ def test_measured_profiles_satisfy_both_alpha1_expressions(gewirtz, gewirtz_witn
     # the two displacement-count congruences are derived without any
     # hypothesis on p beyond the family shape, so every measured
     # prime-order profile of the p = 2 member must satisfy both
-    from at4tools.exactnum import is_prime
     from at4tools.higman import alpha1_residues
 
     checked = 0
@@ -540,6 +542,32 @@ def test_audit_matches_the_rational_reference(gewirtz, gewirtz_witnesses, data):
     assert report["passed"] == report["total"] - len(report["failures"])
 
 
+def test_audit_judges_each_profile_once(monkeypatch, gewirtz):
+    # a kernel that returns each element as its own profile lets the audit
+    # judge profiles no automorphism has, failing ones among them; each
+    # distinct one reaches the characters once, and every element gets the
+    # verdict the Fraction reference gives its profile alone
+    profiles = [
+        (2, 8, 0), (2, 20, 0), (2, 8, 0), "not-automorphism", (3, 2, 1), (2, 20, 0),
+        (5, 1, 10), (3, 2, 1), "not-a-permutation", (2, 14, 2), (3, 2, 0), (2, 14, 2),
+    ]
+    calls = []
+    chi = graphcheck.chi_numerators
+    monkeypatch.setattr(graphcheck, "_displacement_kernel", lambda g: lambda sigma: sigma)
+    monkeypatch.setattr(graphcheck, "chi_numerators", lambda *args: calls.append(args) or chi(*args))
+    report = audit_family_graph(gewirtz, 2, profiles)
+    expected = [
+        (idx, (x,) if isinstance(x, str) else reference_codes(2, *x)) for idx, x in enumerate(profiles)
+    ]
+    assert report["failures"] == tuple((idx, codes) for idx, codes in expected if codes)
+    assert report["orders"] == tuple(0 if isinstance(x, str) else x[0] for x in profiles)
+    assert len(calls) == len({x for x in profiles if isinstance(x, tuple)}) == 6
+    # the profiles above hold passing and failing verdicts of equal order
+    verdicts = {x: codes for x, (_, codes) in zip(profiles, expected)}
+    assert not verdicts[(2, 8, 0)] and verdicts[(2, 20, 0)]
+    assert not verdicts[(3, 2, 0)] and verdicts[(3, 2, 1)]
+
+
 def _hamming_square(q):
     """H(2, q): the pairs (a, b) as a * q + b, adjacent when they differ in
     exactly one coordinate."""
@@ -572,6 +600,40 @@ def _conjugate(sigma, relabel):
     return tuple(out)
 
 
+def _oracle_profile(g, sigma):
+    """What ``graphcheck._displacement_kernel(g)`` must return for sigma,
+    read from the oracles: the bijection by sorting, ``is_automorphism``,
+    ``perm_order``, and alpha_0 and alpha_1 from ``alpha_profile`` on a
+    connected graph, counted from ``g.neighbors`` on any other."""
+    n = g.n
+    if len(sigma) != n or sorted(sigma) != list(range(n)):
+        return "not-a-permutation"
+    if not is_automorphism(g, sigma):
+        return "not-automorphism"
+    if g.is_connected():
+        alpha0, alpha1 = alpha_profile(g, sigma)[:2]
+    else:
+        alpha0 = sum(sigma[u] == u for u in range(n))
+        alpha1 = sum(sigma[u] in g.neighbors(u) for u in range(n))
+    return perm_order(sigma), alpha0, alpha1
+
+
+def _non_permutations(sigma, rng):
+    """sigma with one image set to n, to 255 and to -1, with one image
+    repeated, one image short and one image too many."""
+    n = len(sigma)
+    out = []
+    for bad in (n, 255, -1, None):
+        i, j = rng.sample(range(n), 2)
+        if sigma[i] == 255:
+            # so that 255 changes the image it replaces
+            i, j = j, i
+        broken = list(sigma)
+        broken[i] = sigma[j] if bad is None else bad
+        out.append(tuple(broken))
+    return out + [sigma[:-1], sigma + sigma[:1]]
+
+
 @pytest.mark.parametrize(
     "n, edges, symmetries",
     [
@@ -589,11 +651,11 @@ def test_displacement_kernel_on_both_sides_of_256_vertices(monkeypatch, n, edges
     edge_code_kernel = graphcheck._edge_code_kernel
 
     def counted(g):
-        displacement = edge_code_kernel(g)
+        profile = edge_code_kernel(g)
 
         def each(sigma):
             calls.append(1)
-            return displacement(sigma)
+            return profile(sigma)
 
         return each
 
@@ -613,40 +675,80 @@ def test_displacement_kernel_on_both_sides_of_256_vertices(monkeypatch, n, edges
             swapped[i], swapped[j] = swapped[j], swapped[i]
             sigmas.append(tuple(swapped))
         sigmas += [tuple(rng.sample(range(n), n)) for _ in range(4)]
+        sigmas += _non_permutations(perms[0], rng)
         cases.append((g, sigmas))
     monkeypatch.setattr(graphcheck, "_edge_code_kernel", counted)
-    verdicts = []
+    results = []
     for g, sigmas in cases:
-        displacement = graphcheck._displacement_kernel(g)
+        profile = graphcheck._displacement_kernel(g)
         for sigma in sigmas:
-            automorphism = is_automorphism(g, sigma)
-            verdicts.append(automorphism)
-            expected = sum(sigma[u] in g.neighbors(u) for u in range(n)) if automorphism else None
-            assert displacement(sigma) == expected
-    assert verdicts.count(True) == 2 * len(symmetries)
-    assert len(calls) == (len(verdicts) if n > 256 else 0)
+            results.append(profile(sigma))
+            assert results[-1] == _oracle_profile(g, sigma)
+    assert sum(isinstance(r, tuple) for r in results) == 2 * len(symmetries)
+    assert results.count("not-a-permutation") == 2 * 6
+    assert len(calls) == (len(results) if n > 256 else 0)
 
 
 @pytest.mark.parametrize("edges", [[], [(3, 290)]], ids=["no edge", "one edge"])
 def test_edge_code_kernel_on_fewer_than_two_edges(edges):
     # the kernel gathers edge ends with itemgetters, which return a tuple
-    # only for two indices or more
+    # only for two indices or more, and tests the bijection itself
     n = 300
     g = Graph.from_edges(n, edges)
-    displacement = graphcheck._displacement_kernel(g)
+    profile = graphcheck._displacement_kernel(g)
     rng = random.Random(300)
     swap = list(range(n))
     swap[3], swap[290] = 290, 3
-    for sigma in (tuple(range(n)), tuple(swap), tuple(rng.sample(range(n), n))):
-        expected = sum(sigma[u] in g.neighbors(u) for u in range(n)) if is_automorphism(g, sigma) else None
-        assert displacement(sigma) == expected
+    sigmas = [tuple(range(n)), tuple(swap), tuple(rng.sample(range(n), n))]
+    for sigma in sigmas + _non_permutations(tuple(swap), rng):
+        assert profile(sigma) == _oracle_profile(g, sigma)
+    assert profile(tuple(swap)) == (2, n - 2, 2 * len(edges))
 
 
-def test_gewirtz_group_closes_whole(gewirtz, gewirtz_witnesses):
+def test_displacement_kernel_past_order_n(monkeypatch):
+    # the rotation of C_3 + C_4 + C_5 + C_7 has order 420 on 19 vertices, so
+    # n powers do not bring it back and the kernel falls back to perm_order
+    sizes = (3, 4, 5, 7)
+    starts = [sum(sizes[:i]) for i in range(len(sizes))]
+    edges = [(a + i, a + (i + 1) % m) for a, m in zip(starts, sizes) for i in range(m)]
+    rotation = tuple(a + (i + 1) % m for a, m in zip(starts, sizes) for i in range(m))
+    g = Graph.from_edges(19, edges)
+    calls = []
+    monkeypatch.setattr(graphcheck, "perm_order", lambda sigma: calls.append(1) or perm_order(sigma))
+    profile = graphcheck._displacement_kernel(g)
+    assert profile(tuple(range(19))) == (1, 19, 0)
+    assert not calls
+    assert profile(rotation) == _oracle_profile(g, rotation) == (420, 0, 19)
+    assert len(calls) == 1
+    # its square, of order 210, moves only C_3 along its edges
+    square = tuple(rotation[x] for x in rotation)
+    assert profile(square) == _oracle_profile(g, square) == (210, 0, 3)
+    for sigma in _non_permutations(rotation, random.Random(19)):
+        assert profile(sigma) == "not-a-permutation"
+
+
+def test_audit_of_the_whole_gewirtz_group(gewirtz, gewirtz_group):
+    report = audit_family_graph(gewirtz, 2, gewirtz_group)
+    assert report["total"] == report["passed"] == 40320 and not report["failures"]
+    assert dict(Counter(report["orders"])) == {
+        1: 1, 2: 435, 3: 2240, 4: 6300, 5: 8064, 6: 6720, 7: 5760, 8: 5040, 14: 5760
+    }
+    # the five prime-order profiles (order, alpha_0, alpha_1) and their counts
+    profile = graphcheck._displacement_kernel(gewirtz)
+    profiles = Counter(map(profile, gewirtz_group))
+    assert {key: count for key, count in profiles.items() if is_prime(key[0])} == {
+        (2, 8, 0): 315, (2, 14, 0): 120, (3, 2, 0): 2240, (5, 1, 10): 8064, (7, 0, 14): 5760
+    }
+    assert sum(profiles.values()) == 40320
+    for sigma in random.Random(56).sample(gewirtz_group, 200):
+        assert profile(sigma) == _oracle_profile(gewirtz, sigma)
+
+
+def test_gewirtz_group_closes_whole(gewirtz, gewirtz_witnesses, gewirtz_group):
     # the order sympy gives from the generators; the first 600 elements are
     # the witnesses whose bytes test_gewirtz_witness_bytes_are_pinned pins,
     # and the whole list keeps the bytes and order it had as tuples
-    group = gewirtz_automorphisms(10**5)
+    group = gewirtz_group
     assert len(group) == len(set(group)) == 40320
     assert group[:600] == gewirtz_witnesses
     assert hashlib.sha256(permutations_to_text(group).encode()).hexdigest() == (

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -418,5 +419,30 @@ def test_exclusion_arithmetic_p17_and_composite():
 
 
 def test_gcd_with_q_always_divides_3():
+    # s = p^2 + 4p + 2 = q^2 - 2 with q = p + 2, so s = -2 (mod q) and
+    # s^2 - 1 = 3 (mod q): the gcd of s^2 - 1 and q is the gcd of 3 and q
+    # at every p, proven over Z[p] and checked on the reports up to 100
+    sympy = pytest.importorskip("sympy")
+    P = sympy.Symbol("p", integer=True)
+    s, q = P**2 + 4 * P + 2, P + 2
+    for dividend in (s + 2, s**2 - 1 - 3):
+        quotient, remainder = sympy.div(dividend, q, P)
+        assert remainder == 0
+        assert all(c.is_integer for c in sympy.Poly(quotient, P).coeffs())
     for p in range(2, 101):
-        assert exclusion_arithmetic(PerP(p))["data"]["gcd_divides_3"]
+        assert PerP(p).s == s.subs(P, p)
+        data = exclusion_arithmetic(PerP(p))["data"]
+        assert data["gcd_divides_3"] and data["gcd_s2_minus_1_q"] == math.gcd(3, p + 2)
+
+
+def test_s_is_1_mod_3_when_q_is_a_power_of_3():
+    # p + 2 = 3^k gives s = 9^k - 2 and s - 1 = 3(3^(2k-1) - 1) for k >= 1,
+    # so the s % 3 == 1 test of solvable_cases always holds where it is read
+    sympy = pytest.importorskip("sympy")
+    P, K = sympy.symbols("p k", integer=True, positive=True)
+    s = (P**2 + 4 * P + 2).subs(P, 3**K - 2)
+    assert sympy.simplify(s - (9**K - 2)) == 0
+    assert sympy.simplify((s - 1) / 3 - (3 ** (2 * K - 1) - 1)) == 0
+    # p = 3^k - 2 >= 2 from k = 2 on
+    for k in range(2, 10):
+        assert PerP(3**k - 2).s % 3 == 1
