@@ -42,7 +42,8 @@ class At4Params(namedtuple("At4Params", "p r")):
     Construction enforces the three existence conditions: 2 < r < p + 2,
     r | 2(p+1), and 2p(p+1)(p+2)/r even.  The first two make every array
     entry integral.  The check is ``__post_init__``, looked up on the class
-    at each construction.
+    at each construction, where the benchmark's tracer replaces it to count
+    the pairs made and refused: it stays a hook while that counter does.
     """
 
     __slots__ = ()
@@ -315,15 +316,14 @@ def intersection_array(params: At4Params) -> IntersectionArray:
 
 
 def quotient_params(p: int) -> SrgParams:
-    """SRG parameters (v/r, b_0, a_1, r c_2) of the antipodal quotient from
-    the closed forms at r = p + 1 (a candidate at every p >= 2; the quotient
-    does not depend on r), verified to have non-principal eigenvalues p and
+    """SRG parameters (v/r, b_0, a_1, r c_2) of the antipodal quotient, read
+    off the per-p closed forms (the quotient does not depend on r): r c_2 =
+    2(p+1)(p+2).  Verified to have non-principal eigenvalues p and
     -(p+2)^2."""
     if p < 2:
         raise ValueError(f"quotient_params requires p >= 2, got {p}")
-    r = p + 1
-    f = closed_forms(At4Params(p, r))
-    params = SrgParams(f.antipodal_classes, f.b[0], f.a[1], r * f.c[1])
+    pf = p_forms(p)
+    params = SrgParams(pf.antipodal_classes, pf.b0, pf.a1, 2 * (p + 1) * (p + 2))
     spec = srg_spectrum(params)
     assert (spec.theta_pos, spec.theta_neg) == (p, -((p + 2) ** 2))
     return params
@@ -331,13 +331,13 @@ def quotient_params(p: int) -> SrgParams:
 
 def second_subconstituent_quotient(p: int) -> SrgParams:
     """The same for a second neighborhood in the antipodal quotient, read from
-    the second subconstituent (k_2 vertices, a_1 = b_0 - b_1 - 1); verified
-    to have non-principal eigenvalues p and -(p^2+2p+2)."""
+    the per-p forms of the second subconstituent: k_2/r = s(s+1)/2 vertices,
+    b_0, a_1 = b_0 - b_1 - 1 and r c_2 = 2p(p+1).  Verified to have
+    non-principal eigenvalues p and -(p^2+2p+2)."""
     if p < 2:
         raise ValueError(f"second_subconstituent_quotient requires p >= 2, got {p}")
-    r = p + 1
-    f = closed_forms(At4Params(p, r))
-    params = SrgParams(f.layer_sizes[2] // r, f.sub_b[0], f.sub_b[0] - f.sub_b[1] - 1, r * f.sub_c[1])
+    pf = p_forms(p)
+    params = SrgParams(pf.s * (pf.s + 1) // 2, pf.sub_b0, pf.sub_b0 - pf.sub_b1 - 1, 2 * p * (p + 1))
     spec = srg_spectrum(params)
     assert (spec.theta_pos, spec.theta_neg) == (p, -(p * p + 2 * p + 2))
     return params

@@ -389,44 +389,37 @@ def _cmd_scan(args) -> tuple[int, dict]:
 
 
 def _cmd_array(args) -> tuple[int, dict]:
-    params = _usage(at4.At4Params, args.p, args.r)
-    pf = at4.p_forms(params.p)
-    report = _array_payload(params.r, at4.compose(pf, at4.r_forms(pf, params.r)), _fundamental_bound(pf))
-    report["inputs"] = {"p": args.p, "r": args.r}
-    report["quotient_srg"] = list(at4.quotient_params(args.p))
-    report["second_subconstituent_quotient_srg"] = list(at4.second_subconstituent_quotient(args.p))
+    p, r = _usage(at4.At4Params, args.p, args.r)
+    pf = at4.p_forms(p)
+    report = _array_payload(r, at4.compose(pf, at4.r_forms(pf, r)), _fundamental_bound(pf))
+    report["inputs"] = {"p": p, "r": r}
+    report["quotient_srg"] = list(at4.quotient_params(p))
+    report["second_subconstituent_quotient_srg"] = list(at4.second_subconstituent_quotient(p))
     return EXIT_OK, report
 
 
 def _cmd_profile(args) -> tuple[int, dict]:
-    _usage(at4.At4Params, args.p, args.r)
+    params = _usage(at4.At4Params, args.p, args.r)
     if not is_prime(args.ell):
         raise _Refusal(EXIT_USAGE, f"order {args.ell} is not prime")
-    p, r, ell = args.p, args.r, args.ell
+    (p, r), ell = params, args.ell
     rec = at4.PerP(p)
-    classification = higman.cover_order_classification(rec, r)
+    f = at4.closed_forms(params)
+    classification = higman.cover_order_classification(rec, params)
+    applicable = classification["verdict"] != higman.INAPPLICABLE
     report = {
         "inputs": {"p": p, "r": r, "ell": ell},
-        "cover_congruences": list(higman.cover_congruences(p, r, ell)),
-        "subconstituent_congruences": list(higman.subconstituent_congruences(p, r, ell)),
-        "alpha1_fixed_point_free": (
-            higman.alpha1_candidates(p, ell, 0) if p > 2 else "inapplicable"
-        ),
-        "cover_fix_bound": higman.cover_fix_bound(p, r),
+        "cover_congruences": list(higman.cover_congruences(f, ell)),
+        "subconstituent_congruences": list(higman.subconstituent_congruences(f, ell)),
+        "alpha1_fixed_point_free": higman.alpha1_candidates(p, ell, 0) if p > 2 else "inapplicable",
+        "cover_fix_bound": higman.cover_fix_bound(params),
         "local_fix_bound": fixed_point_order_bound(local_family_params(p)),
-        "order_classification": (
-            classification
-            if classification["verdict"] != higman.INAPPLICABLE
-            else "inapplicable"
-        ),
+        "order_classification": classification if applicable else "inapplicable",
     }
-    if classification["verdict"] != higman.INAPPLICABLE:
-        report["order_admissible_with_fixed_points"] = (
-            ell in classification["data"]["fixed_point_orders"]
-        )
-        report["order_admissible_fixed_point_free"] = (
-            ell in classification["data"]["fixed_point_free_orders"]
-        )
+    if applicable:
+        data = classification["data"]
+        report["order_admissible_with_fixed_points"] = ell in data["fixed_point_orders"]
+        report["order_admissible_fixed_point_free"] = ell in data["fixed_point_free_orders"]
         report["local_fixed_structure"] = higman.local_fixed_structure(rec, ell)
     return EXIT_OK, report
 

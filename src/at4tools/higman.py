@@ -32,9 +32,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 
-from .at4 import At4Params, IntersectionArray, PerP, closed_forms, quotient_params
+from .at4 import At4Params, ClosedForms, IntersectionArray, PerP
 from .exactnum import divisors, is_prime, mult_order, primes_upto
-from .srg import family_multiplicities, fixed_point_order_bound, local_family_params
+from .srg import family_multiplicities, local_family_params
 
 PASS = "pass"
 FAIL = "fail"
@@ -210,32 +210,33 @@ def _residues(sizes: tuple[int, ...], ell: int) -> tuple[int, ...]:
     return tuple(k % ell for k in sizes)
 
 
-def cover_congruences(p: int, r: int, ell: int) -> tuple[int, int, int, int]:
+def cover_congruences(f: ClosedForms, ell: int) -> tuple[int, int, int, int]:
     """Residues mod ell of the fixed-set layer counts x_1..x_4 of a
     prime-order automorphism of the cover, measured from a fixed vertex:
-    the layer sizes k_1..k_4 of the cover mod ell."""
-    return _residues(closed_forms(At4Params(p, r)).layer_sizes[1:], ell)
+    the layer sizes k_1..k_4 of the cover, read off its closed forms
+    ``f``, mod ell."""
+    return _residues(f.layer_sizes[1:], ell)
 
 
-def subconstituent_congruences(p: int, r: int, ell: int) -> tuple[int, int, int, int]:
+def subconstituent_congruences(f: ClosedForms, ell: int) -> tuple[int, int, int, int]:
     """Residues mod ell of the layer counts y_1..y_4 of the fixed set inside
     the second subconstituent, measured from a fixed vertex of it: the layer
-    sizes of the second subconstituent's array mod ell."""
-    f = closed_forms(At4Params(p, r))
+    sizes of the second subconstituent's array, read off the cover's closed
+    forms ``f``, mod ell."""
     return _residues(IntersectionArray(f.sub_b, f.sub_c).layer_sizes[1:], ell)
 
 
-def cover_order_classification(rec: PerP, r: int) -> dict:
+def cover_order_classification(rec: PerP, params: At4Params) -> dict:
     """Admissible prime orders of a cover automorphism, split by whether it
-    can have fixed points, for prime-power p > 2.
+    can have fixed points, for prime-power p > 2, from the record ``rec``
+    of p and the validated pair ``params`` = (p, r) of the same p.
 
     With fixed points: primes <= p, plus p+2 when prime, plus prime
     divisors of s = (p+2)^2 - 2 exceeding p (the latter conservatively,
     including proper divisors of s in that range).  Without fixed points:
     prime divisors of (p+1)(p+4).
     """
-    p, s = rec.p, rec.s
-    At4Params(p, r)
+    p, s, r = rec.p, rec.s, params.r
     label = "cover-order-classification"
     if rec.base is None or p == 2:
         return _inapplicable(label, (p, r), "requires p a prime power with p > 2")
@@ -259,11 +260,12 @@ def cover_order_classification(rec: PerP, r: int) -> dict:
     )
 
 
-def cover_fix_bound(p: int, r: int) -> int:
+def cover_fix_bound(params: At4Params) -> int:
     """Bound r(p+1)(p+2)(p+4) on the fixed set of a non-trivial cover
-    automorphism: r times the fixed-point bound of the antipodal quotient."""
-    At4Params(p, r)
-    return r * fixed_point_order_bound(quotient_params(p))
+    automorphism of the validated pair ``params`` = (p, r): r times the
+    fixed-point bound of the antipodal quotient, as a closed form."""
+    p, r = params
+    return r * (p + 1) * (p + 2) * (p + 4)
 
 
 # ---------------------------------------------------------------------------

@@ -230,9 +230,10 @@ def test_quotient_params():
     assert quotient_params(11) == (16200, 2171, 154, 312)
 
 
-def test_quotients_read_a_candidate_at_every_p():
-    # both quotients read the closed forms at r = p + 1: it divides 2(p+1),
-    # lies strictly between 2 and p + 2, and 2p(p+1)(p+2)/r = 2p(p+2) is even
+def test_p_plus_1_is_a_candidate_r_at_every_p():
+    # so no scan entry has an empty list of arrays: r = p + 1 divides
+    # 2(p+1), lies strictly between 2 and p + 2, and 2p(p+1)(p+2)/r =
+    # 2p(p+2) is even
     for p in range(2, 10**4 + 1):
         assert _params_violation(p, p + 1) is None
 

@@ -126,6 +126,19 @@ def test_each_report_factorises_p_once(monkeypatch, argv):
     assert p in calls and len(calls) == len(set(calls)), calls
 
 
+@pytest.mark.parametrize("argv", [["array", "11", "4"], ["profile", "23", "8", "7"]])
+def test_a_pair_report_validates_its_pair_once_and_composes_once(monkeypatch, argv):
+    # counted through the hook that a tracer replaces to count constructions
+    made, composed = [], []
+    check, compose = at4.At4Params.__post_init__, at4.compose
+    monkeypatch.setattr(at4.At4Params, "__post_init__", lambda self: made.append(tuple(self)) or check(self))
+    monkeypatch.setattr(at4, "compose", lambda pf, rf: composed.append((pf.p, rf.r)) or compose(pf, rf))
+    rc, _ = run(["--deterministic", *argv])
+    assert rc == 0
+    pair = (int(argv[1]), int(argv[2]))
+    assert made == [pair] and composed == [pair]
+
+
 def test_scan_never_factorises_s_at_a_p_that_is_no_prime_power(monkeypatch):
     # s is past 3.3e24 with no small factor: factorising it takes seconds;
     # the scan factorises the window p..p+4 of its records and nothing else

@@ -5,7 +5,9 @@ safe: every report listed in CASES must keep its exact bytes in both the
 JSON and the text format, and its exit code.  Regenerate them only when a
 report is meant to change, with ``PYTHONPATH=src python tests/test_golden.py``.
 ``scan 2 2000`` and ``profile 1409 705 7``, too large to store, are pinned
-by the sha256 of their bytes, which that script leaves as they are.
+by the sha256 of their bytes, and so is every ``array`` and ``profile``
+report at the candidates with p < 60: that script leaves the digests as
+they are.
 """
 
 import hashlib
@@ -60,6 +62,14 @@ SCAN_2_2000_SHA256 = {
 PROFILE_1409_705_7 = {
     "json": (2224885, "7d34ff7b1809dc8365ab55479bc3c82ba8e5a26b60bbd4199f404fbb31cdcbd3"),
     "text": (1653837, "796c54b13547ba49d0ef2d07713aacca0b95ac9e63a00f543402deb9c354d77c"),
+}
+# The prime orders of the profile sweep, and the sha256 of the exit code
+# and stdout of each of its 1,176 reports in turn: array at each of the 196
+# candidates (p, r) with p < 60, then profile there at each order.
+SWEEP_ORDERS = (2, 3, 5, 7, 11)
+SWEEP_SHA256 = {
+    "json": "b5aa99ea00e7e7e0b8de60e4694451d16a149164cc3d7dd91220047d8231ef7d",
+    "text": "9c3c8b157494cf2785d72f657e4e62544cc6e49742512fa23078d1fb928dbd3b",
 }
 
 
@@ -132,6 +142,32 @@ def test_scan_2_2000_digest(fmt):
 def test_profile_1409_705_7_digest(fmt):
     report = render(fmt, ["profile", "1409", "705", "7"], 0)
     assert (len(report), hashlib.sha256(report.encode("utf-8")).hexdigest()) == PROFILE_1409_705_7[fmt]
+
+
+def sweep_pairs() -> list[tuple[int, int]]:
+    """The candidates (p, r) with p < 60, by the three existence conditions
+    read off their statement: 2 < r < p + 2, r | 2(p+1) and 2p(p+1)(p+2)/r
+    even."""
+    return [
+        (p, r)
+        for p in range(2, 60)
+        for r in range(3, p + 2)
+        if 2 * (p + 1) % r == 0 and 2 * p * (p + 1) * (p + 2) // r % 2 == 0
+    ]
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_array_and_profile_sweep_digest(fmt):
+    pairs = sweep_pairs()
+    assert len(pairs) == 196
+    digest = hashlib.sha256()
+    for p, r in pairs:
+        for argv in (["array", p, r], *(["profile", p, r, ell] for ell in SWEEP_ORDERS)):
+            buf = io.StringIO()
+            rc = cli.main(["--format", fmt, "--deterministic", *map(str, argv)], out=buf)
+            digest.update(b"%d\n" % rc)
+            digest.update(buf.getvalue().encode("utf-8"))
+    assert digest.hexdigest() == SWEEP_SHA256[fmt]
 
 
 if __name__ == "__main__":

@@ -244,13 +244,13 @@ def test_local_fixed_structure_small_and_gates():
 
 
 def test_cover_congruences_examples():
-    assert cover_congruences(3, 4, 5) == (0, 4, 0, 3)
-    assert cover_congruences(2, 3, 7) == (0, 0, 0, 2)
+    assert cover_congruences(closed_forms(At4Params(3, 4)), 5) == (0, 4, 0, 3)
+    assert cover_congruences(closed_forms(At4Params(2, 3)), 7) == (0, 0, 0, 2)
 
 
 def test_subconstituent_congruences_examples():
-    assert subconstituent_congruences(3, 4, 5) == (0, 0, 0, 3)
-    assert subconstituent_congruences(2, 3, 7) == (4, 6, 1, 2)
+    assert subconstituent_congruences(closed_forms(At4Params(3, 4)), 5) == (0, 0, 0, 3)
+    assert subconstituent_congruences(closed_forms(At4Params(2, 3)), 7) == (4, 6, 1, 2)
 
 
 def test_congruences_match_layer_sizes():
@@ -261,23 +261,23 @@ def test_congruences_match_layer_sizes():
             f = closed_forms(At4Params(p, r))
             sub = IntersectionArray(f.sub_b, f.sub_c).layer_sizes
             for ell in (2, 3, 5, 7, 11, 13):
-                assert cover_congruences(p, r, ell) == tuple(k % ell for k in cover[1:])
-                assert subconstituent_congruences(p, r, ell) == tuple(k % ell for k in sub[1:])
+                assert cover_congruences(f, ell) == tuple(k % ell for k in cover[1:])
+                assert subconstituent_congruences(f, ell) == tuple(k % ell for k in sub[1:])
 
 
 def test_cover_order_classification():
-    rep = cover_order_classification(PerP(11), 4)
+    rep = cover_order_classification(PerP(11), At4Params(11, 4))
     assert rep["data"]["fixed_point_orders"] == [2, 3, 5, 7, 11, 13, 167]
     assert rep["data"]["fixed_point_free_orders"] == [2, 3, 5]
-    rep17 = cover_order_classification(PerP(17), 3)
+    rep17 = cover_order_classification(PerP(17), At4Params(17, 3))
     assert 19 in rep17["data"]["fixed_point_orders"]
     assert 359 in rep17["data"]["fixed_point_orders"]
     assert rep17["data"]["fixed_point_free_orders"] == [2, 3, 7]
-    rep27 = cover_order_classification(PerP(27), 4)
+    rep27 = cover_order_classification(PerP(27), At4Params(27, 4))
     assert 29 in rep27["data"]["fixed_point_orders"]
     assert 839 in rep27["data"]["fixed_point_orders"]
     assert rep27["data"]["fixed_point_free_orders"] == [2, 7, 31]
-    assert cover_order_classification(PerP(2), 3)["verdict"] == INAPPLICABLE
+    assert cover_order_classification(PerP(2), At4Params(2, 3))["verdict"] == INAPPLICABLE
 
 
 def test_cover_order_case_split_is_exclusive():
@@ -290,7 +290,7 @@ def test_cover_order_case_split_is_exclusive():
         rs = feasible_r(rec)
         if not rs:
             continue
-        rep = cover_order_classification(rec, rs[0])
+        rep = cover_order_classification(rec, At4Params(p, rs[0]))
         free = set(rep["data"]["fixed_point_free_orders"])
         s = (p + 2) ** 2 - 2
         big_divisors = {q for q in free if q > p and s % q == 0}
@@ -312,9 +312,9 @@ def test_case_report_without_data_gets_a_dict_of_its_own():
 
 
 def test_cover_fix_bound():
-    assert cover_fix_bound(2, 3) == 216
-    assert cover_fix_bound(3, 4) == 560
-    assert cover_fix_bound(11, 3) == 7020
+    assert cover_fix_bound(At4Params(2, 3)) == 216
+    assert cover_fix_bound(At4Params(3, 4)) == 560
+    assert cover_fix_bound(At4Params(11, 3)) == 7020
 
 
 def test_cover_fix_bound_is_r_times_quotient_bound():
@@ -323,7 +323,7 @@ def test_cover_fix_bound_is_r_times_quotient_bound():
 
     for p in (2, 3, 5, 11, 17):
         for r in feasible_r(PerP(p)):
-            assert cover_fix_bound(p, r) == r * fixed_point_order_bound(quotient_params(p))
+            assert cover_fix_bound(At4Params(p, r)) == r * fixed_point_order_bound(quotient_params(p))
 
 
 def test_block_size_filter():
