@@ -8,10 +8,11 @@ parameters, second subconstituent parameters and the tightness
 (fundamental bound) check.  The closed forms come in two parts: the
 values that depend on p alone (``p_forms``) and those that depend on r
 (``r_forms``), which ``compose`` places in one ``ClosedForms``, so that a
-scan computes the first once per p.  tests/test_closed_forms.py proves
-the closed forms as polynomial identities over Q[p, r]; tests/test_at4.py
-checks them against the characteristic polynomial of the tridiagonal
-intersection matrix.
+scan computes the first once per p.  No form is checked at run time:
+tests/test_closed_forms.py proves the functions here, run on sympy
+symbols, as identities over Q[p, r], and tests/test_at4.py checks them
+against the characteristic polynomial of the tridiagonal intersection
+matrix.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .exactnum import divisors, factorize, factorize_range, is_prime
-from .srg import SrgParams, srg_spectrum
+from .srg import SrgParams
 
 
 def _params_violation(p: int, r: int) -> str | None:
@@ -229,7 +230,7 @@ class RForms(namedtuple("RForms", "r c2 b2 k2 k3 k4 vertices triple_constant sub
 
 
 def p_forms(p) -> PForms:
-    """The per-p part of the closed forms.  Like ``_r_forms`` it runs on
+    """The per-p part of the closed forms.  Like ``r_forms`` it runs on
     ints here and on sympy symbols in the proof test, which reads each floor
     division as an exact one: for a pair that passes _params_violation
     every division leaves no remainder."""
@@ -253,9 +254,9 @@ def p_forms(p) -> PForms:
     )
 
 
-def _r_forms(pf: PForms, r) -> RForms:
+def r_forms(pf: PForms, r) -> RForms:
     """The per-r part of the closed forms of (p, r), from the per-p part
-    ``pf`` of p, with no check."""
+    ``pf`` of p."""
     p, b0 = pf.p, pf.b0
     c2 = 2 * (p + 1) * (p + 2) // r
     k2 = b0 * pf.b1 // c2
@@ -263,16 +264,6 @@ def _r_forms(pf: PForms, r) -> RForms:
     return RForms(
         r, c2, (r - 1) * c2, k2, (r - 1) * b0, r - 1, r * (b0 + 1) + k2, 2 * (p + 1) // r, sub_c2, (r - 1) * sub_c2
     )
-
-
-def r_forms(pf: PForms, r: int) -> RForms:
-    """The per-r part of the closed forms of (p, r), with the cheap integer
-    identities of the array checked: v is the sum of the layer sizes and r
-    times v/r, and the triple constant 2(p+1)/r equals c2(a1-p)/a2."""
-    f = _r_forms(pf, r)
-    assert f.vertices == 1 + pf.b0 + f.k2 + f.k3 + f.k4 == r * pf.antipodal_classes
-    assert f.c2 * (pf.a1 - pf.p) == f.triple_constant * pf.a2
-    return f
 
 
 def compose(pf: PForms, rf: RForms) -> ClosedForms:
@@ -295,52 +286,40 @@ def compose(pf: PForms, rf: RForms) -> ClosedForms:
     )
 
 
-def _closed_forms(p, r) -> ClosedForms:
-    """The closed forms alone, with no check: the composition of the per-p
-    and the per-r part."""
+def closed_forms(params) -> ClosedForms:
+    """The closed forms of the pair (p, r), a validated ``At4Params`` or,
+    in the proof test, a pair of sympy symbols: the composition of the
+    per-p and the per-r part."""
+    p, r = params
     pf = p_forms(p)
-    return compose(pf, _r_forms(pf, r))
-
-
-def closed_forms(params: At4Params) -> ClosedForms:
-    """Closed forms of the candidate, with the cheap integer identities
-    checked again, as ``r_forms`` checks them."""
-    pf = p_forms(params.p)
-    return compose(pf, r_forms(pf, params.r))
+    return compose(pf, r_forms(pf, r))
 
 
 def intersection_array(params: At4Params) -> IntersectionArray:
     """Diameter-4 intersection array of the candidate (p, r), validated."""
-    f = _closed_forms(params.p, params.r)
+    f = closed_forms(params)
     return IntersectionArray(f.b, f.c)
 
 
 def quotient_params(p: int) -> SrgParams:
     """SRG parameters (v/r, b_0, a_1, r c_2) of the antipodal quotient, read
     off the per-p closed forms (the quotient does not depend on r): r c_2 =
-    2(p+1)(p+2).  Verified to have non-principal eigenvalues p and
-    -(p+2)^2."""
+    2(p+1)(p+2).  Its non-principal eigenvalues are p and -(p+2)^2."""
     if p < 2:
         raise ValueError(f"quotient_params requires p >= 2, got {p}")
     pf = p_forms(p)
-    params = SrgParams(pf.antipodal_classes, pf.b0, pf.a1, 2 * (p + 1) * (p + 2))
-    spec = srg_spectrum(params)
-    assert (spec.theta_pos, spec.theta_neg) == (p, -((p + 2) ** 2))
-    return params
+    return SrgParams(pf.antipodal_classes, pf.b0, pf.a1, 2 * (p + 1) * (p + 2))
 
 
 def second_subconstituent_quotient(p: int) -> SrgParams:
     """The same for a second neighborhood in the antipodal quotient, read from
     the per-p forms of the second subconstituent: k_2/r = s(s+1)/2 vertices,
-    b_0, a_1 = b_0 - b_1 - 1 and r c_2 = 2p(p+1).  Verified to have
-    non-principal eigenvalues p and -(p^2+2p+2)."""
+    b_0, a_1 = b_0 - b_1 - 1 and r c_2 = 2p(p+1).  Its non-principal
+    eigenvalues are p and -(p^2+2p+2)."""
     if p < 2:
         raise ValueError(f"second_subconstituent_quotient requires p >= 2, got {p}")
     pf = p_forms(p)
-    params = SrgParams(pf.s * (pf.s + 1) // 2, pf.sub_b0, pf.sub_b0 - pf.sub_b1 - 1, 2 * p * (p + 1))
-    spec = srg_spectrum(params)
-    assert (spec.theta_pos, spec.theta_neg) == (p, -(p * p + 2 * p + 2))
-    return params
+    return SrgParams(pf.s * (pf.s + 1) // 2, pf.sub_b0, pf.sub_b0 - pf.sub_b1 - 1, 2 * p * (p + 1))
 
 
 EQUALITY = "equality"

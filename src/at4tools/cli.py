@@ -51,13 +51,7 @@ from operator import itemgetter
 
 from . import at4, higman
 from .exactnum import is_prime
-from .srg import (
-    clique_bound,
-    feasibility_basic,
-    fixed_point_order_bound,
-    local_family_params,
-    srg_spectrum,
-)
+from .srg import clique_bound, family_multiplicities, feasibility_basic, local_family_params
 
 SCHEMA = "at4.report/1"
 
@@ -359,7 +353,6 @@ def _spectrum_fields(rec: at4.PerP) -> dict:
 def _scan_entry(rec: at4.PerP) -> dict:
     p = rec.p
     rs = at4.feasible_r(rec)
-    local = local_family_params(p)
     entry: dict = {
         "p": p,
         "prime_power": rec.base,
@@ -368,8 +361,9 @@ def _scan_entry(rec: at4.PerP) -> dict:
         "s": rec.s,
         "s_prime": rec.s_prime,
         "feasible_r": [*rs],
-        "local_srg": list(local),
-        "local_fix_bound": fixed_point_order_bound(local),
+        "local_srg": list(local_family_params(p)),
+        # mu v / (k - p) = s, proven in tests/test_closed_forms.py
+        "local_fix_bound": rec.s,
         "clique_bound": clique_bound(p),
         "arrays": _ScanArrays((at4.p_forms(p), rs)),
         **_spectrum_fields(rec),
@@ -413,7 +407,7 @@ def _cmd_profile(args) -> tuple[int, dict]:
         "subconstituent_congruences": list(higman.subconstituent_congruences(f, ell)),
         "alpha1_fixed_point_free": higman.alpha1_candidates(p, ell, 0) if p > 2 else "inapplicable",
         "cover_fix_bound": higman.cover_fix_bound(params),
-        "local_fix_bound": fixed_point_order_bound(local_family_params(p)),
+        "local_fix_bound": rec.s,
         "order_classification": classification if applicable else "inapplicable",
     }
     if applicable:
@@ -428,20 +422,16 @@ def _cmd_bounds(args) -> tuple[int, dict]:
     p = args.p
     rec = _listable(_usage(at4.PerP, p))
     params = local_family_params(p)
-    spec = srg_spectrum(params)
+    n1, n2 = family_multiplicities(p)
     report = {
         "inputs": {"p": p},
         "local_srg": list(params),
-        "spectrum": {
-            "k": spec.k,
-            "theta_pos": spec.theta_pos,
-            "m_pos": spec.m_pos,
-            "theta_neg": spec.theta_neg,
-            "m_neg": spec.m_neg,
-        },
+        # the family's spectrum and fixed-point bound in closed form, proven
+        # in tests/test_closed_forms.py; the general screen solves it once
+        "spectrum": {"k": params.k, "theta_pos": p, "m_pos": n1, "theta_neg": -(p + 2), "m_neg": n2},
         "feasibility": feasibility_basic(params),
         "clique_bound": clique_bound(p),
-        "fix_bound": fixed_point_order_bound(params),
+        "fix_bound": rec.s,
         "block_sizes": list(higman.block_size_filter(rec)),
         **_spectrum_fields(rec),
         "exclusion": higman.exclusion_arithmetic(rec) if p > 2 else "inapplicable",

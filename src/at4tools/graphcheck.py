@@ -51,7 +51,7 @@ from itertools import combinations, groupby, permutations, repeat
 from .at4 import IntersectionArray
 from .exactnum import is_prime
 from .higman import alpha1_candidates, chi_numerators
-from .srg import SrgParams, family_multiplicities, fixed_point_order_bound, local_family_params
+from .srg import SrgParams, family_multiplicities, local_family_params
 
 
 # Largest vertex count a graph file may declare; the parser refuses a larger
@@ -730,7 +730,8 @@ def audit_family_graph(g: Graph, p: int, sigmas) -> dict:
         raise GraphError(
             f"graph verifies as {measured and tuple(measured)}, expected {tuple(params)}"
         )
-    bound = fixed_point_order_bound(params)
+    # the fixed-point bound mu v / (k - p) = s
+    bound = (p + 2) ** 2 - 2
     n1, n2 = family_multiplicities(p)
     n = g.n
 

@@ -290,7 +290,9 @@ def centralizer_filter(rec: PerP) -> dict:
     power above 2.
 
     Outside the cyclic group generated by the long element, such an order
-    must divide p+1 and be below p; its fixed subgraph is regular on s
+    must divide p+1 and be below p.  The second holds for every prime of
+    p+1: s is even at even p, so p is odd here, and a prime of the even
+    p+1 is at most (p+1)/2.  Its fixed subgraph is regular on s
     vertices, it displaces (p+1)s vertices to distance 1, and each of its
     non-trivial orbits is a clique.  Feeding that displacement count back
     through the character congruences refines the order list further (the
@@ -303,7 +305,7 @@ def centralizer_filter(rec: PerP) -> dict:
         return _inapplicable(label, (p,), "requires p a prime power with p > 2")
     if not rec.s_prime:
         return _inapplicable(label, (p,), f"requires (p+2)^2 - 2 = {s} prime")
-    admissible = [t for t, _ in rec[p + 1] if t < p]
+    admissible = [t for t, _ in rec[p + 1]]
     alpha1 = (p + 1) * s
     refined = [t for t in admissible if alpha1 in alpha1_candidates(p, t, s)]
     notes = [
@@ -335,12 +337,13 @@ def solvable_cases(rec: PerP) -> dict:
     """The two arithmetic branches available to a solvable vertex-transitive
     group containing an element of prime order s = (p+2)^2 - 2.
 
-    Branch one needs p+2 to be a power of 3 with s = 1 mod 3 and bounds the
-    stabilizer spectrum by the prime divisors of (p+1)(s-1).  Branch two
-    needs a minimal normal subgroup of order t^e with t | p+2, e >= 2,
-    t^e = 1 mod s, s dividing the invertible-matrix group order, and p+2
-    composite.  A report in which both branches fail certifies that no
-    solvable group of this kind exists.
+    Branch one needs p+2 to be a power of 3, which makes s = 9^k - 2 = 1
+    mod 3 as the branch also asks, and bounds the stabilizer spectrum by
+    the prime divisors of (p+1)(s-1).  Branch two needs a minimal normal
+    subgroup of order t^e with t | p+2, e >= 2, t^e = 1 mod s, s dividing
+    the invertible-matrix group order, and p+2 composite.  A report in
+    which both branches fail certifies that no solvable group of this kind
+    exists.
     """
     label = "solvable-transitive-cases"
     p, s = rec.p, rec.s
@@ -350,12 +353,11 @@ def solvable_cases(rec: PerP) -> dict:
         return _inapplicable(label, (p,), f"requires (p+2)^2 - 2 = {s} prime")
     q_primes = [t for t, _ in rec[rec.q]]
     power_of_3 = q_primes == [3]
-    case_i_ok = power_of_3 and s % 3 == 1
     case_i = {
         "q_power_of_3": power_of_3,
         "s_mod_3": s % 3,
-        "applicable": case_i_ok,
-        "stabilizer_prime_bound": sorted({t for n in (p + 1, s - 1) for t, _ in rec[n]}) if case_i_ok else None,
+        "applicable": power_of_3,
+        "stabilizer_prime_bound": sorted({t for n in (p + 1, s - 1) for t, _ in rec[n]}) if power_of_3 else None,
     }
     case_ii = []
     any_ii = False
@@ -376,7 +378,7 @@ def solvable_cases(rec: PerP) -> dict:
         any_ii = any_ii or entry["survives"]
         case_ii.append(entry)
     conds = (
-        {"code": "normal-s-subgroup-branch", "ok": case_i_ok, "detail": "p+2 a power of 3 and s = 1 mod 3"},
+        {"code": "normal-s-subgroup-branch", "ok": power_of_3, "detail": "p+2 a power of 3 and s = 1 mod 3"},
         {
             "code": "elementary-abelian-branch",
             "ok": any_ii,
@@ -386,7 +388,7 @@ def solvable_cases(rec: PerP) -> dict:
     return _case(
         label,
         (p,),
-        PASS if (case_i_ok or any_ii) else FAIL,
+        PASS if (power_of_3 or any_ii) else FAIL,
         conditions=conds,
         data={"s": s, "case_i": case_i, "case_ii": case_ii},
     )

@@ -5,11 +5,12 @@ Centers on the one-parameter family
     ((p+2)(p^2+4p+2), p(p+3), p-2, p),   p >= 2,
 
 which arises as the local graph of an antipodal tight diameter-4 graph with
-local eigenvalue parameters (p, p+2).  Provides exact spectra, the
-eigenspace multiplicities and the fixed-point order bound mu*v/(k - theta)
-used by the automorphism constraint engine.  The second eigenmatrix of the
-associated 3-class scheme is kept in tests/oracles.py, where it holds the
-character values of at4tools.higman to an independent route.
+local eigenvalue parameters (p, p+2).  Provides the family's parameters and
+eigenspace multiplicities in closed form, and the exact spectrum and basic
+feasibility screen of any parameter tuple.  tests/test_closed_forms.py
+proves the family's spectrum and its fixed-point bound mu*v/(k - p) = s
+for every p; tests/oracles.py keeps the general bound and the second
+eigenmatrix of the associated 3-class scheme as independent routes.
 """
 
 from __future__ import annotations
@@ -54,9 +55,7 @@ def local_family_params(p: int) -> SrgParams:
     """Local-graph family member for parameter p >= 2."""
     if p < 2:
         raise ValueError(f"family requires p >= 2, got {p}")
-    params = SrgParams((p + 2) * (p * p + 4 * p + 2), p * (p + 3), p - 2, p)
-    assert params.identity_holds()
-    return params
+    return SrgParams((p + 2) * (p * p + 4 * p + 2), p * (p + 3), p - 2, p)
 
 
 def srg_spectrum(params: SrgParams) -> Spectrum:
@@ -96,7 +95,8 @@ def srg_spectrum(params: SrgParams) -> Spectrum:
 
 
 def family_multiplicities(p: int) -> tuple[int, int]:
-    """Multiplicities (n1, n2) of the two non-principal eigenspaces at p."""
+    """Multiplicities (n1, n2) of the eigenvalues p and -(p+2) of the family
+    member at p."""
     s = (p + 2) ** 2 - 2
     return ((p + 3) * s // 2, (p + 1) * s // 2 - 1)
 
@@ -106,19 +106,6 @@ def clique_bound(p: int) -> int:
     if p < 2:
         raise ValueError(f"clique_bound requires p >= 2, got {p}")
     return (p + 2) ** 2
-
-
-def fixed_point_order_bound(params: SrgParams) -> int:
-    """Bound floor(mu*v/(k - theta_pos)) on the fixed subgraph of a non-trivial automorphism.
-
-    Only defined for integral spectra.  For the local family this evaluates
-    to (p+2)^2 - 2; for the antipodal quotient of the covering graph it
-    evaluates to (p+1)(p+2)(p+4).
-    """
-    spec = srg_spectrum(params)
-    if spec.conference:
-        raise SpectrumError("irrational-spectrum", f"bound needs an integral spectrum: {tuple(params)}")
-    return params.mu * params.v // (params.k - spec.theta_pos)
 
 
 def feasibility_basic(params: SrgParams) -> dict:

@@ -2,6 +2,10 @@
 
 None of these is reached by a command: each recomputes something the
 program derives another way, so that the two can be compared.
+* ``fixed_point_order_bound`` is the general bound mu*v/(k - theta) on the
+  fixed subgraph, from the solved spectrum of any SRG, where the reports
+  read the family's closed form s and ``higman.cover_fix_bound`` the
+  cover's r(p+1)(p+2)(p+4);
 * ``gl_order`` is the literal group order behind the modular shortcut of
   ``higman.solvable_cases``;
 * ``second_eigenmatrix`` gives the character values of ``chi_values``
@@ -50,7 +54,26 @@ from at4tools.graphcheck import (
     verify_srg,
 )
 from at4tools.higman import alpha1_candidates, alpha1_residues, chi_numerators
-from at4tools.srg import family_multiplicities, fixed_point_order_bound, local_family_params
+from at4tools.srg import (
+    SpectrumError,
+    SrgParams,
+    family_multiplicities,
+    local_family_params,
+    srg_spectrum,
+)
+
+
+def fixed_point_order_bound(params: SrgParams) -> int:
+    """Bound floor(mu*v/(k - theta_pos)) on the fixed subgraph of a non-trivial automorphism.
+
+    Only defined for integral spectra.  For the local family this evaluates
+    to (p+2)^2 - 2; for the antipodal quotient of the covering graph it
+    evaluates to (p+1)(p+2)(p+4).
+    """
+    spec = srg_spectrum(params)
+    if spec.conference:
+        raise SpectrumError("irrational-spectrum", f"bound needs an integral spectrum: {tuple(params)}")
+    return params.mu * params.v // (params.k - spec.theta_pos)
 
 
 class Verdict(namedtuple("Verdict", "ok reasons", defaults=((),))):

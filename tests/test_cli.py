@@ -348,6 +348,32 @@ def gewirtz_files(tmp_path_factory):
     return gpath, ppath, witnesses
 
 
+@pytest.mark.parametrize(
+    "argv, solves",
+    [
+        (["bounds", "11"], 1),
+        (["scan", "11", "11"], 0),
+        (["scan", "2", "30"], 0),
+        (["array", "11", "4"], 0),
+        (["profile", "23", "8", "7"], 0),
+        (["audit", "{graph}", "{perms}", "2"], 0),
+    ],
+)
+def test_only_the_feasibility_screen_solves_an_srg_spectrum(monkeypatch, gewirtz_files, argv, solves):
+    # the spectra, the fixed-point bounds and the quotients a report prints
+    # are closed forms proven in tests/test_closed_forms.py; bounds solves
+    # its local graph once, in feasibility_basic
+    calls = []
+    solve = srg.srg_spectrum
+    for module in (at4, cli, graphcheck, higman, srg):
+        if getattr(module, "srg_spectrum", None) is solve:
+            monkeypatch.setattr(module, "srg_spectrum", lambda params: calls.append(params) or solve(params))
+    gpath, ppath, _ = gewirtz_files
+    rc, _ = run(["--deterministic", *(a.format(graph=gpath, perms=ppath) for a in argv)])
+    assert rc == 0
+    assert len(calls) == solves
+
+
 def test_audit_passes(gewirtz_files):
     gpath, ppath, _ = gewirtz_files
     rc, rep = run_json(["audit", str(gpath), str(ppath), "2"])

@@ -1,22 +1,31 @@
 """Proof of the closed forms the reports use, as identities over Q[p, r, x].
 
-``at4._closed_forms`` runs here on sympy symbols, so the formulas proven are
-the ones the program evaluates: it is the composition of the per-p part of
-the forms, ``at4.p_forms``, and their per-r part, ``at4._r_forms``, which
-``at4.r_forms`` checks and the scan writer prints.  sympy turns each floor
-division ``//`` into ``floor(...)``; the proof reads it as the exact
-quotient, and ``test_every_division_is_exact_for_a_candidate`` shows that
-each quotient is an integer for every pair (p, r) that passes
+The reports compute each closed form once and check none of them at run
+time: this file is where they are proven, for every p.  The functions run
+here on sympy symbols, so the formulas proven are the ones the program
+evaluates.  ``at4.closed_forms`` is the composition of the per-p part of
+the forms, ``at4.p_forms``, and their per-r part, ``at4.r_forms``, which
+the scan writer prints; ``at4.quotient_params``,
+``at4.second_subconstituent_quotient`` and ``srg.local_family_params`` run
+at p = n + 2 with n >= 0, on which their refusal of p < 2 evaluates to
+False.  The local graph's spectrum, multiplicities and fixed-point bound
+s, and both quotients' spectra and multiplicities, are proven here rather
+than solved per report.  sympy turns each floor division ``//`` into
+``floor(...)``; the proof reads it as the exact quotient, and
+``test_every_division_is_exact_for_a_candidate`` and ``exact_per_p`` show
+that each quotient is an integer for every pair (p, r) that passes
 ``at4._params_violation``.
 """
 
 import pytest
 
-from at4tools import at4
+from at4tools import at4, srg
 
 sympy = pytest.importorskip("sympy")
 
 P, R, X, U = sympy.symbols("p r x u")
+# p = n + 2 with n >= 0: the functions that refuse p < 2 run on it
+N = sympy.Symbol("n", integer=True, nonnegative=True)
 S = P**2 + 4 * P + 2
 THETA = (P + 2) * S, S, P, -(P + 2), -((P + 2) ** 2)
 
@@ -26,12 +35,32 @@ def exact(value):
     return sympy.cancel(sympy.sympify(value).replace(sympy.floor, lambda q: q))
 
 
-RAW = at4._closed_forms(P, R)
+RAW = at4.closed_forms((P, R))
 F = at4.ClosedForms(*(exact(v) if not isinstance(v, tuple) else tuple(map(exact, v)) for v in RAW))
 
 
 def same(lhs, rhs) -> bool:
     return sympy.cancel(lhs - rhs) == 0
+
+
+def integer_valued_multiple(q, unit) -> bool:
+    """q = unit * f(p) for a polynomial f that takes integer values on every
+    integer p: f of degree d is so exactly when f(0), ..., f(d) are integers."""
+    f = sympy.cancel(q / unit)
+    if not f.free_symbols <= {P} or not f.is_polynomial(P):
+        return False
+    degree = sympy.Poly(f, P).degree()
+    return all(f.subs(P, i).is_integer for i in range(max(degree, 0) + 1))
+
+
+def exact_per_p(values) -> tuple:
+    """``values``, per-p forms made at p or at p = n + 2, as expressions in
+    p with each floor read as its quotient, once each quotient is shown to
+    be an integer-valued polynomial in p: each division is then exact."""
+    values = [sympy.sympify(v).subs(N, P - 2) for v in values]
+    for floor in set().union(*(v.atoms(sympy.floor) for v in values)):
+        assert integer_valued_multiple(exact(floor.args[0]), 1), floor
+    return tuple(map(exact, values))
 
 
 def tridiagonal(b, c):
@@ -89,7 +118,7 @@ def test_per_p_part_is_free_of_r_and_per_r_part_is_not():
     # once per array: a per-p value must not vary with r, and a per-r value
     # that did not would be filled once per array for nothing
     per_p = at4.p_forms(P)
-    per_r = at4._r_forms(per_p, R)
+    per_r = at4.r_forms(per_p, R)
     assert all(R not in sympy.sympify(v).free_symbols for v in per_p)
     assert all(R in sympy.sympify(v).free_symbols for v in per_r)
 
@@ -132,13 +161,16 @@ def sub_layer_sizes():
 def test_quotient_spectra():
     quotient = tuple(map(sympy.cancel, quotient_of(F.b, F.c, F.layer_sizes)))
     second = tuple(map(sympy.cancel, quotient_of(F.sub_b, F.sub_c, sub_layer_sizes())))
-    # the quotients do not depend on r, and have the spectra that
-    # quotient_params and second_subconstituent_quotient assert
+    # the quotients do not depend on r, have the spectra that the docstrings
+    # of quotient_params and second_subconstituent_quotient state, and are
+    # what those two functions compute for every p
     assert all(R not in q.free_symbols for q in quotient + second)
     assert srg_spectrum_holds(*quotient, P, -((P + 2) ** 2))
     assert srg_spectrum_holds(*second, P, -(P**2 + 2 * P + 2))
     # the valency is the principal eigenvalue: the other two differ from it
     assert not same(quotient[1], P) and not same(second[1], P)
+    assert all(map(same, exact_per_p(at4.quotient_params(N + 2)), quotient))
+    assert all(map(same, exact_per_p(at4.second_subconstituent_quotient(N + 2)), second))
     for p in range(2, 41):
         assert at4.quotient_params(p) == tuple(q.subs(P, p) for q in quotient)
         assert at4.second_subconstituent_quotient(p) == tuple(
@@ -146,14 +178,54 @@ def test_quotient_spectra():
         )
 
 
-def integer_valued_multiple(q, unit) -> bool:
-    """q = unit * f(p) for a polynomial f that takes integer values on every
-    integer p: f of degree d is so exactly when f(0), ..., f(d) are integers."""
-    f = sympy.cancel(q / unit)
-    if not f.free_symbols <= {P} or not f.is_polynomial(P):
-        return False
-    degree = sympy.Poly(f, P).degree()
-    return all(f.subs(P, i).is_integer for i in range(max(degree, 0) + 1))
+def srg_multiplicities(v, k, theta, tau):
+    """The multiplicities of theta and tau in an SRG of order v and valency
+    k: the solution of 1 + m + m' = v and k + m theta + m' tau = 0."""
+    return (
+        sympy.cancel((-k - (v - 1) * tau) / (theta - tau)),
+        sympy.cancel((k + (v - 1) * theta) / (theta - tau)),
+    )
+
+
+@pytest.mark.parametrize(
+    "quotient, eigenvalues, multiplicities",
+    [
+        (at4.quotient_params, (P, -((P + 2) ** 2)), ((P + 2) * (P + 3) * S / 2, (P + 1) * S / 2)),
+        (
+            at4.second_subconstituent_quotient,
+            (P, -(P**2 + 2 * P + 2)),
+            ((P + 1) * (P + 2) * S / 2, P * (P + 2) * (P + 3) / 2),
+        ),
+    ],
+)
+def test_quotient_multiplicities_are_integer_valued(quotient, eigenvalues, multiplicities):
+    v, k, _, _ = exact_per_p(quotient(N + 2))
+    got = srg_multiplicities(v, k, *eigenvalues)
+    assert all(map(same, got, multiplicities))
+    assert all(integer_valued_multiple(m, 1) for m in got)
+
+
+def test_local_srg_counting_identity_and_eigenvalues():
+    v, k, lam, mu = exact_per_p(srg.local_family_params(N + 2))
+    assert same(k * (k - lam - 1), (v - k - 1) * mu)
+    # what the bounds report prints as theta_pos and theta_neg
+    assert srg_spectrum_holds(v, k, lam, mu, P, -(P + 2))
+    assert not same(k, P)
+
+
+def test_local_srg_multiplicities_are_family_multiplicities():
+    v, k, _, _ = exact_per_p(srg.local_family_params(N + 2))
+    n1, n2 = exact_per_p(srg.family_multiplicities(P))
+    assert all(map(same, srg_multiplicities(v, k, P, -(P + 2)), (n1, n2)))
+    assert integer_valued_multiple(n1, 1) and integer_valued_multiple(n2, 1)
+
+
+def test_local_fix_bound_is_s():
+    # mu v / (k - theta) with theta = p, the bound the reports print as s
+    # (scan, profile and bounds) and the audit as (p + 2)^2 - 2
+    v, k, _, mu = exact_per_p(srg.local_family_params(N + 2))
+    assert same(mu * v / (k - P), S)
+    assert same(S, (P + 2) ** 2 - 2)
 
 
 def test_every_division_is_exact_for_a_candidate():

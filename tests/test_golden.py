@@ -6,8 +6,8 @@ JSON and the text format, and its exit code.  Regenerate them only when a
 report is meant to change, with ``PYTHONPATH=src python tests/test_golden.py``.
 ``scan 2 2000`` and ``profile 1409 705 7``, too large to store, are pinned
 by the sha256 of their bytes, and so is every ``array`` and ``profile``
-report at the candidates with p < 60: that script leaves the digests as
-they are.
+report at the candidates with p < 60, and every ``bounds`` report at
+p = 2..600: that script leaves the digests as they are.
 """
 
 import hashlib
@@ -70,6 +70,14 @@ SWEEP_ORDERS = (2, 3, 5, 7, 11)
 SWEEP_SHA256 = {
     "json": "b5aa99ea00e7e7e0b8de60e4694451d16a149164cc3d7dd91220047d8231ef7d",
     "text": "9c3c8b157494cf2785d72f657e4e62544cc6e49742512fa23078d1fb928dbd3b",
+}
+
+# The sha256 of the exit code and stdout of bounds at each p = 2..600 in
+# turn: the goldens hold six p, and this pins the closed-form spectrum and
+# fix_bound fields at every p up to 600.
+BOUNDS_SWEEP_SHA256 = {
+    "json": "64d9a76e8b057f0c2f490380d7031b1c04359da29e7c5777d60ca0ac221367f7",
+    "text": "926b5d7dc13121b4fa39cd7d2b14435cdb0261b00295596fa5820ca50d325bdf",
 }
 
 
@@ -156,18 +164,33 @@ def sweep_pairs() -> list[tuple[int, int]]:
     ]
 
 
+def sweep_digest(fmt: str, argvs) -> str:
+    """The sha256 of the exit code and stdout of each report of ``argvs``
+    in turn."""
+    digest = hashlib.sha256()
+    for argv in argvs:
+        buf = io.StringIO()
+        rc = cli.main(["--format", fmt, "--deterministic", *map(str, argv)], out=buf)
+        digest.update(b"%d\n" % rc)
+        digest.update(buf.getvalue().encode("utf-8"))
+    return digest.hexdigest()
+
+
 @pytest.mark.parametrize("fmt", sorted(FORMATS))
 def test_array_and_profile_sweep_digest(fmt):
     pairs = sweep_pairs()
     assert len(pairs) == 196
-    digest = hashlib.sha256()
-    for p, r in pairs:
-        for argv in (["array", p, r], *(["profile", p, r, ell] for ell in SWEEP_ORDERS)):
-            buf = io.StringIO()
-            rc = cli.main(["--format", fmt, "--deterministic", *map(str, argv)], out=buf)
-            digest.update(b"%d\n" % rc)
-            digest.update(buf.getvalue().encode("utf-8"))
-    assert digest.hexdigest() == SWEEP_SHA256[fmt]
+    argvs = [
+        argv
+        for p, r in pairs
+        for argv in (["array", p, r], *(["profile", p, r, ell] for ell in SWEEP_ORDERS))
+    ]
+    assert sweep_digest(fmt, argvs) == SWEEP_SHA256[fmt]
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_bounds_sweep_digest(fmt):
+    assert sweep_digest(fmt, (["bounds", p] for p in range(2, 601))) == BOUNDS_SWEEP_SHA256[fmt]
 
 
 if __name__ == "__main__":

@@ -216,6 +216,27 @@ def test_centralizer_alpha1_refinement():
         ]
 
 
+def test_every_prime_of_p_plus_1_is_below_p_where_the_centralizer_filter_applies():
+    # the filter applies only at a prime power p > 2 with s prime; s =
+    # 2(2u^2 + 4u + 1) at p = 2u is even and above 2, so p is odd there, and
+    # a prime of the even p + 1 is at most (p + 1)/2 < p: the filter's
+    # admissible orders are all the primes of p + 1, with no test of t < p
+    sympy = pytest.importorskip("sympy")
+    u = sympy.Symbol("u")
+    even = 2 * u
+    assert sympy.expand(even**2 + 4 * even + 2 - 2 * (2 * u**2 + 4 * u + 1)) == 0
+    applicable = 0
+    for p in range(3, 3000):
+        rep = centralizer_filter(PerP(p))
+        if rep["verdict"] == INAPPLICABLE:
+            continue
+        applicable += 1
+        primes = [t for t, _ in factorize(p + 1)]
+        assert p % 2 == 1 and max(primes) <= (p + 1) // 2 < p
+        assert rep["data"]["admissible_orders"] == primes
+    assert applicable == 133
+
+
 def test_local_fixed_structure_order_p():
     rep = local_fixed_structure(PerP(3), 3)
     assert rep["verdict"] == PASS
@@ -319,7 +340,7 @@ def test_cover_fix_bound():
 
 def test_cover_fix_bound_is_r_times_quotient_bound():
     from at4tools.at4 import quotient_params
-    from at4tools.srg import fixed_point_order_bound
+    from oracles import fixed_point_order_bound
 
     for p in (2, 3, 5, 11, 17):
         for r in feasible_r(PerP(p)):
@@ -437,7 +458,8 @@ def test_gcd_with_q_always_divides_3():
 
 def test_s_is_1_mod_3_when_q_is_a_power_of_3():
     # p + 2 = 3^k gives s = 9^k - 2 and s - 1 = 3(3^(2k-1) - 1) for k >= 1,
-    # so the s % 3 == 1 test of solvable_cases always holds where it is read
+    # so solvable_cases reads its branch one, which asks for s = 1 mod 3 as
+    # well, off p + 2 being a power of 3 alone
     sympy = pytest.importorskip("sympy")
     P, K = sympy.symbols("p k", integer=True, positive=True)
     s = (P**2 + 4 * P + 2).subs(P, 3**K - 2)

@@ -9,12 +9,11 @@ from at4tools.srg import (
     clique_bound,
     family_multiplicities,
     feasibility_basic,
-    fixed_point_order_bound,
     local_family_params,
     srg_spectrum,
 )
 
-from oracles import second_eigenmatrix
+from oracles import fixed_point_order_bound, second_eigenmatrix
 
 
 def test_local_family_params():
