@@ -1,8 +1,10 @@
 """Command line front end: deterministic text or JSON reports.
 
-Subcommands: scan, array, profile, bounds, verify, audit.  Reports are
-byte-identical for identical inputs; wall-clock timing is attached in a
-separate optional field and suppressed entirely under --deterministic.
+Subcommands: scan, array, profile, bounds, verify, audit, declared once
+in ``_COMMANDS``: a well-formed argv is read straight off it, the rest
+(help, abbreviations, refusals) by argparse, built from it at first use.
+Reports are byte-identical for identical inputs; wall-clock timing is
+attached in a separate optional field and suppressed under --deterministic.
 
 A report holds dicts with str keys, lists, tuples, ranges, the arrays of
 scan entries, and int, str, bool, None or float leaves, each of exactly
@@ -38,7 +40,6 @@ prints every ``error: ...`` line, one per failed call, to stderr.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
@@ -48,6 +49,7 @@ import time
 from itertools import groupby, islice
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
+from types import SimpleNamespace
 
 from . import at4, higman
 from .exactnum import is_prime
@@ -497,48 +499,69 @@ def _cmd_audit(args) -> tuple[int, dict]:
     return (EXIT_FINDINGS if audit["failures"] else EXIT_OK), {"inputs": inputs, **audit}
 
 
+# command: (handler, help line, positionals as (name, type) pairs), for both parsers
+_COMMANDS = {
+    "scan": (_cmd_scan, "feasibility scan over a p range", (("p_min", int), ("p_max", int))),
+    "array": (_cmd_array, "intersection array and derived data for (p, r)", (("p", int), ("r", int))),
+    "profile": (_cmd_profile, "congruence profile for (p, r) and a prime order", (("p", int), ("r", int), ("ell", int))),
+    "bounds": (_cmd_bounds, "spectrum and fixed-point bounds at p", (("p", int),)),
+    "verify": (_cmd_verify, "SRG/DRG verification of a graph file", (("graph", str),)),
+    "audit": (_cmd_audit, "audit automorphism profiles of a family graph", (("graph", str), ("perms", str), ("p", int))),
+}
+_FORMATS = ("text", "json")
+_NEGATIVE = re.compile(r"-\d+").fullmatch
+
+
+def _table_args(argv) -> SimpleNamespace | None:
+    """The namespace argparse makes of a well-formed ``argv``, read off
+    _COMMANDS, or None for any other argv.  Well formed: any number of
+    ``--format text|json`` and ``--deterministic`` tokens, a command word,
+    then exactly its positionals, each converted by its type.  A positional
+    that starts with '-' must be ``-\\d+``, the one such token that argparse
+    reads as a positional (a negative number) on every supported Python."""
+    fmt, deterministic, i, n = "text", False, 0, len(argv)
+    while i < n:
+        if argv[i] == "--deterministic":
+            deterministic, i = True, i + 1
+        elif argv[i] == "--format" and i + 1 < n and argv[i + 1] in _FORMATS:
+            fmt, i = argv[i + 1], i + 2
+        else:
+            break
+    command = _COMMANDS.get(argv[i]) if i < n else None
+    if command is None or n - i - 1 != len(command[2]):
+        return None
+    func, _, positionals = command
+    args = SimpleNamespace(format=fmt, deterministic=deterministic, command=argv[i], func=func)
+    for (name, kind), token in zip(positionals, argv[i + 1 :]):
+        if token[:1] == "-" and not _NEGATIVE(token):
+            return None
+        try:
+            setattr(args, name, kind(token))
+        except ValueError:
+            return None
+    return args
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built at first use and shared by later calls:
-    parse_args leaves it unchanged and returns a new namespace each time."""
+    """The argument parser of every argv that ``_table_args`` declines,
+    built from _COMMANDS at first use and shared by later calls: parse_args
+    leaves it unchanged and returns a new namespace each time."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="at4",
         description="Feasibility and automorphism-constraint reports for "
         "antipodal tight diameter-4 graph candidates with q = p + 2.",
     )
-    parser.add_argument("--format", choices=("text", "json"), default="text")
+    parser.add_argument("--format", choices=_FORMATS, default="text")
     parser.add_argument("--deterministic", action="store_true", help="omit timing for reproducible output")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_scan = sub.add_parser("scan", help="feasibility scan over a p range")
-    p_scan.add_argument("p_min", type=int)
-    p_scan.add_argument("p_max", type=int)
-    p_scan.set_defaults(func=_cmd_scan)
-
-    p_array = sub.add_parser("array", help="intersection array and derived data for (p, r)")
-    p_array.add_argument("p", type=int)
-    p_array.add_argument("r", type=int)
-    p_array.set_defaults(func=_cmd_array)
-
-    p_profile = sub.add_parser("profile", help="congruence profile for (p, r) and a prime order")
-    p_profile.add_argument("p", type=int)
-    p_profile.add_argument("r", type=int)
-    p_profile.add_argument("ell", type=int)
-    p_profile.set_defaults(func=_cmd_profile)
-
-    p_bounds = sub.add_parser("bounds", help="spectrum and fixed-point bounds at p")
-    p_bounds.add_argument("p", type=int)
-    p_bounds.set_defaults(func=_cmd_bounds)
-
-    p_verify = sub.add_parser("verify", help="SRG/DRG verification of a graph file")
-    p_verify.add_argument("graph")
-    p_verify.set_defaults(func=_cmd_verify)
-
-    p_audit = sub.add_parser("audit", help="audit automorphism profiles of a family graph")
-    p_audit.add_argument("graph")
-    p_audit.add_argument("perms")
-    p_audit.add_argument("p", type=int)
-    p_audit.set_defaults(func=_cmd_audit)
+    for name, (func, help_line, positionals) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_line)
+        for dest, kind in positionals:
+            command.add_argument(dest, type=kind)
+        command.set_defaults(func=func)
     return parser
 
 
@@ -548,11 +571,13 @@ def main(argv=None, out=None) -> int:
     header and timing and prints an ``error: ...`` line to stderr: for a
     refusal, with its code, or for an unexpected exception, with exit 4."""
     out = out if out is not None else sys.stdout
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    argv = sys.argv[1:] if argv is None else argv
+    args = _table_args(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     start = time.perf_counter()
     try:
         code, report = args.func(args)

@@ -140,14 +140,16 @@ class Graph:
         of range or a loop raises GraphError, and so does an edge listed at
         one end only, unless a ``warnings`` list is given: the edge is then
         added at its other end and a warning appended, in order of (i, j).
-        A neighbour listed twice counts once."""
-        # rows are sorted as lists, in linear time on the sorted rows a file
-        # holds.  A vertex with no neighbours listed shares one empty row, so
-        # sparse graphs pay no list per vertex, and no row needs a set: the
-        # symmetry test is a transposition of the rows, and only rows that
-        # fail it are checked one edge at a time.
+        A neighbour listed twice counts once.  A row given as a list is
+        sorted in place, not copied; any other row is copied, then sorted."""
+        # a vertex with no neighbours listed shares one empty row, so sparse
+        # graphs pay no list per vertex, and no row needs a set: the symmetry
+        # test is a transposition of the rows, and only rows that fail it are
+        # checked one edge at a time
         empty = []
-        rows = [sorted(nbrs) if nbrs else empty for nbrs in neighbours]
+        rows = [nbrs if type(nbrs) is list else list(nbrs) if nbrs else empty for nbrs in neighbours]
+        for row in rows:
+            row.sort()
         if not _symmetric(rows):
             rows = _symmetrized(rows, warnings)
         self.n = len(rows)

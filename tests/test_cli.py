@@ -463,6 +463,116 @@ def test_parser_is_built_once_and_each_call_gets_its_own_namespace():
     assert out2.startswith("a = ") and "\ntiming_ms = " in out2
 
 
+def argparse_vars(argv):
+    """The attributes of argparse's namespace for ``argv``, or None if it
+    prints help or refuses ``argv``."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+# Tokens around the argv that the command table reads: ints in the forms
+# int() and argparse read apart (signs, '_', padding, Unicode digits; each
+# Python's argparse is the oracle of '-5_000'), the options argparse alone
+# reads, and words and paths that start with '-'.
+EDGE_TOKENS = [
+    *("11", "-3", "0", "+5", " 5", "5 ", "5_000", "-5_000", "-.5", "-5.", "1e3", "٣", "-٣", "²"),
+    *("-", "--", "-h", "--help", "", "- 5", "-5 ", "-5\n", "-g.txt", "g.txt", "-x"),
+    *("--format", "--format=json", "--det", "--form", "--deterministic", "json", "text", "xml", "bounds", "scan"),
+]
+VALID_OPTIONS = [["--deterministic"], ["--format", "json"], ["--format", "text"]]
+
+
+@st.composite
+def argvs_around_the_table(draw):
+    """Options, a command word and about its number of positionals, each
+    part well formed or not, and now and then an option after them."""
+    edge = st.sampled_from(EDGE_TOKENS)
+    option = st.one_of(st.sampled_from(VALID_OPTIONS), st.lists(edge, min_size=1, max_size=2))
+    options = draw(st.lists(option, max_size=3))
+    name = draw(st.one_of(st.sampled_from(sorted(cli._COMMANDS)), edge))
+    arity = len(cli._COMMANDS[name][2]) if name in cli._COMMANDS else 1
+    count = draw(st.sampled_from([arity, arity, max(arity - 1, 0), arity + 1]))
+    tokens = draw(st.lists(st.one_of(st.integers(-(10**4), 10**4).map(str), edge), min_size=count, max_size=count))
+    trailing = draw(st.lists(st.sampled_from(["--deterministic", "--format", "json", "-h"]), max_size=1))
+    return [token for part in options for token in part] + [name, *tokens, *trailing]
+
+
+@settings(max_examples=1500, deadline=None)
+@given(argvs_around_the_table())
+def test_the_command_table_reads_argv_as_argparse_does_or_declines(argv):
+    args = cli._table_args(argv)
+    assert args is None or vars(args) == argparse_vars(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "11"],
+        ["--deterministic", "--format", "json", "--format", "text", "--deterministic", "scan", "-3", "+5"],
+        ["array", " 11 ", "1_0"],
+        ["profile", "٣", "-٣", "7"],
+        ["verify", ""],
+        ["audit", "g.txt", "-7", "-2"],
+    ],
+)
+def test_the_command_table_reads_a_well_formed_argv(argv):
+    args = cli._table_args(argv)
+    assert args is not None and vars(args) == argparse_vars(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["bounds", "-h"],
+        ["--det", "bounds", "11"],
+        ["--format=json", "bounds", "11"],
+        ["--format", "xml", "bounds", "11"],
+        ["bounds"],
+        ["bounds", "11", "12"],
+        ["bounds", "11", "--deterministic"],
+        ["bounds", "--", "11"],
+        ["bounds", "x"],
+        ["bounds", "-5_000"],
+        ["bounds", "-5 "],
+        ["verify", "-g.txt"],
+        ["bound", "11"],
+    ],
+)
+def test_the_command_table_leaves_every_other_argv_to_argparse(argv):
+    assert cli._table_args(argv) is None
+
+
+def test_a_well_formed_argv_never_builds_the_parser(gewirtz_files, capsys, monkeypatch):
+    gpath, ppath, _ = gewirtz_files
+    cli._build_parser.cache_clear()
+    for argv in (
+        ["scan", "11", "12"],
+        ["array", "11", "4"],
+        ["profile", "23", "8", "7"],
+        ["bounds", "11"],
+        ["verify", str(gpath)],
+        ["audit", str(gpath), str(ppath), "2"],
+    ):
+        assert run(["--format", "json", "--deterministic", *argv])[0] == 0
+    # the console script passes no argv: main reads sys.argv
+    monkeypatch.setattr(sys, "argv", ["at4", "--deterministic", "bounds", "11"])
+    assert run(None)[0] == 0
+    assert cli._build_parser.cache_info().misses == 0
+    # a help page and a refusal are argparse's, each from the parser it builds
+    assert run(["-h"]) == (0, "")
+    assert capsys.readouterr().out.startswith("usage: at4 ")
+    assert cli._build_parser.cache_info().misses == 1
+    cli._build_parser.cache_clear()
+    assert run(["scan", "2"]) == (2, "")
+    assert capsys.readouterr().err.startswith("usage: at4 scan")
+    assert cli._build_parser.cache_info().misses == 1
+
+
 SMALL = st.integers(min_value=-10, max_value=5000)
 
 

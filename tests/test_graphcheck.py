@@ -115,6 +115,26 @@ def test_parse_makes_no_set_for_a_vertex_without_neighbours():
     assert warnings == ("edge 0-3 listed only once; symmetrized", "edge 1-3 listed only once; symmetrized")
 
 
+def test_graph_sorts_list_rows_in_place():
+    # the rows of the 2^16-vertex perfect matching, as parse_graph hands them
+    # over: a sorted copy of each would take about 175 B per vertex at peak,
+    # the graph itself keeps 56
+    n = 1 << 16
+    rows = [[v ^ 1] for v in range(n)]
+    tracemalloc.start()
+    try:
+        g = Graph(rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count() == n // 2
+    assert peak <= 128 * n
+    # the caller's lists are the rows, sorted in place; a tuple row is copied
+    rows = [[2, 1], [0], (0,)]
+    assert Graph(rows).adj == ((1, 2), (0,), (0,))
+    assert rows[0] == [1, 2]
+
+
 def test_graph_rejects_bad_rows_passed_directly():
     with pytest.raises(GraphError, match="asymmetric edge 0-1"):
         Graph([[1], []])

@@ -357,8 +357,11 @@ def test_long_sequences_are_written_in_slices():
 
 
 def cli_report(*argv):
-    """The report of ``at4 --deterministic argv`` before it is written."""
-    args = cli._build_parser().parse_args(["--deterministic", *argv])
+    """The report of ``at4 --deterministic argv`` before it is written,
+    read as ``main`` reads it: off the command table, which takes every
+    argv given here."""
+    args = cli._table_args(["--deterministic", *argv])
+    assert args is not None, argv
     _, report = args.func(args)
     report["schema"] = cli.SCHEMA
     report["command"] = args.command
